@@ -28,11 +28,6 @@ from pathlib import Path
 #: skipped so schema growth never breaks the collation.
 TRAJECTORY = [
     {
-        "file": "BENCH_kernel.json",
-        "subject": "columnar workload kernels",
-        "headlines": [],  # per-case payload; summarized by _kernel_rows
-    },
-    {
         "file": "BENCH_executor.json",
         "subject": "process-parallel cell executor",
         "headlines": [
@@ -43,11 +38,9 @@ TRAJECTORY = [
     },
     {
         "file": "BENCH_sweep.json",
-        "subject": "90-cell CTC sweep, columnar pipeline vs pre-PR",
+        "subject": "90-cell CTC sweep, columnar pipeline",
         "headlines": [
-            ("pre-PR serial", "pre_pr_serial_cells_per_second", "{:,.1f} cells/s"),
             ("columnar serial", "columnar_serial_cells_per_second", "{:,.1f} cells/s"),
-            ("speedup", "serial_speedup", "{:.2f}x"),
         ],
     },
     {
@@ -96,45 +89,7 @@ TRAJECTORY = [
             ("retried cells after kill", "fault_retried_cells", "{:d}"),
         ],
     },
-    {
-        "file": "BENCH_backfill.json",
-        "subject": "batched backfill claims, deep-queue cons-FCFS",
-        "headlines": [
-            (
-                "sequential claims",
-                "deep_sequential_job_events_per_second",
-                "{:,.0f} job events/s",
-            ),
-            (
-                "batched claims",
-                "deep_batched_job_events_per_second",
-                "{:,.0f} job events/s",
-            ),
-            ("speedup", "deep_speedup_cons_fcfs", "{:.2f}x"),
-        ],
-    },
 ]
-
-
-def _kernel_rows(payload: dict) -> list[tuple[str, str]]:
-    """BENCH_kernel nests per-case results; surface the best speedup."""
-    cases = payload.get("cases")
-    if isinstance(cases, dict):
-        cases = list(cases.values())
-    if not isinstance(cases, list) or not cases:
-        return []
-    speedups = [
-        c["speedup"]
-        for c in cases
-        if isinstance(c, dict) and isinstance(c.get("speedup"), (int, float))
-    ]
-    if not speedups:
-        return []
-    return [
-        ("cases", f"{len(cases)}"),
-        ("best speedup", f"{max(speedups):.1f}x"),
-        ("median speedup", f"{sorted(speedups)[len(speedups) // 2]:.1f}x"),
-    ]
 
 
 def collect(bench_dir: Path) -> list[dict]:
@@ -148,16 +103,13 @@ def collect(bench_dir: Path) -> list[dict]:
             )
             continue
         payload = json.loads(path.read_text(encoding="utf-8"))
-        if entry["file"] == "BENCH_kernel.json":
-            headlines = _kernel_rows(payload)
-        else:
-            headlines = [
-                (label, fmt.format(payload[key]))
-                for label, key, fmt in entry["headlines"]
-                # None marks a skipped leg (e.g. BENCH_dist's scaling leg
-                # on a 1-CPU host) — absent and skipped render the same.
-                if payload.get(key) is not None
-            ]
+        headlines = [
+            (label, fmt.format(payload[key]))
+            for label, key, fmt in entry["headlines"]
+            # None marks a skipped leg (e.g. BENCH_dist's scaling leg
+            # on a 1-CPU host) — absent and skipped render the same.
+            if payload.get(key) is not None
+        ]
         records.append(
             {
                 "bench": entry["file"],

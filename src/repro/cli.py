@@ -155,8 +155,7 @@ def _configure_execution(args: argparse.Namespace):
 
     The flags build a frozen :class:`~repro.exec.config.ExecConfig`
     (whose constructor validates them) and hand it to
-    :func:`repro.exec.set_default_executor` — the CLI never touches the
-    deprecated ``configure()`` shim.
+    :func:`repro.exec.set_default_executor`.
     """
     if args.parallel < 1:
         raise ReproError(f"--parallel must be >= 1, got {args.parallel}")

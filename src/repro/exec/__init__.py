@@ -16,8 +16,6 @@ The public surface:
 * :class:`ExecConfig` + :func:`set_default_executor` — execution
   configuration as a frozen value, installed explicitly; this is what
   the CLI's ``--parallel`` / ``--cache-dir`` flags build.
-* :func:`configure` — **deprecated** keyword-argument shim over the
-  above; emits :class:`DeprecationWarning` and will be removed.
 
 Typical use::
 
@@ -31,8 +29,7 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.exec.backends import BACKEND_CHOICES, StoreBackend, make_backend
 from repro.exec.cell import CACHE_SCHEMA_VERSION, Cell
@@ -89,7 +86,6 @@ __all__ = [
     "run_cells",
     "ExecConfig",
     "set_default_executor",
-    "configure",
     "default_executor",
     "default_store",
 ]
@@ -100,7 +96,8 @@ _default_executor: CellExecutor | None = None
 def default_executor() -> CellExecutor:
     """The process-wide executor :func:`run_cells` uses (lazily created).
 
-    Starts out serial and memory-only; reshape it with :func:`configure`.
+    Starts out serial and memory-only; reshape it with
+    :func:`set_default_executor`.
     """
     global _default_executor
     if _default_executor is None:
@@ -119,8 +116,7 @@ def set_default_executor(config: ExecConfig | CellExecutor | None) -> CellExecut
     Accepts a frozen :class:`ExecConfig` (the normal case — the executor
     and its store are built from it), a ready :class:`CellExecutor`, or
     ``None`` to reset to the lazy serial default.  The previous default's
-    in-memory results are discarded.  This is the supported replacement
-    for the deprecated :func:`configure`.
+    in-memory results are discarded.
     """
     global _default_executor
     if config is None:
@@ -137,50 +133,6 @@ def set_default_executor(config: ExecConfig | CellExecutor | None) -> CellExecut
     return _default_executor
 
 
-def configure(
-    *,
-    parallel: int = 1,
-    cache_dir=None,
-    max_retries: int = 1,
-    progress: Callable[[ExecutionReport], None] | None = None,
-    chunk_size: int | None = None,
-    preload_workloads: bool = True,
-    use_chains: bool = True,
-    store_backend: str = "auto",
-    memory_limit: int | None = DEFAULT_MEMORY_LIMIT,
-) -> CellExecutor:
-    """Deprecated: build an :class:`ExecConfig` and call
-    :func:`set_default_executor` instead.
-
-    Kept as a thin shim for existing callers: the keyword arguments map
-    one-to-one onto :class:`ExecConfig` fields (``parallel`` sets the
-    worker-process count, ``cache_dir`` + ``store_backend`` +
-    ``memory_limit`` shape the store, ``chunk_size`` /
-    ``preload_workloads`` / ``use_chains`` tune dispatch — see the
-    ``ExecConfig`` docs).  Emits :class:`DeprecationWarning` and returns
-    the newly installed executor.
-    """
-    warnings.warn(
-        "repro.exec.configure() is deprecated; build a repro.exec.ExecConfig "
-        "and pass it to repro.exec.set_default_executor() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return set_default_executor(
-        ExecConfig(
-            parallel=parallel,
-            cache_dir=cache_dir,
-            max_retries=max_retries,
-            progress=progress,
-            chunk_size=chunk_size,
-            preload_workloads=preload_workloads,
-            use_chains=use_chains,
-            store_backend=store_backend,
-            memory_limit=memory_limit,
-        )
-    )
-
-
 def run_cells(
     cells: Iterable[Cell], *, executor: CellExecutor | None = None
 ) -> list[RunMetrics]:
@@ -189,6 +141,6 @@ def run_cells(
     This is the batch entry point experiments use.  Results come from
     the executor's store when already known; misses are simulated —
     in parallel when the executor (default: the process-wide one, see
-    :func:`configure`) has ``max_workers > 1``.
+    :func:`set_default_executor`) has ``max_workers > 1``.
     """
     return (executor or default_executor()).execute(cells)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +54,15 @@ DB_FILENAME = "results.sqlite"
 #: batch thousands of rows per transaction, so contention windows are
 #: short; 30s absorbs even a slow competing bulk write.
 BUSY_TIMEOUT_SECONDS = 30.0
+
+#: Attempts at the first-open sequence (journal-mode switch + DDL).  The
+#: switch to WAL needs an exclusive lock that SQLite refuses at once —
+#: the busy timeout does not apply — when another process is mid-open on
+#: the same fresh file, so racing first-openers back off and retry; by
+#: then the file is WAL and the switch is skipped.  Bounded (about 10 s
+#: in total) so a genuinely stuck database still surfaces as an error.
+_OPEN_ATTEMPTS = 20
+_OPEN_BACKOFF_SECONDS = 0.05
 
 #: Keys per ``IN (...)`` clause.  SQLite's default parameter limit is
 #: 999 (32766 on newer builds); staying under the old floor keeps the
@@ -125,14 +135,37 @@ class SqliteBackend(StoreBackend):
                 self._conn.close()
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_SECONDS)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(_CREATE_META)
-            conn.execute(_CREATE_PAYLOADS)
-            conn.commit()
+            try:
+                self._prepare(conn)
+            except BaseException:
+                conn.close()
+                raise
             self._conn = conn
             self._conn_pid = pid
         return self._conn
+
+    @staticmethod
+    def _prepare(conn: sqlite3.Connection) -> None:
+        """Put a fresh connection's database in WAL mode with the result
+        tables present, tolerating other processes doing the same."""
+        for attempt in range(1, _OPEN_ATTEMPTS + 1):
+            try:
+                mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+                if mode.lower() != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                # The write lock is taken up front, where the busy timeout
+                # applies, instead of by a lock upgrade inside the DDL.
+                conn.execute("BEGIN IMMEDIATE")
+                conn.execute(_CREATE_META)
+                conn.execute(_CREATE_PAYLOADS)
+                conn.commit()
+                return
+            except sqlite3.OperationalError as error:
+                conn.rollback()
+                if "locked" not in str(error) or attempt == _OPEN_ATTEMPTS:
+                    raise
+                time.sleep(_OPEN_BACKOFF_SECONDS * attempt)
 
     def close(self) -> None:
         if self._conn is not None and self._conn_pid == os.getpid():

@@ -6,9 +6,6 @@ It is frozen, hashable, and carries a stable content hash, so it can act
 as a dictionary key in process memory, a file name in a persistent result
 store, and a pickled work item shipped to a worker process — the same
 identity in all three places.
-
-``Cell`` replaces the old ad-hoc ``(spec, kind, priority, **options)``
-calling convention of ``repro.experiments.runner.run_cell``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """ExecConfig: the execution layer's configuration as a frozen value.
 
-Historically the execution knobs (worker count, cache directory, chunk
-size, ...) lived as keyword arguments to :func:`repro.exec.configure`,
-which rebuilt a module-global executor — a grab-bag of loose globals
-that cannot be inspected, compared, or threaded through code that
-builds its own executors.  :class:`ExecConfig` replaces that: one
-frozen, validated dataclass that every layer consumes explicitly —
+One frozen, validated dataclass holds the execution knobs (worker count,
+cache directory, chunk size, ...) so they can be inspected, compared, and
+threaded through code that builds its own executors; every layer
+consumes it explicitly —
 
 * ``ExecConfig.build_store()`` / :meth:`ResultStore.from_config
   <repro.exec.store.ResultStore.from_config>` — the store's
@@ -16,9 +14,6 @@ frozen, validated dataclass that every layer consumes explicitly —
 * :func:`repro.exec.set_default_executor` — installs a config (or a
   ready executor) as the process-wide default behind
   :func:`repro.exec.run_cells`.
-
-``configure(...)`` survives as a thin deprecation shim that builds an
-``ExecConfig`` and installs it, emitting :class:`DeprecationWarning`.
 
 Being frozen, configs are safe to share, hash into cache keys, and vary
 with :meth:`ExecConfig.replace`::
@@ -46,8 +41,10 @@ class ExecConfig:
     """Immutable configuration for the execution layer.
 
     Fields mirror the knobs :class:`~repro.exec.executor.CellExecutor`
-    and :class:`~repro.exec.store.ResultStore` accept; see
-    :func:`repro.exec.configure`'s docstring for the semantics of each.
+    and :class:`~repro.exec.store.ResultStore` accept: ``parallel`` sets
+    the worker-process count, ``cache_dir`` + ``store_backend`` +
+    ``memory_limit`` shape the store, ``chunk_size`` /
+    ``preload_workloads`` / ``use_chains`` tune dispatch.
     Validation happens at construction, so an ``ExecConfig`` that exists
     is buildable.  ``progress`` (a callback) is excluded from equality
     and hashing.

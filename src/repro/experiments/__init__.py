@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     make_estimate_model,
     make_scheduler,
     make_workload,
-    run_cell,
 )
 from repro.experiments.registry import (
     CELL_PLANS,
@@ -42,7 +41,6 @@ __all__ = [
     "make_estimate_model",
     "make_scheduler",
     "make_workload",
-    "run_cell",
     "CELL_PLANS",
     "EXPERIMENTS",
     "collect_cells",

@@ -1,4 +1,4 @@
-"""Workload/scheduler factories and the (deprecated) single-cell runner.
+"""Workload/scheduler factories and the workload caches.
 
 A *cell* is one simulation: (workload spec) x (scheduler kind, priority).
 Several experiments share cells — e.g. the exact-estimate conservative run
@@ -6,8 +6,7 @@ of Figure 1 is also the baseline of Figure 2 and Table 4 — so results are
 memoized.  Cell identity and memoization now live in :mod:`repro.exec`:
 :class:`repro.exec.Cell` is the unit of work, :func:`repro.exec.run_cells`
 the batch entry point, and the default :class:`repro.exec.ResultStore`
-owns both the in-process layer and the optional on-disk cache.  The
-keyword-style :func:`run_cell` survives as a thin deprecated wrapper.
+owns both the in-process layer and the optional on-disk cache.
 
 Workloads (the memory hog — thousands of Job objects each) are memoized
 here behind a bounded LRU so a long ``experiment all`` sweep cannot grow
@@ -18,8 +17,8 @@ trace's jobs — is memoized once per ``(trace, n_jobs, seed)`` as a
 :class:`~repro.workload.table.JobTable` (:func:`base_workload_table`),
 and each spec's load scale and estimate model are then derived from that
 table with vectorized transforms (:func:`make_workload_table`).  The
-result is float-identical to the original row-at-a-time path, which is
-kept as :func:`make_workload_rows` for the differential suite.  Worker
+result is float-identical to the original row-at-a-time path, which the
+differential suite keeps in ``tests/oracles/row_pipeline.py``.  Worker
 processes can additionally be seeded with fully-derived tables up front
 (:func:`preload_workload_tables` — the executor ships them through the
 pool initializer as flat buffers) so the first cell a worker runs does
@@ -28,7 +27,6 @@ not pay workload construction at all.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 
@@ -39,7 +37,6 @@ from repro.experiments.config import (
     USER_MODEL_WELL_FRACTION,
     WorkloadSpec,
 )
-from repro.metrics.collector import RunMetrics
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.easy import EasyScheduler
@@ -67,14 +64,12 @@ from repro.workload.transforms import apply_estimates, scale_load
 __all__ = [
     "ExperimentResult",
     "make_workload",
-    "make_workload_rows",
     "make_workload_table",
     "base_workload_table",
     "make_estimate_model",
     "make_scheduler",
     "cached_workload",
     "preload_workload_tables",
-    "run_cell",
     "clear_cache",
 ]
 
@@ -188,27 +183,9 @@ def make_workload_table(spec: WorkloadSpec) -> JobTable:
 def make_workload(spec: WorkloadSpec) -> Workload:
     """Generate, load-scale, and estimate-stamp the workload a spec denotes.
 
-    Goes through the columnar pipeline (:func:`make_workload_table`);
-    float-identical to the row reference :func:`make_workload_rows`.
+    Goes through the columnar pipeline (:func:`make_workload_table`).
     """
     return make_workload_table(spec).to_workload()
-
-
-def make_workload_rows(spec: WorkloadSpec) -> Workload:
-    """Row-at-a-time :func:`make_workload` (the reference implementation).
-
-    Rebuilds ``Job`` objects per transform instead of deriving columns;
-    kept for the differential suite and the benchmark's pre-PR leg.
-    """
-    workload = _generator_for(spec.trace).generate(spec.n_jobs, seed=spec.seed)
-    if spec.load_scale != 1.0:
-        workload = scale_load(workload, spec.load_scale)
-    model = make_estimate_model(spec)
-    if not isinstance(model, ExactEstimate):
-        workload = apply_estimates(
-            workload, model, seed=spec.seed + _ESTIMATE_SEED_OFFSET
-        )
-    return workload
 
 
 #: Scheduler kinds understood by the harness.
@@ -322,31 +299,6 @@ def cached_workload(spec: WorkloadSpec) -> Workload:
     else:
         _workload_cache.move_to_end(spec)
     return workload
-
-
-def run_cell(
-    spec: WorkloadSpec,
-    kind: str,
-    priority: str = "FCFS",
-    **options,
-) -> RunMetrics:
-    """Simulate one (workload, scheduler) cell, memoized.
-
-    .. deprecated::
-        ``run_cell`` is a thin wrapper over the typed cell API; build a
-        :class:`repro.exec.Cell` and call :func:`repro.exec.run_cells`
-        instead — the batch form is what enables parallel execution and
-        the persistent result store.
-    """
-    warnings.warn(
-        "run_cell(spec, kind, priority, **options) is deprecated; use "
-        "repro.exec.run_cells([Cell.make(spec, kind, priority, **options)])",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.exec import Cell, run_cells
-
-    return run_cells([Cell.make(spec, kind, priority, **options)])[0]
 
 
 def clear_cache() -> None:

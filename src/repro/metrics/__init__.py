@@ -18,15 +18,7 @@ from repro.metrics.categories import (
     NARROW_WIDE_BOUNDARY_PROCS,
     WELL_ESTIMATED_MAX_FACTOR,
 )
-from repro.metrics.collector import (
-    CompletedJob,
-    RunMetrics,
-    reference_summarize,
-    summarize,
-    summarize_columns,
-    summarize_legacy,
-    summarize_rows,
-)
+from repro.metrics.collector import CompletedJob, RunMetrics, summarize
 from repro.metrics.streaming import (
     GroupAccumulator,
     QuantileReservoir,
@@ -51,10 +43,6 @@ __all__ = [
     "CompletedJob",
     "RunMetrics",
     "summarize",
-    "summarize_rows",
-    "summarize_columns",
-    "summarize_legacy",
-    "reference_summarize",
     "StreamingMetrics",
     "QuantileReservoir",
     "GroupAccumulator",

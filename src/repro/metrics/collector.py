@@ -6,22 +6,17 @@ reports: average bounded slowdown, average turnaround time, and worst-case
 turnaround time — overall, per shape category, and per estimate-quality
 class.
 
-Two implementations produce float-identical results:
-
-* :func:`summarize_columns` (the default behind :func:`summarize`) pulls
-  the record fields into numpy arrays once, computes every per-job metric
-  and the category/quality masks with array operations, and aggregates
-  each group with the same sequential summation the row path uses;
-* :func:`summarize_rows` is the original record-at-a-time reference that
-  the differential suite compares against; :func:`reference_summarize`
-  forces it for a ``with`` block (the engines bind ``summarize`` at import
-  time, so the toggle lives inside the dispatcher).
+The aggregation is columnar: :func:`summarize` pulls the record fields
+into numpy arrays once, computes every per-job metric and the
+category/quality masks with array operations, and aggregates each group
+with sequential summation, which keeps it float-identical to the
+record-at-a-time reference in ``tests/oracles/row_pipeline.py`` that the
+differential suite compares against.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +43,6 @@ __all__ = [
     "MetricSummary",
     "RunMetrics",
     "summarize",
-    "summarize_rows",
-    "summarize_columns",
-    "summarize_legacy",
-    "reference_summarize",
 ]
 
 
@@ -251,69 +242,21 @@ def trim_warmup(
     return ordered[lo:hi]
 
 
-def summarize_rows(
+def summarize(
     records: list[CompletedJob] | tuple[CompletedJob, ...],
     *,
     utilization: float = math.nan,
     makespan: float | None = None,
 ) -> RunMetrics:
-    """Record-at-a-time :func:`summarize` (the reference implementation).
+    """Aggregate completed-job records into a :class:`RunMetrics`.
 
-    Each record's metric chain (wait / turnaround / bounded slowdown) is
-    evaluated exactly once, then the values are regrouped for the overall,
-    per-category and per-quality summaries.
-    """
-    records = tuple(records)
-    slowdowns = [r.bounded_slowdown for r in records]
-    turnarounds = [r.turnaround for r in records]
-    waits = [r.wait for r in records]
-    by_category: dict[Category, list[int]] = {c: [] for c in Category}
-    by_quality: dict[EstimateQuality, list[int]] = {q: [] for q in EstimateQuality}
-    for i, record in enumerate(records):
-        by_category[record.category].append(i)
-        by_quality[record.estimate_quality].append(i)
-
-    def _group(indices: list[int]) -> MetricSummary:
-        return MetricSummary.from_values(
-            [slowdowns[i] for i in indices],
-            [turnarounds[i] for i in indices],
-            [waits[i] for i in indices],
-        )
-
-    span = 0.0
-    if records:
-        span = max(r.finish_time for r in records) - min(
-            r.job.submit_time for r in records
-        )
-    return RunMetrics(
-        overall=MetricSummary.from_values(slowdowns, turnarounds, waits),
-        by_category={c: _group(v) for c, v in by_category.items()},
-        by_estimate_quality={q: _group(v) for q, v in by_quality.items()},
-        utilization=utilization,
-        makespan=makespan if makespan is not None else span,
-        records=records,
-    )
-
-
-def summarize_columns(
-    records: list[CompletedJob] | tuple[CompletedJob, ...],
-    *,
-    utilization: float = math.nan,
-    makespan: float | None = None,
-) -> RunMetrics:
-    """Vectorized :func:`summarize`: one numpy pass over the record fields.
-
-    Float-identical to :func:`summarize_rows`: the per-job metrics are the
-    same elementwise IEEE operations, the category/quality masks preserve
+    One numpy pass over the record fields.  Float-identical to the
+    record-at-a-time reference: the per-job metrics are the same
+    elementwise IEEE operations, the category/quality masks preserve
     record order, and group aggregation goes through the same sequential
     ``sum`` (numpy's pairwise ``np.sum`` would round differently).
     """
     records = tuple(records)
-    n = len(records)
-    if n == 0:
-        return summarize_rows(
-            records, utilization=utilization, makespan=makespan
-        )
     # One pass over the records instead of six: each column used to be
     # its own ``np.fromiter`` over a generator, which re-resumed a
     # generator frame and re-read ``r.job`` per element per column.
@@ -359,7 +302,7 @@ def summarize_columns(
             waits[mask].tolist(),
         )
 
-    span = float(finish.max()) - float(submit.min())
+    span = float(finish.max()) - float(submit.min()) if records else 0.0
     return RunMetrics(
         overall=MetricSummary.from_values(
             slowdowns.tolist(), turnarounds.tolist(), waits.tolist()
@@ -374,92 +317,3 @@ def summarize_columns(
         makespan=makespan if makespan is not None else span,
         records=records,
     )
-
-
-def summarize_legacy(
-    records: list[CompletedJob] | tuple[CompletedJob, ...],
-    *,
-    utilization: float = math.nan,
-    makespan: float | None = None,
-) -> RunMetrics:
-    """The pre-columnar ``summarize``, kept verbatim as a benchmark baseline.
-
-    Groups the records and calls :meth:`MetricSummary.of` once per group,
-    so every record's bounded slowdown, turnaround, and wait properties
-    are recomputed in each of the three groupings it belongs to (overall,
-    shape category, estimate quality).  :func:`summarize_rows` is this
-    algorithm with the recomputation fixed; the differential suite pins
-    all three engines to identical output, and ``benchmarks/bench_sweep.py``
-    uses this one so its row leg carries the faithful pre-PR aggregation
-    cost rather than silently borrowing the fix.
-    """
-    records = tuple(records)
-    by_category: dict[Category, list[CompletedJob]] = {c: [] for c in Category}
-    by_quality: dict[EstimateQuality, list[CompletedJob]] = {
-        q: [] for q in EstimateQuality
-    }
-    for record in records:
-        by_category[record.category].append(record)
-        by_quality[record.estimate_quality].append(record)
-
-    span = 0.0
-    if records:
-        span = max(r.finish_time for r in records) - min(
-            r.job.submit_time for r in records
-        )
-    return RunMetrics(
-        overall=MetricSummary.of(list(records)),
-        by_category={c: MetricSummary.of(v) for c, v in by_category.items()},
-        by_estimate_quality={q: MetricSummary.of(v) for q, v in by_quality.items()},
-        utilization=utilization,
-        makespan=makespan if makespan is not None else span,
-        records=records,
-    )
-
-
-_SUMMARIZE_ENGINE = "columnar"
-
-_REFERENCE_ENGINES = ("rows", "legacy")
-
-
-def summarize(
-    records: list[CompletedJob] | tuple[CompletedJob, ...],
-    *,
-    utilization: float = math.nan,
-    makespan: float | None = None,
-) -> RunMetrics:
-    """Aggregate completed-job records into a :class:`RunMetrics`.
-
-    Dispatches to the vectorized :func:`summarize_columns` unless
-    :func:`reference_summarize` is active; all paths are float-identical.
-    """
-    if _SUMMARIZE_ENGINE == "rows":
-        return summarize_rows(records, utilization=utilization, makespan=makespan)
-    if _SUMMARIZE_ENGINE == "legacy":
-        return summarize_legacy(records, utilization=utilization, makespan=makespan)
-    return summarize_columns(records, utilization=utilization, makespan=makespan)
-
-
-@contextmanager
-def reference_summarize(engine: str = "rows"):
-    """Force a reference ``summarize`` implementation within a block.
-
-    ``engine`` is ``"rows"`` (the record-at-a-time reference) or
-    ``"legacy"`` (the verbatim pre-columnar implementation,
-    :func:`summarize_legacy`).  The simulation engines bind ``summarize``
-    once at import, so the benchmark's row leg and the differential tests
-    switch paths with this toggle instead of monkeypatching every engine
-    module.
-    """
-    if engine not in _REFERENCE_ENGINES:
-        raise ValueError(
-            f"unknown reference summarize engine {engine!r}; "
-            f"expected one of {_REFERENCE_ENGINES}"
-        )
-    global _SUMMARIZE_ENGINE
-    previous = _SUMMARIZE_ENGINE
-    _SUMMARIZE_ENGINE = engine
-    try:
-        yield
-    finally:
-        _SUMMARIZE_ENGINE = previous

@@ -9,7 +9,7 @@
   and selective backfilling.
 """
 
-from repro.sched.base import Scheduler, configure_sequential_claims
+from repro.sched.base import Scheduler
 from repro.sched.profile import Profile
 from repro.sched.reservations import AdvanceReservation
 from repro.sched.priority.policies import (
@@ -32,7 +32,6 @@ from repro.sched.backfill.multiqueue import MultiQueueScheduler, QueueClass
 
 __all__ = [
     "Scheduler",
-    "configure_sequential_claims",
     "Profile",
     "AdvanceReservation",
     "PriorityPolicy",

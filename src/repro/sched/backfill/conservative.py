@@ -234,12 +234,12 @@ class ConservativeScheduler(Scheduler):
                 self._dequeue(queued)
                 self._start_now(queued, now, started)
                 committed += queued.procs
-        # Re-arm the next pending reservation: the batched repack arms only
-        # the *earliest* reservation instead of one timer per queued job
-        # (the engine dedupes by exact time, so on the sequential path this
-        # is a no-op re-request of an already-armed time).  Consuming the
-        # due timer therefore must arm the next one, or later reservations
-        # would only be serviced by coincidental job events.
+        # Re-arm the next pending reservation: the repack arms only the
+        # *earliest* reservation instead of one timer per queued job, so
+        # consuming the due timer must arm the next one, or later
+        # reservations would only be serviced by coincidental job events
+        # (the engine dedupes by exact time, so re-requesting an
+        # already-armed time is a no-op).
         if self._reservation_start:
             self.request_wakeup(min(self._reservation_start.values()))
 
@@ -271,43 +271,28 @@ class ConservativeScheduler(Scheduler):
         self._profile = profile
         committed = sum(j.procs for j in started)
         ordered = self._ordered_queue(now)
-        starts = None
-        if self.use_batch_claims and len(ordered) > 1:
-            starts = profile.claim_many(
-                [q.procs for q in ordered], [q.estimate for q in ordered], now
-            )
+        starts = profile.claim_many(
+            [q.procs for q in ordered], [q.estimate for q in ordered], now
+        )
         wake = None
-        for i, queued in enumerate(ordered):
-            if starts is not None:
-                start = starts[i]
-            else:
-                start = profile.claim(queued.procs, queued.estimate, now)
+        for queued, start in zip(ordered, starts):
             self._reservation_start[queued.job_id] = start
             if start <= now + _EPS and self._machine_fits(queued, committed):
-                if starts is not None and start != now:
-                    # _start_now is about to re-align this job's reservation
-                    # tail, mutating the profile mid-pass.  The batch claimed
-                    # the remaining jobs against the unmutated profile, so
-                    # roll those claims back and fall through to per-job
-                    # claims that see the re-aligned state, exactly as the
-                    # sequential loop would.
-                    for later_index in range(i + 1, len(ordered)):
-                        later = ordered[later_index]
-                        profile.release(
-                            later.procs, starts[later_index], later.estimate
-                        )
-                    starts = None
+                # A due claim the machine can host is anchored at ``now``
+                # exactly, so _start_now leaves the profile (and with it
+                # the rest of the batch) untouched: rebuild_into puts every
+                # other breakpoint at least _EPS after ``now``, so a start
+                # inside (now, now + _EPS] is the first breakpoint after
+                # ``now`` — chosen only when segment 0, i.e. the machine,
+                # lacks the processors.
                 self._dequeue(queued)
                 self._start_now(queued, now, started)
                 committed += queued.procs
-            elif starts is None:
-                self.request_wakeup(start)
             elif wake is None or start < wake:
-                # Batched pass: one timer at the earliest reservation covers
-                # the whole queue — _start_due re-arms the next one when it
-                # fires, and any repack before then re-plans everything
-                # anyway.  (Identical schedules, strictly fewer timer
-                # events; see DESIGN.md §14.)
+                # One timer at the earliest reservation covers the whole
+                # queue — _start_due re-arms the next one when it fires,
+                # and any repack before then re-plans everything anyway
+                # (see DESIGN.md §14).
                 wake = start
         if wake is not None:
             self.request_wakeup(wake)

@@ -78,21 +78,17 @@ class DepthScheduler(Scheduler):
             carve_reservations(profile, self.advance_reservations, now)
         queue = self._ordered_queue(now)
         started: list[Job] = []
-        batch = self.use_batch_claims
 
-        reservations: dict[int, float] = {}
         head = queue[: self.depth]
-        if batch and len(head) > 1:
+        reservations = {
+            job.job_id: start
             for job, start in zip(
                 head,
                 profile.claim_many(
                     [j.procs for j in head], [j.estimate for j in head], now
                 ),
-            ):
-                reservations[job.job_id] = start
-        else:
-            for job in head:
-                reservations[job.job_id] = profile.claim(job.procs, job.estimate, now)
+            )
+        }
 
         # One vectorized min_free over the post-claim profile prefilters
         # the unreserved backfill candidates: free counts only shrink as
@@ -100,9 +96,11 @@ class DepthScheduler(Scheduler):
         # infeasible and the job needs no per-job kernel call at all.  A
         # passing window is exact until the first same-pass reserve
         # (``dirty``), after which it is re-verified scalar-wise.
-        mins = None
-        if batch and len(queue) > len(head):
-            mins = profile.min_free_many([j.estimate for j in queue], now)
+        mins = (
+            profile.min_free_many([j.estimate for j in queue], now)
+            if len(queue) > len(head)
+            else []  # every queued job holds a reservation: nothing to filter
+        )
         dirty = False
 
         committed = 0
@@ -115,14 +113,11 @@ class DepthScheduler(Scheduler):
                     started.append(job)
                     committed += job.procs
             else:
-                if mins is not None:
-                    if mins[i] < job.procs:
-                        continue
-                    fits_profile = not dirty or (
-                        profile.min_free(now, job.estimate) >= job.procs
-                    )
-                else:
-                    fits_profile = profile.min_free(now, job.estimate) >= job.procs
+                if mins[i] < job.procs:
+                    continue
+                fits_profile = not dirty or (
+                    profile.min_free(now, job.estimate) >= job.procs
+                )
                 if fits_profile and self._machine_fits(job, committed):
                     profile.reserve(job.procs, now, job.estimate)
                     dirty = True

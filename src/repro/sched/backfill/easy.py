@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
-from repro.sched.profile import finishes_by_mask, fits_mask
 from repro.workload.job import Job
 
 __all__ = ["EasyScheduler"]
@@ -35,29 +34,17 @@ class EasyScheduler(Scheduler):
 
     name = "EASY"
 
-    #: Reuse the (shadow, extra) pair across events that change neither the
-    #: running set nor the blocked head.  Safe because a running job always
-    #: has ``start + estimate > now`` (runtimes are capped at estimates and
-    #: releases are processed before scheduler reactions), so the shadow is
-    #: a function of (head, free, running set) only — not of ``now``.
-    #: Disabled by ``configure_reference_kernel`` for differential runs.
-    use_shadow_cache: bool = True
-
-    #: Class-level default so the invalidation hooks work pre-bind().
+    #: (head_job_id, free_procs) -> (shadow, extra), reused across events
+    #: that change neither the running set nor the blocked head.  Safe
+    #: because a running job always has ``start + estimate > now``
+    #: (runtimes are capped at estimates and releases are processed before
+    #: scheduler reactions), so the shadow is a function of (head, free,
+    #: running set) only — not of ``now``.  Class-level default so the
+    #: invalidation hooks work pre-bind().
     _shadow_cache: tuple[tuple[int, int], tuple[float, int]] | None = None
 
-    #: Candidate count from which the vectorized backfill prefilter pays
-    #: for its array setup.  The scalar scan costs ~0.25us per candidate,
-    #: while the mask path fronts two list builds + array conversions per
-    #: pass — measured on deep-queue CTC sweeps the masks only pull ahead
-    #: beyond ~10^2 candidates, so the paper-scale queues (40-110 deep)
-    #: deliberately stay scalar.  Instance-overridable so differential
-    #: tests can force the mask path on small queues.
-    batch_min_candidates: int = 128
-
     def reset(self) -> None:
-        # (head_job_id, free_procs) -> (shadow, extra)
-        self._shadow_cache: tuple[tuple[int, int], tuple[float, int]] | None = None
+        self._shadow_cache = None
 
     def _fork_into(self, clone: Scheduler) -> None:
         # The shadow memo is a pure cache keyed on state the clone shares;
@@ -83,7 +70,7 @@ class EasyScheduler(Scheduler):
         """Memoized :meth:`_shadow`; only consulted when ``cacheable``
         (no same-pass starts, so ``pseudo_running`` is exactly the
         notified running set the invalidation hooks track)."""
-        if not (cacheable and self.use_shadow_cache):
+        if not cacheable:
             return self._shadow(head, now, free, pseudo_running)
         key = (head.job_id, free)
         cached = self._shadow_cache
@@ -148,31 +135,7 @@ class EasyScheduler(Scheduler):
         )
 
         # Phase 3: backfill the remainder of the queue in priority order.
-        candidates = queue[1:]
-        if self.use_batch_claims and len(candidates) >= self.batch_min_candidates:
-            # One mask evaluation prefilters the whole queue: ``free`` and
-            # ``extra`` only shrink as backfills start, so a candidate that
-            # fails against their *initial* values fails at its turn in the
-            # scalar scan too, and the shadow test doesn't depend on the
-            # scan at all.  Survivors re-check against the live free/extra,
-            # exactly as the scalar loop would.
-            procs = [job.procs for job in candidates]
-            by_shadow = finishes_by_mask(
-                now, [job.estimate for job in candidates], shadow
-            )
-            admit = fits_mask(procs, free) & (by_shadow | fits_mask(procs, extra))
-            for i in admit.nonzero()[0].tolist():
-                job = candidates[i]
-                if job.procs > free:
-                    continue
-                if by_shadow[i] or job.procs <= extra:
-                    self._dequeue(job)
-                    started.append(job)
-                    free -= job.procs
-                    if not by_shadow[i]:
-                        extra -= job.procs
-            return started
-        for job in candidates:
+        for job in queue[1:]:
             if job.procs > free:
                 continue
             finishes_by_shadow = now + job.estimate <= shadow + _EPS

@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.profile import finishes_by_mask, fits_mask
 from repro.workload.job import Job
 
 __all__ = ["LookaheadScheduler"]
@@ -97,27 +96,11 @@ class LookaheadScheduler(EasyScheduler):
 
         # Partition the remaining queue by which EASY condition applies.
         candidates = queue[1:]
-        batch = self.use_batch_claims and len(candidates) >= self.batch_min_candidates
-        if batch:
-            # Both admission quantities are evaluated in one mask pass: the
-            # shadow test is fixed for the pass, and ``free``/``extra`` only
-            # shrink, so a mask-False candidate is definitively out (see
-            # EasyScheduler._schedule_pass).
-            procs = [job.procs for job in candidates]
-            by_shadow = finishes_by_mask(
-                now, [job.estimate for job in candidates], shadow
-            )
-            shadow_safe = [
-                candidates[i]
-                for i in (fits_mask(procs, free) & by_shadow).nonzero()[0].tolist()
-            ]
-        else:
-            by_shadow = None
-            shadow_safe = [
-                job
-                for job in candidates
-                if job.procs <= free and now + job.estimate <= shadow + _EPS
-            ]
+        shadow_safe = [
+            job
+            for job in candidates
+            if job.procs <= free and now + job.estimate <= shadow + _EPS
+        ]
         packed = _max_packing(shadow_safe, free)
         for job in packed:
             self._dequeue(job)
@@ -127,14 +110,7 @@ class LookaheadScheduler(EasyScheduler):
         # Second chance for everything not packed: the extra-processor rule
         # (may run past the shadow using processors the head will not need).
         packed_ids = {job.job_id for job in packed}
-        if batch:
-            admit = fits_mask(procs, free) & (
-                by_shadow | fits_mask(procs, extra)
-            )
-            second_pass = [candidates[i] for i in admit.nonzero()[0].tolist()]
-        else:
-            second_pass = candidates
-        for job in second_pass:
+        for job in candidates:
             if job.job_id in packed_ids or job.procs > free:
                 continue
             finishes_by_shadow = now + job.estimate <= shadow + _EPS

@@ -10,7 +10,6 @@ and slowdown comparisons.
 from __future__ import annotations
 
 from repro.sched.base import Scheduler
-from repro.sched.profile import fitting_prefix_count
 from repro.workload.job import Job
 
 __all__ = ["FCFSScheduler"]
@@ -25,14 +24,6 @@ class FCFSScheduler(Scheduler):
 
     name = "NOBF"
 
-    #: Queue length from which the cumulative-sum prefix count beats the
-    #: per-job Python loop.  Only consulted when the head actually fits —
-    #: a blocked head answers the whole pass in one compare, and paying a
-    #: full list build + cumsum to learn that is the dominant cost of the
-    #: vectorized path on saturated deep queues.  Instance-overridable so
-    #: tests can force the vectorized path on small queues.
-    batch_min_queue: int = 32
-
     def _fork_into(self, clone: Scheduler) -> None:
         pass  # no state beyond the base queue/running bookkeeping
 
@@ -44,20 +35,13 @@ class FCFSScheduler(Scheduler):
         if self._queue_is_sorted:
             # The queue IS the priority order: count the fitting prefix
             # and take it in one slice instead of copy + per-job removal.
-            if (
-                self.use_batch_claims
-                and queue[0].procs <= free
-                and len(queue) >= self.batch_min_queue
-            ):
-                count = fitting_prefix_count([job.procs for job in queue], free)
-            else:
-                count = 0
-                for job in queue:
-                    procs = job.procs
-                    if procs > free:
-                        break  # head of queue blocks; no skipping ever
-                    free -= procs
-                    count += 1
+            count = 0
+            for job in queue:
+                procs = job.procs
+                if procs > free:
+                    break  # head of queue blocks; no skipping ever
+                free -= procs
+                count += 1
             return self._pop_queue_prefix(count) if count else []
         started: list[Job] = []
         for job in self.priority.sort(queue, now):

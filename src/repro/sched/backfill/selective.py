@@ -111,30 +111,28 @@ class SelectiveScheduler(Scheduler):
 
         queue = self._ordered_queue(now)
         started: list[Job] = []
-        batch = self.use_batch_claims
 
         # Give the needy jobs reservations, in priority order.
-        reservations: dict[int, float] = {}
         needy = [job for job in queue if job.job_id in self._reserved_ids]
-        if batch and len(needy) > 1:
+        reservations = {
+            job.job_id: start
             for job, start in zip(
                 needy,
                 profile.claim_many(
                     [j.procs for j in needy], [j.estimate for j in needy], now
                 ),
-            ):
-                reservations[job.job_id] = start
-        else:
-            for job in needy:
-                reservations[job.job_id] = profile.claim(job.procs, job.estimate, now)
+            )
+        }
 
         # One vectorized min_free prefilters the unreserved candidates (see
         # DepthScheduler._schedule_pass: False is definitive because free
         # counts only shrink; True is re-verified once a same-pass reserve
         # has dirtied the profile).
-        mins = None
-        if batch and len(queue) > len(needy):
-            mins = profile.min_free_many([j.estimate for j in queue], now)
+        mins = (
+            profile.min_free_many([j.estimate for j in queue], now)
+            if len(queue) > len(needy)
+            else []  # every queued job holds a reservation: nothing to filter
+        )
         dirty = False
 
         # Start whatever can run immediately without disturbing reservations.
@@ -149,14 +147,11 @@ class SelectiveScheduler(Scheduler):
                     self._reserved_ids.discard(job.job_id)
                     committed += job.procs
             else:
-                if mins is not None:
-                    if mins[i] < job.procs:
-                        continue
-                    fits_profile = not dirty or (
-                        profile.min_free(now, job.estimate) >= job.procs
-                    )
-                else:
-                    fits_profile = profile.min_free(now, job.estimate) >= job.procs
+                if mins[i] < job.procs:
+                    continue
+                fits_profile = not dirty or (
+                    profile.min_free(now, job.estimate) >= job.procs
+                )
                 if fits_profile and self._machine_fits(job, committed):
                     profile.reserve(job.procs, now, job.estimate)
                     dirty = True

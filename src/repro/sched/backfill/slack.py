@@ -104,15 +104,10 @@ class SlackScheduler(Scheduler):
         Mutates the given profile; callers rebuild it before each call.
         """
         ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        if self.use_batch_claims and len(ordered) > 1:
-            starts = profile.claim_many(
-                [j.procs for j in ordered], [j.estimate for j in ordered], now
-            )
-            return {job.job_id: start for job, start in zip(ordered, starts)}
-        plan: dict[int, float] = {}
-        for job in ordered:
-            plan[job.job_id] = profile.claim(job.procs, job.estimate, now)
-        return plan
+        starts = profile.claim_many(
+            [j.procs for j in ordered], [j.estimate for j in ordered], now
+        )
+        return {job.job_id: start for job, start in zip(ordered, starts)}
 
     def _deadlines_met(self, plan: dict[int, float]) -> bool:
         return all(

@@ -16,8 +16,7 @@ LJF, narrowest-first) get an *incrementally sorted* queue: arrivals are
 placed by binary insertion and :meth:`Scheduler._ordered_queue` is a copy,
 not a sort.  Time-varying policies (XFactor, fair-share) re-sort per event
 as before.  Keys always end in ``(submit_time, job_id)``, so both paths
-produce the identical total order.  ``incremental_queue = False`` restores
-the always-re-sort behaviour (used by the reference-kernel benchmarks).
+produce the identical total order.
 """
 
 from __future__ import annotations
@@ -31,20 +30,7 @@ from repro.sched.priority.policies import FCFSPriority, PriorityPolicy
 from repro.sched.profile import Profile
 from repro.workload.job import Job
 
-__all__ = ["Scheduler", "configure_sequential_claims"]
-
-
-def configure_sequential_claims(scheduler: "Scheduler") -> "Scheduler":
-    """Flip a scheduler instance onto the per-job scalar claim loops.
-
-    The batched and sequential paths are pinned byte-identical by the
-    batch-claim property suite; this switch exists so
-    ``benchmarks/bench_backfill.py`` can measure the batched kernel
-    against the exact pre-batching control flow on the same profile
-    implementation.  Call before ``bind()``.
-    """
-    scheduler.use_batch_claims = False
-    return scheduler
+__all__ = ["Scheduler"]
 
 
 class Scheduler(ABC):
@@ -68,23 +54,9 @@ class Scheduler(ABC):
     supports_advance_reservations: bool = False
 
     #: Profile implementation used by reservation-planning subclasses.
-    #: Tests and benchmarks point instances at
-    #: :class:`repro.sched.profile_ref.Profile` to run the frozen
-    #: reference kernel (see ``configure_reference_kernel``).
+    #: The one substitution seam: the property suites point instances at
+    #: the frozen reference kernel in ``tests/oracles/profile_ref.py``.
     profile_factory: type[Profile] = Profile
-
-    #: Keep statically-keyed queues sorted by binary insertion instead of
-    #: re-sorting every pass.  Flip to False for the reference kernel.
-    incremental_queue: bool = True
-
-    #: Route repack/backfill queue scans through the profile's batch
-    #: primitives (``claim_many`` / ``min_free_many`` / admission masks)
-    #: instead of one scalar kernel call per queued job.  Schedules are
-    #: byte-identical either way (pinned by the batch-claim property
-    #: suite); flip to False for the sequential baseline that
-    #: ``benchmarks/bench_backfill.py`` measures against (see
-    #: :func:`configure_sequential_claims`).
-    use_batch_claims: bool = True
 
     def __init__(self, priority: PriorityPolicy | None = None) -> None:
         self.priority: PriorityPolicy = priority or FCFSPriority()
@@ -114,7 +86,7 @@ class Scheduler(ABC):
         self._request_wakeup = request_wakeup
         self._queue.clear()
         self._queue_keys.clear()
-        self._queue_is_sorted = self.incremental_queue and not self.priority.is_dynamic
+        self._queue_is_sorted = not self.priority.is_dynamic
         self._running.clear()
         # Stateful priority policies (e.g. fair-share usage tracking) are
         # reset per run so a scheduler instance can be reused.
@@ -135,7 +107,7 @@ class Scheduler(ABC):
         """
         self.machine = machine
         self._request_wakeup = request_wakeup
-        self._queue_is_sorted = self.incremental_queue and not self.priority.is_dynamic
+        self._queue_is_sorted = not self.priority.is_dynamic
         self._observe_finish = getattr(self.priority, "observe_finish", None)
 
     def fork(self) -> "Scheduler":

@@ -30,7 +30,7 @@ strict invariant; because :meth:`_apply` adds one delta to a contiguous
 run of segments, only the two window edges can ever newly violate it, so
 mutations repair locally in O(1) instead of re-scanning.  The slow
 pre-optimization implementation is frozen verbatim in
-:mod:`repro.sched.profile_ref`; every optimization here is gated on
+``tests/oracles/profile_ref.py``; every optimization here is gated on
 byte-identical schedules against it
 (``tests/properties/test_prop_kernel_equivalence.py``).
 """
@@ -44,53 +44,10 @@ import numpy as np
 
 from repro.errors import ProfileError
 
-__all__ = [
-    "Profile",
-    "fits_mask",
-    "finishes_by_mask",
-    "fitting_prefix_count",
-]
+__all__ = ["Profile"]
 
 #: Tolerance for comparing reservation timestamps.
 _EPS = 1e-9
-
-
-# -- batch admission helpers (no profile state needed) ---------------------------
-#
-# The backfill disciplines that plan without an availability profile (EASY's
-# shadow/extra pair, nobf's in-order prefix) still scan the queue one job at
-# a time.  These helpers evaluate the whole queue in one vectorized pass;
-# because the quantities they test against only shrink during a scheduling
-# pass (free processors and extra processors are only ever decremented as
-# jobs start), a False verdict computed against the *initial* value is
-# definitive and the job can be skipped with no per-job work at all.
-
-
-def fits_mask(procs, available: int):
-    """``procs[i] <= available`` for every candidate, as a bool ndarray."""
-    return np.asarray(procs, dtype=np.int64) <= available
-
-
-def finishes_by_mask(now: float, durations, deadline: float):
-    """``now + durations[i] <= deadline + _EPS`` for every candidate.
-
-    The tolerance is the kernel epsilon — the same comparison EASY's
-    scalar backfill test uses (easy.py shares ``_EPS = 1e-9``).
-    """
-    return np.asarray(durations, dtype=np.float64) + now <= deadline + _EPS
-
-
-def fitting_prefix_count(procs, available: int) -> int:
-    """Length of the maximal prefix with ``sum(procs[:k]) <= available``.
-
-    The vectorized form of nobf's head-blocks-everything start loop:
-    processor demands are all positive, so the cumulative sum is strictly
-    increasing and the prefix boundary is a single ``searchsorted``.
-    """
-    demands = np.asarray(procs, dtype=np.int64)
-    if demands.size == 0:
-        return 0
-    return int(np.cumsum(demands).searchsorted(available, side="right"))
 
 
 class Profile:
@@ -197,11 +154,10 @@ class Profile:
         of these).  The feasibility mask and its run boundaries are computed
         vectorized, then each maximal feasible run is checked for covering
         ``duration`` — O(breakpoints) total work with numpy constants (this
-        is the inner loop of every reservation-based scheduler; see
-        benchmarks/bench_kernel.py).  Always succeeds: the profile ends in
-        a final infinite segment, so any rectangle with ``procs <= total``
-        fits once all reservations end — unless the tail itself is
-        over-reserved, which is a usage bug.
+        is the inner loop of every reservation-based scheduler).  Always
+        succeeds: the profile ends in a final infinite segment, so any
+        rectangle with ``procs <= total`` fits once all reservations end —
+        unless the tail itself is over-reserved, which is a usage bug.
         """
         if procs <= 0 or procs > self.total_procs:
             raise ProfileError(
@@ -351,84 +307,6 @@ class Profile:
 
     # -- batch primitives --------------------------------------------------------
 
-    def _validate_many(self, procs: np.ndarray, durations: np.ndarray) -> None:
-        """Vectorized version of the scalar claim/find_start argument checks."""
-        bad = ((procs <= 0) | (procs > self.total_procs)).nonzero()[0]
-        if bad.size:
-            raise ProfileError(
-                f"cannot place {int(procs[bad[0]])} procs on a "
-                f"{self.total_procs}-proc profile"
-            )
-        bad = (durations <= 0).nonzero()[0]
-        if bad.size:
-            raise ProfileError(
-                f"duration must be > 0, got {float(durations[bad[0]])}"
-            )
-
-    def _sweep_many(
-        self, procs: np.ndarray, durations: np.ndarray, earliest: float, index: int
-    ) -> np.ndarray:
-        """Earliest feasible start for each job, in one 2D sweep.
-
-        ``earliest`` must already be clamped to the origin and ``index``
-        must be ``searchsorted(earliest, "right") - 1`` (the segment
-        containing ``earliest``).  Equivalent to one :meth:`find_start`
-        per row: a position is a valid anchor iff its segment is feasible
-        and the feasible run containing it extends past ``anchor +
-        duration - _EPS``; within a run the earliest anchor dominates, so
-        the first valid position per row is exactly the run start (or
-        ``earliest`` itself) the scalar sweep would return.
-        """
-        n = self._n
-        seg_times = self._times[index:n]
-        seg_free = self._free[index:n]
-        b = n - index
-        feasible = seg_free[None, :] >= procs[:, None]
-        # Per row, the first infeasible segment at or after each position:
-        # infeasible positions keep their own index, feasible ones take the
-        # sentinel ``b``, and a reversed running minimum propagates the next
-        # blocker leftwards.
-        positions = np.arange(b)
-        blocked = np.where(feasible, b, positions[None, :])
-        next_block = np.minimum.accumulate(blocked[:, ::-1], axis=1)[:, ::-1]
-        # The run containing a feasible position ends where its next blocker
-        # begins; the final segment's run extends to infinity.
-        edge = np.empty(b + 1, dtype=np.float64)
-        edge[:b] = seg_times
-        edge[b] = np.inf
-        run_end = edge[next_block]
-        anchors = seg_times.astype(np.float64, copy=True)
-        anchors[0] = earliest  # seg_times[0] <= earliest by choice of index
-        ok = feasible & (run_end >= anchors[None, :] + durations[:, None] - _EPS)
-        covered = ok.any(axis=1)
-        if not covered.all():
-            k = int(np.flatnonzero(~covered)[0])
-            raise ProfileError(
-                f"no feasible start for {int(procs[k])} procs x "
-                f"{float(durations[k])}s — the profile's tail is over-reserved"
-            )
-        return anchors[ok.argmax(axis=1)]
-
-    def find_start_many(self, procs, durations, earliest: float) -> list[float]:
-        """:meth:`find_start` for many jobs against the *current* profile.
-
-        One vectorized sweep over the breakpoint arrays answers every
-        ``(procs[i], durations[i])`` what-if at once; the profile is not
-        mutated, so the results are independent (each is what
-        :meth:`find_start` would return right now — NOT the outcome of
-        claiming them in sequence; see :meth:`claim_many` for that).
-        """
-        procs = np.ascontiguousarray(procs, dtype=np.int64)
-        durations = np.ascontiguousarray(durations, dtype=np.float64)
-        if procs.shape[0] == 0:
-            return []
-        self._validate_many(procs, durations)
-        times = self._times[: self._n]
-        if earliest < times[0]:
-            earliest = float(times[0])
-        index = int(times.searchsorted(earliest, side="right")) - 1
-        return self._sweep_many(procs, durations, earliest, index).tolist()
-
     def claim_many(self, procs, durations, earliest: float) -> list[float]:
         """Sequential :meth:`claim` for many jobs, batched.
 
@@ -451,8 +329,7 @@ class Profile:
           loads per job.
 
         A 2D precompute-then-recheck scheme (sweep the chunk's starts up
-        front via :meth:`_sweep_many`, commit each after an exactness
-        recheck) was tried first and *loses* on the deep-queue repacks
+        front, commit each after an exactness recheck) was tried first and *loses* on the deep-queue repacks
         this call exists for: consecutive FCFS claims compete for the same
         holes, so >95% of precomputed starts go stale after the first
         commit and every job pays the recheck on top of a full scalar
@@ -627,14 +504,6 @@ class Profile:
             running_min[np.maximum(stops - first - 1, 0)],
         )
         return result.tolist()
-
-    def fits_now_mask(self, procs) -> np.ndarray:
-        """``free_at(origin) >= procs[i]`` for every candidate."""
-        return fits_mask(procs, int(self._free[0]))
-
-    def finishes_by_mask(self, durations, deadline: float) -> np.ndarray:
-        """``origin + durations[i] <= deadline + _EPS`` for every candidate."""
-        return finishes_by_mask(float(self._times[0]), durations, deadline)
 
     # -- mutations ------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec import Cell, CellExecutor, ResultStore, configure, metrics_digest
+from repro.exec import Cell, CellExecutor, ExecConfig, ResultStore, metrics_digest
 from repro.exec.chains import (
     ChainStats,
     chain_key,
@@ -145,11 +145,8 @@ class TestConfiguration:
         assert executor.use_chains is False
 
     def test_configure_threads_use_chains_through(self):
-        try:
-            assert configure(use_chains=False).use_chains is False
-            assert configure().use_chains is True
-        finally:
-            configure()
+        assert ExecConfig(use_chains=False).build_executor().use_chains is False
+        assert ExecConfig().build_executor().use_chains is True
 
     def test_cli_flag_parses(self):
         from repro.cli import build_parser

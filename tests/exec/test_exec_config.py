@@ -1,7 +1,4 @@
-"""ExecConfig: validation, threading through executor/store, and the
-configure() deprecation shim."""
-
-import warnings
+"""ExecConfig: validation and threading through executor/store."""
 
 import pytest
 
@@ -11,7 +8,6 @@ from repro.exec import (
     CellExecutor,
     ExecConfig,
     ResultStore,
-    configure,
     default_executor,
     run_cells,
     set_default_executor,
@@ -83,6 +79,7 @@ class TestThreading:
             cache_dir=tmp_path,
             max_retries=2,
             chunk_size=5,
+            preload_workloads=False,
             use_chains=False,
             store_backend="json",
         )
@@ -90,6 +87,7 @@ class TestThreading:
         assert executor.max_workers == 3
         assert executor.max_retries == 2
         assert executor.chunk_size == 5
+        assert executor.preload_workloads is False
         assert executor.use_chains is False
         assert executor.store.backend_kind == "json"
 
@@ -115,37 +113,3 @@ class TestThreading:
         cell = Cell.make(WorkloadSpec(trace="CTC", n_jobs=50, seed=1), "easy")
         [metrics] = run_cells([cell])
         assert metrics.overall.count == 50
-
-
-class TestDeprecationShim:
-    def test_configure_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="ExecConfig"):
-            executor = configure(parallel=2, use_chains=False)
-        assert default_executor() is executor
-        assert executor.max_workers == 2
-        assert executor.use_chains is False
-
-    def test_shim_maps_every_keyword(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            executor = configure(
-                parallel=2,
-                cache_dir=tmp_path,
-                max_retries=3,
-                chunk_size=4,
-                preload_workloads=False,
-                use_chains=False,
-                store_backend="sqlite",
-                memory_limit=9,
-            )
-        assert executor.max_workers == 2
-        assert executor.max_retries == 3
-        assert executor.chunk_size == 4
-        assert executor.preload_workloads is False
-        assert executor.use_chains is False
-        assert executor.store.backend_kind == "sqlite"
-        assert executor.store.memory_limit == 9
-
-    def test_shim_validation_errors_surface(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="parallel"):
-                configure(parallel=0)

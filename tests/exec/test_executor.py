@@ -9,11 +9,12 @@ from repro.errors import ReproError
 from repro.exec import (
     Cell,
     CellExecutor,
+    ExecConfig,
     ResultStore,
-    configure,
     default_executor,
     metrics_digest,
     run_cells,
+    set_default_executor,
     simulate_cell,
 )
 from repro.experiments.config import WorkloadSpec
@@ -162,13 +163,13 @@ class TestValidation:
 class TestDefaultExecutor:
     def test_configure_replaces_default(self):
         try:
-            executor = configure(parallel=1)
+            executor = set_default_executor(ExecConfig(parallel=1))
             assert default_executor() is executor
             [metrics] = run_cells(_grid(n_jobs=60)[:1])
             assert executor.session.completed == 1
             assert metrics.overall.mean_bounded_slowdown > 0
         finally:
-            configure(parallel=1)  # leave a fresh default behind
+            set_default_executor(None)  # leave a fresh default behind
 
     def test_run_cells_accepts_explicit_executor(self):
         executor = CellExecutor(store=ResultStore())
@@ -189,7 +190,7 @@ class TestPlanCompleteness:
         params = ExperimentParams(
             n_jobs=150, seeds=(1, 2), load_scale=0.75, traces=("CTC",)
         )
-        executor = configure(parallel=1)
+        executor = set_default_executor(ExecConfig(parallel=1))
         try:
             run_cells(CELL_PLANS[experiment_id](params))
             simulated_before = executor.session.simulated
@@ -198,4 +199,4 @@ class TestPlanCompleteness:
                 f"{experiment_id} simulated cells its plan did not declare"
             )
         finally:
-            configure(parallel=1)
+            set_default_executor(None)

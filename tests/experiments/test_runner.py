@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exec import Cell, default_store, run_cells
 from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import (
     cached_workload,
@@ -10,7 +11,6 @@ from repro.experiments.runner import (
     make_estimate_model,
     make_scheduler,
     make_workload,
-    run_cell,
 )
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
@@ -95,44 +95,39 @@ class TestSchedulerFactory:
             make_scheduler("magic")
 
 
+def _run(spec, kind, priority="FCFS", **options):
+    return run_cells([Cell.make(spec, kind, priority, **options)])[0]
+
+
 class TestCellCache:
     def test_cell_results_are_cached(self):
-        with pytest.deprecated_call():
-            first = run_cell(SMALL, "easy", "FCFS")
-            second = run_cell(SMALL, "easy", "FCFS")
+        first = _run(SMALL, "easy", "FCFS")
+        second = _run(SMALL, "easy", "FCFS")
         assert first is second
 
     def test_cache_distinguishes_options(self):
-        with pytest.deprecated_call():
-            a = run_cell(SMALL, "cons", "FCFS", compression="repack")
-            b = run_cell(SMALL, "cons", "FCFS", compression="none")
+        a = _run(SMALL, "cons", "FCFS", compression="repack")
+        b = _run(SMALL, "cons", "FCFS", compression="none")
         assert a is not b
 
     def test_workload_cache(self):
         assert cached_workload(SMALL) is cached_workload(SMALL)
 
     def test_clear_cache(self):
-        with pytest.deprecated_call():
-            first = run_cell(SMALL, "easy", "FCFS")
-            clear_cache()
-            assert run_cell(SMALL, "easy", "FCFS") is not first
+        first = _run(SMALL, "easy", "FCFS")
+        clear_cache()
+        assert _run(SMALL, "easy", "FCFS") is not first
 
-    def test_run_cell_delegates_to_cell_api(self):
-        from repro.exec import Cell, default_store
-
-        with pytest.deprecated_call():
-            metrics = run_cell(SMALL, "easy", "SJF")
+    def test_run_cells_stores_under_the_cell_key(self):
+        metrics = _run(SMALL, "easy", "SJF")
         stored = default_store().get(Cell(SMALL, "easy", "SJF"))
         assert stored is not None
         assert stored.metrics is metrics
 
-    def test_run_cell_deprecation_path_still_returns_correct_metrics(self):
-        """The wrapper must warn AND keep producing the real simulation
-        result — deprecation is a migration path, not a behaviour change."""
+    def test_run_cells_returns_the_direct_simulation_metrics(self):
         from repro.sim.engine import simulate
 
-        with pytest.deprecated_call():
-            metrics = run_cell(SMALL, "cons", "SJF")
+        metrics = _run(SMALL, "cons", "SJF")
         direct = simulate(
             make_workload(SMALL), make_scheduler("cons", "SJF")
         ).metrics

@@ -14,16 +14,10 @@ from repro.metrics.categories import (
     estimate_quality,
     quality_masks,
 )
-from repro.metrics.collector import (
-    CompletedJob,
-    MetricSummary,
-    reference_summarize,
-    summarize,
-    summarize_columns,
-    summarize_legacy,
-    summarize_rows,
-)
+from repro.metrics.collector import CompletedJob, MetricSummary, summarize
 from repro.workload.job import Job
+
+from tests.oracles.row_pipeline import summarize_rows
 
 
 def _record(job_id, submit, start, runtime, procs=2, estimate=None):
@@ -51,38 +45,10 @@ def _mixed_records():
 class TestSummarizeParity:
     def test_rows_and_columns_identical(self):
         records = _mixed_records()
-        assert summarize_rows(records) == summarize_columns(records)
-
-    def test_legacy_engine_identical(self):
-        records = _mixed_records()
-        assert summarize_legacy(records) == summarize_rows(records)
-
-    def test_dispatcher_and_toggle(self):
-        records = _mixed_records()
-        default = summarize(records)
-        with reference_summarize():
-            reference = summarize(records)
-        with reference_summarize("legacy"):
-            legacy = summarize(records)
-        assert default == reference
-        assert default == legacy
-
-    def test_unknown_reference_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown reference summarize engine"):
-            with reference_summarize("bogus"):
-                pass  # pragma: no cover - never entered
-
-    def test_toggle_restored_after_exception(self):
-        from repro.metrics import collector
-
-        with pytest.raises(RuntimeError):
-            with reference_summarize():
-                assert collector._SUMMARIZE_ENGINE == "rows"
-                raise RuntimeError("boom")
-        assert collector._SUMMARIZE_ENGINE == "columnar"
+        assert summarize_rows(records) == summarize(records)
 
     def test_category_and_quality_membership(self):
-        metrics = summarize_columns(_mixed_records())
+        metrics = summarize(_mixed_records())
         assert metrics.by_category[Category.SN].count == 2
         assert metrics.by_category[Category.SW].count == 1
         assert metrics.by_category[Category.LN].count == 1

@@ -6,9 +6,9 @@ re-validates and fully re-coalesces its arrays, and
 :meth:`Profile.from_running_jobs` builds by sequential ``reserve`` calls
 (O(R^2) for R running jobs).  The optimized kernel must produce
 *byte-identical schedules* against this one; the differential property
-suite (``tests/properties/test_prop_kernel_equivalence.py``) and the
-kernel benchmark (``benchmarks/bench_kernel.py``) both run schedulers
-against it via :func:`configure_reference_kernel`.
+suites (``tests/properties/test_prop_kernel_equivalence.py``,
+``test_prop_batch_claims.py``, ``test_prop_chain_equivalence.py``) run
+schedulers against it via :func:`configure_reference_kernel`.
 
 Do not optimize this file: its value is being the slow, obviously-correct
 oracle.
@@ -144,12 +144,6 @@ class Profile:
     # (tests/properties/test_prop_batch_claims.py) can pin the vectorized
     # forms to the obviously-correct sequential semantics.
 
-    def find_start_many(self, procs, durations, earliest: float) -> list[float]:
-        """One :meth:`find_start` per job against the current (fixed) profile."""
-        return [
-            self.find_start(p, d, earliest) for p, d in zip(procs, durations)
-        ]
-
     def claim_many(self, procs, durations, earliest: float) -> list[float]:
         """One :meth:`claim` per job, in order — the definitional semantics."""
         return [self.claim(p, d, earliest) for p, d in zip(procs, durations)]
@@ -160,14 +154,6 @@ class Profile:
             if d <= 0:
                 raise ProfileError(f"duration must be > 0, got {float(d)}")
         return [self.min_free(start, d) for d in durations]
-
-    def fits_now_mask(self, procs) -> list[bool]:
-        free_now = self._free[0]
-        return [p <= free_now for p in procs]
-
-    def finishes_by_mask(self, durations, deadline: float) -> list[bool]:
-        origin = self._times[0]
-        return [origin + d <= deadline + _EPS for d in durations]
 
     # -- mutations ------------------------------------------------------------------
 
@@ -310,14 +296,6 @@ class Profile:
 
 
 def configure_reference_kernel(scheduler):
-    """Flip a scheduler instance onto the reference (seed) kernel.
-
-    Plans with this module's :class:`Profile`, appends + full-sorts the
-    idle queue on every pass, and recomputes EASY's shadow from scratch at
-    every event — exactly the pre-optimization behaviour the differential
-    suite and ``bench_kernel.py`` compare against.  Call before ``bind()``.
-    """
+    """Point a scheduler instance at the reference kernel (before ``bind()``)."""
     scheduler.profile_factory = Profile
-    scheduler.incremental_queue = False
-    scheduler.use_shadow_cache = False
     return scheduler

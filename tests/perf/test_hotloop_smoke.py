@@ -1,33 +1,28 @@
 """Perf smoke test: the table-native feed must not lose to the row path.
 
 Runs a one-seed slice of the ``benchmarks/bench_hotloop.py`` grid
-through both feeds and asserts the table leg is at least roughly as
-fast as the row-``Workload`` reference.  The two legs share the whole
-overhauled event loop — the table feed's win over it is the skipped
-``to_workload()`` materialization, a modest margin that CI jitter can
-eat — so the tripwire only requires "not slower by much", while the
-schedules themselves must match *exactly*.  Real numbers belong to
-``benchmarks/bench_hotloop.py`` + ``benchmarks/compare_bench.py``
-against the checked-in ``BENCH_hotloop.json``; this is the guard that
-runs on every push (``-m perf``).
+through both feeds.  The two legs share the whole event loop, so the
+table feed keeps up exactly when it does no more *work* than the row
+``Workload`` reference: the same engine events and no more ``Job``
+objects built — deterministic counts, not a wall-clock ratio a noisy
+runner can flip — while the schedules themselves must match *exactly*.
+Real numbers belong to ``benchmarks/bench_hotloop.py`` +
+``benchmarks/compare_bench.py`` against the checked-in
+``BENCH_hotloop.json``; this is the guard that runs on every push
+(``-m perf``).
 """
 
 import pytest
 
 from repro.experiments.config import WorkloadSpec
+from repro.workload.job import Job
 
 from benchmarks.bench_hotloop import (
     TRACE,
-    _time_leg,
     digest_sweep,
     run_row_serial,
     run_table_serial,
 )
-
-#: The table leg skips per-cell Job materialization for unreached rows
-#: and shares everything else; require only that it is not meaningfully
-#: slower than the row leg, so a noisy runner cannot false-alarm.
-MAX_SLOWDOWN = 1.25
 
 
 @pytest.fixture()
@@ -40,16 +35,23 @@ def conditions():
 
 
 @pytest.mark.perf
-def test_table_feed_keeps_up_with_row_feed(conditions):
-    row_seconds, row_events = _time_leg(run_row_serial, conditions)
-    table_seconds, table_events = _time_leg(run_table_serial, conditions)
+def test_table_feed_keeps_up_with_row_feed(conditions, monkeypatch):
+    build = Job._from_trusted_columns
+    built = []
+
+    def counting_build(field_lists):
+        jobs = build(field_lists)
+        built.append(len(jobs))
+        return jobs
+
+    monkeypatch.setattr(Job, "_from_trusted_columns", counting_build)
+    row_events = run_row_serial(conditions)
+    row_jobs = sum(built)
+    built.clear()
+    table_events = run_table_serial(conditions)
+    table_jobs = sum(built)
     assert row_events == table_events
-    assert table_seconds <= row_seconds * MAX_SLOWDOWN, (
-        f"table-native feed fell behind the row reference: "
-        f"{table_seconds:.3f}s table vs {row_seconds:.3f}s rows; run "
-        "benchmarks/bench_hotloop.py and compare against the checked-in "
-        "BENCH_hotloop.json"
-    )
+    assert row_jobs == table_jobs == sum(horizon for _, horizon in conditions)
 
 
 @pytest.mark.perf

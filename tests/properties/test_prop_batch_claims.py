@@ -1,12 +1,11 @@
 """Differential tests: batch profile primitives vs their scalar loops.
 
-The batched backfill kernel (``claim_many``, ``find_start_many``,
-``min_free_many``, the fits/finishes masks, ``fitting_prefix_count``) is
-only admissible because every batch call is *exactly* the corresponding
+The batched backfill kernel (``claim_many``, ``min_free_many``) is only
+admissible because every batch call is *exactly* the corresponding
 scalar loop: same return values, same profile state, bit for bit.  These
 properties pin that contract twice over — against a scalar loop on the
-optimized kernel itself, and against :mod:`repro.sched.profile_ref`, the
-frozen pre-optimization oracle whose batch methods ARE naive loops.
+optimized kernel itself, and against ``tests/oracles/profile_ref.py``,
+the frozen pre-optimization oracle whose batch methods ARE naive loops.
 
 The op strategies deliberately draw durations and anchors from coarse
 grids with sub-``_EPS`` and near-``_EPS`` jitter: the kernel's equality
@@ -21,22 +20,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import ProfileError
-from repro.sched import configure_sequential_claims, profile_ref
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
-from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
-from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.backfill.slack import SlackScheduler
-from repro.sched.profile import (
-    Profile,
-    fits_mask,
-    finishes_by_mask,
-    fitting_prefix_count,
-)
+from repro.sched.profile import Profile
 from repro.sim.engine import simulate
 from repro.workload.job import Job, Workload
+
+from tests.oracles import profile_ref
 
 TOTAL = 16
 
@@ -104,22 +96,6 @@ def test_claim_many_equals_sequential_claims_on_both_kernels(case):
 
 
 @given(batch_cases())
-@settings(max_examples=150, deadline=None)
-def test_find_start_many_equals_scalar_find_start(case):
-    prefix, batch, earliest = case
-    fast, oracle = _seeded(prefix)
-    before = fast.breakpoints()
-
-    procs = [p for p, _, _ in batch]
-    durations = [d for _, d, _ in batch]
-    got = fast.find_start_many(procs, durations, earliest)
-    assert got == [fast.find_start(p, d, earliest) for p, d, _ in batch]
-    assert got == oracle.find_start_many(procs, durations, earliest)
-    # Pure query: the profile must be untouched.
-    assert fast.breakpoints() == before
-
-
-@given(batch_cases())
 @settings(max_examples=100, deadline=None)
 def test_min_free_many_equals_scalar_min_free(case):
     prefix, batch, start = case
@@ -128,46 +104,6 @@ def test_min_free_many_equals_scalar_min_free(case):
     got = fast.min_free_many(durations, start)
     assert got == [fast.min_free(start, d) for d in durations]
     assert got == oracle.min_free_many(durations, start)
-
-
-@given(batch_cases())
-@settings(max_examples=100, deadline=None)
-def test_masks_equal_scalar_tests(case):
-    prefix, batch, deadline = case
-    fast, oracle = _seeded(prefix)
-    procs = [p for p, _, _ in batch]
-    durations = [d for _, d, _ in batch]
-
-    now_mask = fast.fits_now_mask(procs)
-    assert now_mask.tolist() == [p <= fast.free_at(fast.origin) for p in procs]
-    assert now_mask.tolist() == oracle.fits_now_mask(procs)
-
-    fin_mask = fast.finishes_by_mask(durations, deadline)
-    eps = 1e-9
-    assert fin_mask.tolist() == [
-        fast.origin + d <= deadline + eps for d in durations
-    ]
-    assert fin_mask.tolist() == oracle.finishes_by_mask(durations, deadline)
-
-    free = fast.free_at(fast.origin)
-    assert fits_mask(procs, free).tolist() == [p <= free for p in procs]
-    assert finishes_by_mask(fast.origin, durations, deadline).tolist() == [
-        fast.origin + d <= deadline + eps for d in durations
-    ]
-
-
-@given(st.lists(st.integers(min_value=1, max_value=TOTAL), max_size=20),
-       st.integers(min_value=0, max_value=2 * TOTAL))
-@settings(max_examples=100, deadline=None)
-def test_fitting_prefix_count_equals_greedy_loop(demands, available):
-    count = 0
-    free = available
-    for p in demands:
-        if p > free:
-            break
-        free -= p
-        count += 1
-    assert fitting_prefix_count(demands, available) == count
 
 
 @st.composite
@@ -193,36 +129,33 @@ def workloads(draw, max_jobs=25):
     return Workload(tuple(jobs), max_procs=TOTAL, name="prop-batch")
 
 
-def _force_batch_paths(scheduler):
-    """Drop the queue-depth gates so small queues hit the batch code."""
-    if isinstance(scheduler, EasyScheduler):
-        scheduler.batch_min_candidates = 1
-    if isinstance(scheduler, FCFSScheduler):
-        scheduler.batch_min_queue = 1
-    return scheduler
+class SequentialClaims(Profile):
+    """The production kernel with ``claim_many`` as the naive ``claim`` loop."""
+
+    def claim_many(self, procs, durations, earliest):
+        return [self.claim(p, d, earliest) for p, d in zip(procs, durations)]
 
 
 @given(workloads())
 @settings(max_examples=30, deadline=None)
 def test_batched_schedulers_match_sequential_claim_path(wl):
-    """Every discipline: batch-kernel schedule == sequential-claim schedule.
+    """Every ``claim_many`` consumer: batch schedule == sequential-claim schedule.
 
-    The queue-depth gates are forced open so the mask prefilters and
-    prefix count run even on these small queues; the sequential leg is the
-    exact path ``configure_sequential_claims`` selects for benchmarking.
+    Same kernel on both legs, so a divergence isolates the batching (the
+    incremental anchor, the inlined apply) from any kernel difference the
+    oracle comparison in ``test_prop_kernel_equivalence.py`` would show.
     """
     factories = [
-        FCFSScheduler,
-        EasyScheduler,
-        LookaheadScheduler,
         ConservativeScheduler,
         SelectiveScheduler,
         DepthScheduler,
         SlackScheduler,
     ]
     for factory in factories:
-        batched = simulate(wl, _force_batch_paths(factory()))
-        sequential = simulate(wl, configure_sequential_claims(factory()))
+        batched = simulate(wl, factory())
+        sequential_scheduler = factory()
+        sequential_scheduler.profile_factory = SequentialClaims
+        sequential = simulate(wl, sequential_scheduler)
         assert batched.start_times() == sequential.start_times(), (
             f"{factory.__name__} diverged between batch and sequential claims"
         )
@@ -232,7 +165,6 @@ def test_claim_many_empty_batch_is_noop():
     profile = Profile(TOTAL)
     before = profile.breakpoints()
     assert profile.claim_many([], [], 0.0) == []
-    assert profile.find_start_many([], [], 0.0) == []
     assert profile.min_free_many([], 0.0) == []
     assert profile.breakpoints() == before
 

@@ -33,10 +33,11 @@ from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.priority.fairshare import FairSharePriority
 from repro.sched.priority.policies import PRIORITY_POLICIES, SJFPriority
-from repro.sched.profile_ref import configure_reference_kernel
 from repro.sched.reservations import AdvanceReservation
 from repro.sim.engine import Simulator, simulate
 from repro.workload.job import Job, Workload
+
+from tests.oracles.profile_ref import configure_reference_kernel
 
 ESTIMATES = ("exact", "r2", "r4", "user")
 

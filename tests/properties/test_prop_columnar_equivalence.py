@@ -4,11 +4,11 @@ to the row-at-a-time reference path.
 Three layers are pinned, separately and end-to-end:
 
 * workload construction — ``make_workload`` (columnar derivation from a
-  memoized base table) vs ``make_workload_rows`` (per-transform Job
-  rebuilds);
+  memoized base table) vs the oracle ``make_workload_rows``
+  (per-transform Job rebuilds);
 * SWF ingest — ``read_swf(engine="columnar")`` / ``read_swf_table`` vs
   ``read_swf(engine="rows")``;
-* aggregation — ``summarize_columns`` vs ``summarize_rows``.
+* aggregation — ``summarize`` vs the oracle ``summarize_rows``.
 
 "Identical" means exact ``==`` on the full ``RunMetrics`` dataclass —
 every mean, max, category and quality summary, and every per-job record —
@@ -26,20 +26,16 @@ from repro.experiments.runner import (
     SCHEDULER_KINDS,
     make_scheduler,
     make_workload,
-    make_workload_rows,
     make_workload_table,
 )
-from repro.metrics.collector import (
-    reference_summarize,
-    summarize_columns,
-    summarize_legacy,
-    summarize_rows,
-)
+from repro.metrics.collector import summarize
 from repro.sched.priority.policies import PRIORITY_POLICIES
 from repro.sim.engine import simulate
 from repro.workload.swf import read_swf, read_swf_table, write_swf
 from repro.workload.table import JobTable
 from repro.workload.transforms import truncate
+
+from tests.oracles.row_pipeline import make_workload_rows, summarize_rows
 
 ESTIMATES = ("exact", "r2", "r4", "user")
 
@@ -50,6 +46,14 @@ N_JOBS = 120
 def _workload_pair(estimate):
     spec = WorkloadSpec("CTC", N_JOBS, 1, 0.75, estimate)
     return make_workload_rows(spec), make_workload(spec)
+
+
+def _row_metrics(workload, scheduler):
+    """``simulate`` as if the engine aggregated with the row reference."""
+    metrics = simulate(workload, scheduler).metrics
+    return summarize_rows(
+        metrics.records, utilization=metrics.utilization, makespan=metrics.makespan
+    )
 
 
 def _assert_same_workload(rows, cols):
@@ -110,16 +114,14 @@ class TestEndToEnd:
     @pytest.mark.parametrize("estimate", ESTIMATES)
     def test_every_scheduler_and_estimate(self, kind, estimate):
         rows, cols = _workload_pair(estimate)
-        with reference_summarize():
-            want = simulate(rows, make_scheduler(kind, "FCFS")).metrics
+        want = _row_metrics(rows, make_scheduler(kind, "FCFS"))
         got = simulate(cols, make_scheduler(kind, "FCFS")).metrics
         assert got == want
 
     @pytest.mark.parametrize("priority", tuple(PRIORITY_POLICIES))
     def test_every_priority(self, priority):
         rows, cols = _workload_pair("user")
-        with reference_summarize():
-            want = simulate(rows, make_scheduler("easy", priority)).metrics
+        want = _row_metrics(rows, make_scheduler("easy", priority))
         got = simulate(cols, make_scheduler("easy", priority)).metrics
         assert got == want
 
@@ -131,14 +133,11 @@ class TestSummarizeEquivalence:
         result = simulate(workload, make_scheduler(kind))
         records = result.metrics.records
         a = summarize_rows(records, utilization=0.5, makespan=123.0)
-        b = summarize_columns(records, utilization=0.5, makespan=123.0)
-        c = summarize_legacy(records, utilization=0.5, makespan=123.0)
+        b = summarize(records, utilization=0.5, makespan=123.0)
         assert a == b
-        assert a == c
 
     def test_empty_records(self):
-        assert summarize_rows([]) == summarize_columns([])
-        assert summarize_rows([]) == summarize_legacy([])
+        assert summarize_rows([]) == summarize([])
 
 
 class TestSWFEquivalence:
@@ -153,8 +152,7 @@ class TestSWFEquivalence:
         _assert_same_workload(via_rows, via_cols)
         _assert_same_workload(via_rows, via_table)
 
-        with reference_summarize():
-            want = simulate(via_rows, make_scheduler("easy", "SJF")).metrics
+        want = _row_metrics(via_rows, make_scheduler("easy", "SJF"))
         got = simulate(via_table, make_scheduler("easy", "SJF")).metrics
         assert got == want
 

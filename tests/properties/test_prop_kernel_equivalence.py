@@ -4,12 +4,17 @@ The fast-kernel work (numpy Profile with fused ``claim``, incremental
 sorted queues, EASY shadow caching, buffer-reuse repack) is only admissible
 because it is *behaviour-preserving*: every scheduler must produce the
 byte-identical schedule it produced on the seed kernel.  These properties
-pin that contract against :mod:`repro.sched.profile_ref`, the verbatim
-pre-optimization implementation:
+pin that contract against ``tests/oracles/profile_ref.py``, the verbatim
+pre-optimization implementation, and against test-local subclasses that
+switch the two scheduler-side optimizations off:
 
 * every scheduler x priority combination yields identical ``start_times()``
   on random inaccurate-estimate workloads (inaccurate estimates exercise
   the repack/compression paths where the optimizations live);
+* a statically-keyed policy declared ``is_dynamic`` (queue re-sorted every
+  pass) schedules exactly like its incrementally-sorted original;
+* EASY and lookahead with the shadow memo bypassed schedule exactly like
+  the cached originals;
 * ``Profile.claim`` equals the ``find_start`` + ``reserve`` composition on
   random operation sequences, state and return value both;
 * bulk ``from_running_jobs`` / ``rebuild_into`` equal R sequential
@@ -18,9 +23,8 @@ pre-optimization implementation:
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.sched import profile_ref
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.easy import EasyScheduler
@@ -30,13 +34,16 @@ from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.priority.policies import (
     FCFSPriority,
+    LJFPriority,
     SJFPriority,
     XFactorPriority,
 )
 from repro.sched.profile import Profile
-from repro.sched.profile_ref import configure_reference_kernel
 from repro.sim.engine import simulate
 from repro.workload.job import Job, Workload
+
+from tests.oracles import profile_ref
+from tests.oracles.profile_ref import configure_reference_kernel
 
 MAX_PROCS = 16
 
@@ -73,7 +80,7 @@ SCHEDULER_FACTORIES = [
     SlackScheduler,
 ]
 
-PRIORITIES = [FCFSPriority, SJFPriority, XFactorPriority]
+PRIORITIES = [FCFSPriority, SJFPriority, XFactorPriority, LJFPriority]
 
 
 @given(workloads())
@@ -88,6 +95,75 @@ def test_every_scheduler_matches_reference_kernel(wl):
             assert optimized.start_times() == reference.start_times(), (
                 f"{factory.__name__} x {priority.__name__} diverged "
                 "from the reference kernel"
+            )
+
+
+@given(workloads())
+@settings(max_examples=25, deadline=None)
+def test_resorted_queue_matches_incrementally_sorted_queue(wl):
+    """``is_dynamic = True`` forces the per-pass sort; order must not change."""
+    for factory in SCHEDULER_FACTORIES:
+        for static in (FCFSPriority, SJFPriority, LJFPriority):
+            resorting = type(
+                f"Resorting{static.__name__}", (static,), {"is_dynamic": True}
+            )
+            insorted = simulate(wl, factory(static()))
+            resorted = simulate(wl, factory(resorting()))
+            assert insorted.start_times() == resorted.start_times(), (
+                f"{factory.__name__} x {static.__name__} diverged between "
+                "the incrementally sorted and the re-sorted queue"
+            )
+
+
+class UncachedEasy(EasyScheduler):
+    def _shadow_cached(self, head, now, free, pseudo_running, cacheable):
+        return self._shadow(head, now, free, pseudo_running)
+
+
+class UncachedLookahead(LookaheadScheduler):
+    _shadow_cached = UncachedEasy._shadow_cached
+
+
+#: Random workloads rarely reach a stale memo, so one that does is pinned:
+#: under SJF job 3 is the blocked head at t=87 and t=244 with 6 processors
+#: free both times, but the running set changed in between (job 5 started,
+#: job 1 finished) — a memo that survived would let job 4 overtake job 3.
+STALE_SHADOW_WORKLOAD = Workload(
+    tuple(
+        Job(
+            job_id=job_id,
+            submit_time=submit,
+            runtime=runtime,
+            estimate=estimate,
+            procs=procs,
+        )
+        for job_id, submit, runtime, estimate, procs in (
+            (1, 4.0, 240.0, 720.0, 4),
+            (2, 7.0, 80.0, 240.0, 5),
+            (3, 10.0, 140.0, 280.0, 7),
+            (4, 14.0, 300.0, 300.0, 5),
+            (5, 15.0, 290.0, 290.0, 4),
+        )
+    ),
+    max_procs=10,
+    name="stale-shadow",
+)
+
+
+@given(workloads())
+@example(STALE_SHADOW_WORKLOAD)
+@settings(max_examples=25, deadline=None)
+def test_uncached_shadow_matches_cached_shadow(wl):
+    for cached, uncached in (
+        (EasyScheduler, UncachedEasy),
+        (LookaheadScheduler, UncachedLookahead),
+    ):
+        for priority in PRIORITIES:
+            want = simulate(wl, uncached(priority()))
+            got = simulate(wl, cached(priority()))
+            assert got.start_times() == want.start_times(), (
+                f"{cached.__name__} x {priority.__name__} diverged from "
+                "the uncached shadow computation"
             )
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ProfileError
-from repro.sched import profile_ref
 from repro.sched.profile import Profile
+
+from tests.oracles import profile_ref
 
 
 class TestConstruction:

@@ -121,16 +121,3 @@ def test_serve_surface_is_pinned():
         assert callable(getattr(serve.Session, method)), (
             f"Session.{method} is part of the advertised session API"
         )
-
-
-def test_configure_is_a_deprecation_shim():
-    """configure() must keep working but must warn, steering callers to
-    ExecConfig + set_default_executor."""
-    from repro import exec as exec_pkg
-
-    try:
-        with pytest.warns(DeprecationWarning, match="ExecConfig"):
-            executor = exec_pkg.configure(parallel=1)
-        assert exec_pkg.default_executor() is executor
-    finally:
-        exec_pkg.set_default_executor(None)

@@ -2,7 +2,8 @@
 
 The profile is the inner loop of every reservation-based scheduler, so its
 primitives are benchmarked directly: reserve/release cycles, find_start on
-a loaded profile, and the advance garbage-collection.
+a loaded profile, the advance garbage-collection, and one ``claim_many``
+repack batch at 20 / 200 / 2,000 jobs.
 """
 
 import numpy as np
@@ -50,16 +51,42 @@ def test_find_start_wide_job(benchmark, n):
     benchmark(profile.find_start, 400, 7200.0, 0.0)
 
 
-def test_build_from_running_jobs(benchmark):
-    # A plausible running set: widths sum to the machine size (fully busy).
-    rng = np.random.default_rng(3)
+def _busy_machine(seed: int) -> list[tuple[int, float]]:
+    """A plausible running set: widths sum to the machine size (fully busy)."""
+    rng = np.random.default_rng(seed)
     running = []
     remaining = TOTAL
     while remaining > 0:
         procs = min(int(rng.integers(1, 17)), remaining)
         running.append((procs, float(rng.uniform(1e5, 2e5))))
         remaining -= procs
-    benchmark(Profile.from_running_jobs, TOTAL, 1e5, running)
+    return running
+
+
+def test_build_from_running_jobs(benchmark):
+    benchmark(Profile.from_running_jobs, TOTAL, 1e5, _busy_machine(3))
+
+
+@pytest.mark.parametrize("n", [20, 200, 2000])
+def test_claim_many_batch(benchmark, n):
+    """One repack batch on a freshly rebuilt profile (DESIGN.md section 7).
+
+    The rebuild is set-up, outside the timing; us/claim is the reported
+    time over ``n``.  20 jobs is what the simulator's repacks look like,
+    2,000 is far past anything it builds.
+    """
+    running = _busy_machine(3)
+    rng = np.random.default_rng(n)
+    procs = rng.integers(1, 65, n).tolist()
+    durations = rng.uniform(60.0, 64800.0, n).tolist()
+    profile = Profile(TOTAL, origin=1e5)
+    benchmark.extra_info["jobs"] = n
+    benchmark.pedantic(
+        profile.claim_many,
+        args=(procs, durations, 1e5),
+        setup=lambda: profile.rebuild_into(1e5, running),
+        rounds=max(20, 4000 // n),
+    )
 
 
 def test_advance_over_dense_profile(benchmark):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
 from repro.sched.profile import Profile
+from repro.sched.reservations import carve_reservations
 from repro.workload.job import Job
 
 __all__ = ["ConservativeScheduler"]
@@ -100,9 +101,8 @@ class ConservativeScheduler(Scheduler):
     def _profile_at(self, now: float) -> Profile:
         if self._profile is None:
             self._profile = self.profile_factory(self._machine().total_procs, origin=now)
-            from repro.sched.reservations import carve_reservations
-
-            carve_reservations(self._profile, self.advance_reservations, now)
+            if self.advance_reservations:
+                carve_reservations(self._profile, self.advance_reservations, now)
         else:
             self._profile.advance(now)
         return self._profile
@@ -250,8 +250,8 @@ class ConservativeScheduler(Scheduler):
         remainders, then queued jobs claim earliest-feasible slots in
         priority order.  Jobs whose fresh slot is *now* start immediately
         (their usage stays in the profile as running occupancy).  The
-        rebuild reuses the existing profile's arrays (one endpoint sweep,
-        no allocation) — repack runs on every early completion, so this is
+        rebuild reloads the profile the scheduler already holds in one
+        endpoint sweep — repack runs on every early completion, so this is
         the kernel's hottest path.
         """
         machine = self._machine()
@@ -265,9 +265,8 @@ class ConservativeScheduler(Scheduler):
                 for job, _ in self._running.values()
             ],
         )
-        from repro.sched.reservations import carve_reservations
-
-        carve_reservations(profile, self.advance_reservations, now)
+        if self.advance_reservations:
+            carve_reservations(profile, self.advance_reservations, now)
         self._profile = profile
         committed = sum(j.procs for j in started)
         ordered = self._ordered_queue(now)

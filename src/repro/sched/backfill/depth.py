@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.sched.base import Scheduler
 from repro.sched.profile import Profile
+from repro.sched.reservations import carve_reservations
 from repro.workload.job import Job
 
 __all__ = ["DepthScheduler"]
@@ -62,7 +63,7 @@ class DepthScheduler(Scheduler):
             return []
         machine = self._machine()
         # The plan is rebuilt from scratch each pass, but into a reused
-        # buffer: one endpoint sweep, no per-event allocation.
+        # buffer: one endpoint sweep, no per-event Profile.
         profile = self._profile_buffer
         if profile is None:
             profile = self._profile_buffer = self.profile_factory(
@@ -73,8 +74,6 @@ class DepthScheduler(Scheduler):
             [(job.procs, start + job.estimate) for job, start in self._running.values()],
         )
         if self.advance_reservations:
-            from repro.sched.reservations import carve_reservations
-
             carve_reservations(profile, self.advance_reservations, now)
         queue = self._ordered_queue(now)
         started: list[Job] = []
@@ -90,7 +89,7 @@ class DepthScheduler(Scheduler):
             )
         }
 
-        # One vectorized min_free over the post-claim profile prefilters
+        # One batched min_free over the post-claim profile prefilters
         # the unreserved backfill candidates: free counts only shrink as
         # this pass reserves, so a failing window here is definitively
         # infeasible and the job needs no per-job kernel call at all.  A

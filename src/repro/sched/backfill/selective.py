@@ -32,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.sched.base import Scheduler
 from repro.sched.priority.policies import xfactor
 from repro.sched.profile import Profile
+from repro.sched.reservations import carve_reservations
 from repro.workload.job import Job
 
 __all__ = ["SelectiveScheduler"]
@@ -94,7 +95,7 @@ class SelectiveScheduler(Scheduler):
 
         # Rebuild the availability profile from scratch each pass (running
         # jobs occupy processors until their estimated completions), but
-        # into a reused buffer: one endpoint sweep, no per-event allocation.
+        # into a reused buffer: one endpoint sweep, no per-event Profile.
         profile = self._profile_buffer
         if profile is None:
             profile = self._profile_buffer = self.profile_factory(
@@ -105,8 +106,6 @@ class SelectiveScheduler(Scheduler):
             [(job.procs, start + job.estimate) for job, start in self._running.values()],
         )
         if self.advance_reservations:
-            from repro.sched.reservations import carve_reservations
-
             carve_reservations(profile, self.advance_reservations, now)
 
         queue = self._ordered_queue(now)
@@ -124,7 +123,7 @@ class SelectiveScheduler(Scheduler):
             )
         }
 
-        # One vectorized min_free prefilters the unreserved candidates (see
+        # One batched min_free prefilters the unreserved candidates (see
         # DepthScheduler._schedule_pass: False is definitive because free
         # counts only shrink; True is re-verified once a same-pass reserve
         # has dirtied the profile).

@@ -121,6 +121,7 @@ class SlackScheduler(Scheduler):
             return []
         started: list[Job] = []
         pseudo_running: list[tuple[Job, float]] = []
+        committed = 0  # processors of ``pseudo_running``, kept as it grows
 
         def current_plan() -> dict[int, float]:
             waiting = [j for j in self._queue]
@@ -133,24 +134,23 @@ class SlackScheduler(Scheduler):
         while progressed:
             progressed = False
             for job in list(self._queue):
-                committed = sum(j.procs for j, _ in pseudo_running)
                 if plan.get(
                     job.job_id, math.inf
                 ) <= now + _EPS and self._machine_fits(job, committed):
                     self._dequeue(job)
                     started.append(job)
                     pseudo_running.append((job, now))
+                    committed += job.procs
                     self._deadline.pop(job.job_id, None)
                     progressed = True
             if progressed:
                 plan = current_plan()
 
         # Phase 2: slack-checked backfilling in priority order.
+        free_procs = self._machine().free_procs
         candidates = self.priority.sort(self._queue, now)[: self.max_candidates]
         for job in candidates:
-            if job.procs > self._machine().free_procs - sum(
-                j.procs for j, _ in pseudo_running
-            ):
+            if job.procs > free_procs - committed:
                 continue
             tentative = [j for j in self._queue if j.job_id != job.job_id]
             trial_profile = self._running_profile(
@@ -161,6 +161,7 @@ class SlackScheduler(Scheduler):
                 self._dequeue(job)
                 started.append(job)
                 pseudo_running.append((job, now))
+                committed += job.procs
                 self._deadline.pop(job.job_id, None)
         return started
 

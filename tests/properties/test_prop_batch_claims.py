@@ -15,6 +15,8 @@ existing breakpoint, so epsilon-close edges are where batch/scalar
 equivalence would break first.
 """
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,53 @@ def test_claim_many_equals_sequential_claims_on_both_kernels(case):
     oracle_got = oracle_batched.claim_many(procs, durations, earliest)
     assert got == oracle_got
     assert batched.breakpoints() == oracle_batched.breakpoints()
+
+
+def test_large_batch_equals_oracle_claim_loop():
+    """Scale: one deep batch on the list kernel is still the oracle's loop.
+
+    The property cases above stay under 30 breakpoints; this one ends
+    past 1,000, where an index slip in the carried anchor or the
+    ``list.insert`` / ``del`` bookkeeping has 1,500 claims to compound.
+    """
+    rng = random.Random(13)
+    running, busy = [], 0
+    while busy < 400:
+        width = rng.randint(1, 16)
+        running.append((width, rng.uniform(1e5, 1.6e5)))
+        busy += width
+    procs = [rng.randint(1, 64) for _ in range(1500)]
+    durations = [rng.uniform(60.0, 64800.0) for _ in range(1500)]
+
+    fast = Profile.from_running_jobs(430, 1e5, running)
+    oracle = profile_ref.Profile.from_running_jobs(430, 1e5, running)
+    assert fast.breakpoints() == oracle.breakpoints()
+    got = fast.claim_many(procs, durations, 1e5)
+    want = [oracle.claim(p, d, 1e5) for p, d in zip(procs, durations)]
+    assert got == want
+    assert fast.breakpoints() == oracle.breakpoints()
+    assert len(fast.breakpoints()) > 1000
+
+
+@given(batch_cases())
+@settings(max_examples=100, deadline=None)
+def test_find_start_equals_claim_on_a_fork(case):
+    """The one sweep, pinned from both entry points.
+
+    ``find_start`` is the bare sweep and ``claim`` the sweep plus the
+    reservation, so on equal states they must name the same start — on
+    both kernels — and the query must leave the profile untouched.
+    """
+    prefix, batch, _ = case
+    fast, oracle = _seeded(prefix)
+    for procs, duration, earliest in batch:
+        before = fast.breakpoints()
+        found = fast.find_start(procs, duration, earliest)
+        assert fast.breakpoints() == before
+        assert fast.fork().claim(procs, duration, earliest) == found
+        assert oracle.find_start(procs, duration, earliest) == found
+        assert fast.claim(procs, duration, earliest) == found
+        oracle.claim(procs, duration, earliest)
 
 
 @given(batch_cases())
@@ -175,6 +224,9 @@ def test_claim_many_empty_batch_is_noop():
         ([4, 0], [1.0, 1.0], "cannot place 0 procs"),
         ([4, TOTAL + 1], [1.0, 1.0], f"cannot place {TOTAL + 1} procs"),
         ([4, 4], [1.0, -2.0], "duration must be > 0"),
+        ([-1, 4, 4], [1.0, 1.0, 1.0], "cannot place -1 procs"),
+        ([4, 4, 4], [0.0, 1.0, 1.0], "duration must be > 0, got 0.0"),
+        ([4, 4, 4], [1.0, 1.0, -3.0], "duration must be > 0, got -3.0"),
     ],
 )
 def test_claim_many_validates_up_front_profile_untouched(
@@ -183,6 +235,7 @@ def test_claim_many_validates_up_front_profile_untouched(
     """Invalid input anywhere in the batch fails fast, before any claim."""
     profile = Profile(TOTAL)
     profile.claim(8, 5.0, 0.0)
+    profile.claim(12, 3.0, 2.0)
     before = profile.breakpoints()
     with pytest.raises(ProfileError, match=message):
         profile.claim_many(procs, durations, 0.0)

@@ -1,5 +1,6 @@
 """Unit tests for the availability profile."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ProfileError
@@ -63,6 +64,20 @@ class TestReserveRelease:
             p.reserve(4, 50.0, 100.0)
         assert p.free_at(75.0) == 2
         assert [f for _, f in p.breakpoints()] == [f for _, f in before]
+
+    def test_failed_bound_check_leaves_breakpoints_unchanged(self):
+        # Both windows start and end strictly inside segments, so a check
+        # that ran after the edge splits would leave two new breakpoints.
+        p = Profile(10)
+        p.reserve(8, 0.0, 100.0)
+        p.reserve(1, 20.0, 30.0)
+        before = p.breakpoints()
+        with pytest.raises(ProfileError, match="free count would become -3"):
+            p.reserve(4, 10.0, 25.0)
+        assert p.breakpoints() == before
+        with pytest.raises(ProfileError, match="free count would become 12"):
+            p.release(2, 60.0, 70.0)
+        assert p.breakpoints() == before
 
     def test_over_release_rejected(self):
         p = Profile(10)
@@ -217,3 +232,60 @@ class TestFromRunningJobs:
         p = Profile.from_running_jobs(10, 100.0, [(4, 90.0)])
         assert p.free_at(100.0) == 6
         assert p.free_at(101.0) == 10
+
+
+class TestFork:
+    def test_fork_is_isolated_in_both_directions(self):
+        original = Profile(16)
+        original.claim(6, 40.0, 0.0)
+        original.reserve(3, 10.0, 50.0)
+        original.advance(5.0)
+        snapshot = original.breakpoints()
+
+        copy = original.fork()
+        assert copy.breakpoints() == snapshot
+        assert copy.total_procs == 16 and copy.origin == 5.0
+
+        copy.claim(10, 20.0, 5.0)
+        copy.reserve(1, 7.0, 3.0)
+        copy.advance(30.0)
+        assert original.breakpoints() == snapshot
+
+        forked_state = copy.breakpoints()
+        original.claim_many([4, 4], [15.0, 25.0], 5.0)
+        original.release(3, 10.0, 50.0)
+        original.advance(12.0)
+        assert copy.breakpoints() == forked_state
+        assert original.breakpoints() != snapshot
+
+
+class TestInputHygiene:
+    """numpy scalars from ``JobTable`` columns must not enter the lists."""
+
+    @staticmethod
+    def _drive(profile_at, integer, real):
+        p = profile_at(real(2.0))
+        starts = [p.claim(integer(4), real(30.0), real(1.0))]
+        starts += p.claim_many(
+            [integer(8), integer(3)], [real(12.5), real(40.0)], real(2.0)
+        )
+        starts.append(p.find_start(integer(16), real(5.0), real(3.0)))
+        p.reserve(integer(2), real(50.0), real(10.0))
+        p.release(integer(2), real(50.0), real(4.0))
+        p.advance(real(6.0))
+        states = [p.breakpoints()]
+        p.rebuild_into(real(9.0), [(integer(5), real(20.0)), (integer(2), real(8.0))])
+        starts += p.claim_many(np.array([3, 9]), np.array([7.0, 2.0]), real(9.0))
+        states.append(p.breakpoints())
+        return starts, states
+
+    def test_numpy_scalars_behave_like_builtins_and_are_coerced(self):
+        plain = self._drive(lambda origin: Profile(16, origin=origin), int, float)
+        boxed = self._drive(
+            lambda origin: Profile(np.int64(16), origin=origin), np.int64, np.float64
+        )
+        assert boxed == plain
+        starts, states = boxed
+        assert all(type(start) is float for start in starts)
+        for state in states:
+            assert all(type(t) is float and type(f) is int for t, f in state)

@@ -9,13 +9,13 @@ forks a snapshot, and drains only the in-flight jobs on the branch —
 so each shared prefix is simulated once per ``(seed, load)`` condition
 instead of once per horizon.
 
-This benchmark times the paper's 3-horizon CTC sweep grid twice through
-the living executor:
+This benchmark times the paper's 3-horizon CTC sweep grid twice:
 
-* **independent leg** — ``CellExecutor(use_chains=False)``: every cell
-  is a full, standalone simulation (exactly the pre-PR behavior);
-* **chained leg** — ``CellExecutor(use_chains=True)`` (the default):
-  cells differing only by horizon share one forked trunk.
+* **independent leg** — a ``simulate_cell`` loop: every cell is a full,
+  standalone simulation (what a chain falls back to, and the reference
+  the equivalence suites compare against);
+* **chained leg** — ``CellExecutor`` (the living executor): cells
+  differing only by horizon share one forked trunk.
 
 Both legs produce byte-identical metrics (pinned per cell below and,
 exhaustively, by ``tests/properties/test_prop_chain_equivalence.py``).
@@ -28,12 +28,6 @@ equally in both legs — and chains shave only ~1.2x.)
 Wall-clock, cells/s, and events/s for each leg land in
 ``benchmarks/BENCH_chain.json`` (keys ending ``events_per_second`` are
 gated by ``benchmarks/compare_bench.py``).
-
-On hosts with more than 2 CPUs a parallel leg pair is also timed —
-chain-group-packed chunked dispatch vs independent chunked dispatch at
-the same worker count.  On smaller hosts the pair just measures pool
-overhead, so it is skipped and marked ``parallel_leg_run: false``,
-following ``bench_sweep.py``.
 """
 
 import json
@@ -41,7 +35,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest
+from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest, simulate_cell
 from repro.hostinfo import host_provenance
 from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import clear_cache
@@ -65,9 +59,6 @@ REPS = 3
 #: the workload-generation share both legs pay equally.
 SERIAL_SPEEDUP_FLOOR = 1.5
 
-#: Worker count for the parallel leg pair (only run with > 2 CPUs).
-PARALLEL_WORKERS = 4
-
 
 def sweep_cells() -> list[Cell]:
     """The 3-horizon sweep grid: 90 cells in 30 three-cell chains.
@@ -86,9 +77,19 @@ def sweep_cells() -> list[Cell]:
     ]
 
 
-def _time_executor(cells: list[Cell], **executor_kwargs) -> tuple[float, CellExecutor, list]:
+def _time_independent(cells: list[Cell]) -> tuple[float, int, list]:
+    """(seconds, events, metrics) for one from-scratch simulation per cell."""
     clear_cache()
-    executor = CellExecutor(store=ResultStore(), **executor_kwargs)
+    started = time.perf_counter()
+    storeds = [simulate_cell(cell) for cell in cells]
+    seconds = time.perf_counter() - started
+    events = sum(stored.events_processed for stored in storeds)
+    return seconds, events, [stored.metrics for stored in storeds]
+
+
+def _time_executor(cells: list[Cell]) -> tuple[float, CellExecutor, list]:
+    clear_cache()
+    executor = CellExecutor(store=ResultStore())
     started = time.perf_counter()
     metrics = executor.execute(cells)
     return time.perf_counter() - started, executor, metrics
@@ -108,10 +109,9 @@ def test_chained_sweep_writes_bench_json():
     plain_metrics = chain_metrics = None
     report = None
     for _ in range(REPS):
-        seconds, executor, plain_metrics = _time_executor(cells, use_chains=False)
+        seconds, plain_events, plain_metrics = _time_independent(cells)
         plain_times.append(seconds)
-        plain_events = executor.last_report.events_processed
-        seconds, executor, chain_metrics = _time_executor(cells, use_chains=True)
+        seconds, executor, chain_metrics = _time_executor(cells)
         chain_times.append(seconds)
         chain_events = executor.last_report.events_processed
         report = executor.last_report
@@ -127,9 +127,6 @@ def test_chained_sweep_writes_bench_json():
     assert report.chained_cells == len(cells)
     assert report.chain_fallbacks == 0
 
-    cpu_count = os.cpu_count() or 1
-    parallel_leg_run = cpu_count > 2
-
     n_cells = len(cells)
     serial_speedup = plain_seconds / chain_seconds
     payload = {
@@ -142,7 +139,7 @@ def test_chained_sweep_writes_bench_json():
         "estimate": ESTIMATE,
         "n_cells": n_cells,
         "scheduler": list(SCHEDULER),
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "reps": REPS,
         "events_processed": plain_events,
         "chains": report.chains,
@@ -154,27 +151,7 @@ def test_chained_sweep_writes_bench_json():
         "chained_serial_cells_per_second": round(n_cells / chain_seconds, 2),
         "independent_serial_events_per_second": round(plain_events / plain_seconds, 1),
         "chained_serial_events_per_second": round(chain_events / chain_seconds, 1),
-        "parallel_leg_run": parallel_leg_run,
-        "parallel_workers": PARALLEL_WORKERS if parallel_leg_run else None,
-        "independent_parallel_seconds": None,
-        "chained_parallel_seconds": None,
-        "parallel_speedup": None,
     }
-
-    if parallel_leg_run:
-        plain_par_seconds, _, plain_par = _time_executor(
-            cells, max_workers=PARALLEL_WORKERS, use_chains=False
-        )
-        chain_par_seconds, _, chain_par = _time_executor(
-            cells, max_workers=PARALLEL_WORKERS, use_chains=True
-        )
-        for a, b in zip(plain_par, chain_par):
-            assert metrics_digest(a) == metrics_digest(b)
-        payload.update(
-            independent_parallel_seconds=round(plain_par_seconds, 3),
-            chained_parallel_seconds=round(chain_par_seconds, 3),
-            parallel_speedup=round(plain_par_seconds / chain_par_seconds, 2),
-        )
 
     out = Path(__file__).parent / "BENCH_chain.json"
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

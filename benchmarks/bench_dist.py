@@ -5,7 +5,7 @@ only an end-to-end measurement can back up, and this benchmark records
 all three into ``benchmarks/BENCH_dist.json``:
 
 * **equivalence** — the paper-shaped 90-cell CTC sweep (same grid as
-  ``bench_sweep.py``, horizon expressed as the chainable ``n_jobs``
+  ``bench_chain.py``, horizon expressed as the chainable ``n_jobs``
   axis) run through a serial :class:`CellExecutor` and through a
   :class:`DistExecutor` with two spawned workers must produce
   digest-identical metrics.  This leg runs on *every* host — on a 1-CPU
@@ -54,7 +54,7 @@ from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import clear_cache
 from repro.hostinfo import host_provenance
 
-# The bench_sweep.py grid, with the horizon axis expressed as n_jobs so
+# The bench_chain.py grid, with the horizon axis expressed as n_jobs so
 # each (seed, load) column forms one three-cell chain group.
 TRACE = "CTC"
 SEEDS = (1, 2, 3, 4, 5, 6)
@@ -212,7 +212,7 @@ def _run_fault_injection(cells: list[Cell], serial_digests: list[str]) -> dict:
         # usually strands a few more.
         assert stats.retried_cells >= 2, stats.render()
 
-        store = ResultStore(tmp, backend="sqlite")
+        store = ResultStore(tmp)
         fetched = store.get_many(cells)
         assert len(fetched) == len(cells)
         recovered_digests = [metrics_digest(fetched[cell].metrics) for cell in cells]
@@ -250,7 +250,7 @@ def test_dist_sweep_writes_bench_json():
 
     clear_cache()
     with TemporaryDirectory(prefix="bench_dist_serial_") as tmp:
-        serial = CellExecutor(max_workers=1, store=ResultStore(tmp))
+        serial = CellExecutor(store=ResultStore(tmp))
         started = time.perf_counter()
         serial_metrics = serial.execute(cells)
         serial_seconds = time.perf_counter() - started

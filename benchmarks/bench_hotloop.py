@@ -1,7 +1,8 @@
 """End-to-end hot-loop benchmark: table-native feed vs the row reference.
 
-``BENCH_sweep.json`` froze the cost of the 90-cell CTC sweep *before*
-the table-native feed existed: its columnar leg still paid a full
+``bench_sweep.py`` (retired with the pool dispatch it also measured)
+froze the cost of the 90-cell CTC sweep *before* the table-native feed
+existed — :data:`SWEEP_BASELINE_SECONDS`: its columnar leg still paid a full
 ``JobTable.to_workload()`` per cell (one validated ``Job`` per row) and
 the pre-overhaul event loop (per-event attribute lookups, per-call
 ``getattr`` dispatch, list-``remove`` queue maintenance).  This
@@ -16,8 +17,8 @@ benchmark times the same grid through the current engine twice:
 
 Both legs must produce *identical schedules* — per-cell metric digests
 are compared exactly, not approximately.  The headline number is the
-table leg's wall-clock against the **checked-in** sweep baseline
-(``BENCH_sweep.json``'s ``columnar_serial_seconds``): that quotient is
+table leg's wall-clock against the **frozen** sweep baseline
+(:data:`SWEEP_BASELINE_SECONDS`): that quotient is
 the end-to-end win of this PR's engine overhaul, measured on the same
 grid the baseline froze.  Results land in ``benchmarks/BENCH_hotloop.json``
 (keys ending ``_per_second`` are gated by ``benchmarks/compare_bench.py``).
@@ -48,8 +49,14 @@ ESTIMATE = "user"
 SCHEDULER = ("nobf", "FCFS")
 
 #: Timing repetitions per leg, interleaved (row, table, row, table, ...)
-#: with the median reported — same discipline as ``bench_sweep.py``.
+#: with the median reported.
 REPS = 3
+
+#: ``columnar_serial_seconds`` of the last ``BENCH_sweep.json`` (PR 4's
+#: columnar pipeline on this grid: 90 cells, 202,500 events, median of 3
+#: on a 1-CPU host) — the frozen "before" this benchmark's headline
+#: divides by.
+SWEEP_BASELINE_SECONDS = 2.183
 
 #: Sanity floor for the table leg vs the checked-in sweep baseline.
 #: Measured ~1.5x at merge time; the floor sits below that so only a
@@ -60,7 +67,7 @@ BASELINE_SPEEDUP_FLOOR = 1.15
 
 
 def sweep_conditions() -> list[tuple[WorkloadSpec, int]]:
-    """The same 90-cell grid ``bench_sweep.py`` froze its baseline on."""
+    """The same 90-cell grid the sweep baseline was frozen on."""
     return [
         (WorkloadSpec(TRACE, N_JOBS, seed, load, ESTIMATE), horizon)
         for seed in SEEDS
@@ -116,11 +123,6 @@ def _time_leg(leg, conditions) -> tuple[float, int]:
     return time.perf_counter() - started, events
 
 
-def _sweep_baseline() -> dict:
-    path = Path(__file__).parent / "BENCH_sweep.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def test_hotloop_writes_bench_json():
     """Row vs table feed wall-clock + sweep-baseline speedup -> BENCH_hotloop.json."""
     conditions = sweep_conditions()
@@ -143,8 +145,7 @@ def test_hotloop_writes_bench_json():
         conditions, table=True
     )
 
-    baseline = _sweep_baseline()
-    baseline_seconds = baseline["columnar_serial_seconds"]
+    baseline_seconds = SWEEP_BASELINE_SECONDS
     baseline_speedup = baseline_seconds / table_seconds
 
     n_cells = len(conditions)

@@ -2,20 +2,12 @@
 
 Useful for spotting algorithmic regressions (the conservative profile is
 O(queue x breakpoints) per compression pass) and for sizing larger trace
-studies.  Also measures the cell executor's parallel speedup and records
-it in ``benchmarks/BENCH_executor.json``.
+studies.
 """
-
-import json
-import os
-import time
-from pathlib import Path
 
 import pytest
 
-from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest
 from repro.experiments.config import WorkloadSpec
-from repro.hostinfo import host_provenance
 from repro.experiments.runner import make_scheduler, make_workload
 from repro.sim.engine import simulate
 
@@ -37,82 +29,3 @@ def test_scheduler_throughput(benchmark, kind, estimate):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(result.completed) == N_JOBS
-
-
-#: Parallel worker count for the executor scaling benchmark.
-EXECUTOR_WORKERS = 4
-
-#: Jobs per cell for the scaling benchmark: large enough that simulation
-#: work dominates worker-pool startup and pickling overhead.
-EXECUTOR_N_JOBS = 600
-
-
-def _executor_grid():
-    """A grid wide enough that fan-out matters: 16 distinct cells."""
-    cells = []
-    for trace in ("CTC", "SDSC"):
-        for seed in (1, 2):
-            spec = WorkloadSpec(trace, EXECUTOR_N_JOBS, seed, 0.75, "user")
-            for kind, priority in (
-                ("cons", "FCFS"),
-                ("easy", "FCFS"),
-                ("easy", "SJF"),
-                ("sel", "FCFS"),
-            ):
-                cells.append(Cell(spec, kind, priority))
-    return cells
-
-
-def test_executor_scaling_writes_bench_json():
-    """Serial vs parallel wall-clock over one grid -> BENCH_executor.json."""
-    cells = _executor_grid()
-
-    serial = CellExecutor(max_workers=1, store=ResultStore())
-    started = time.perf_counter()
-    serial_metrics = serial.execute(cells)
-    serial_seconds = time.perf_counter() - started
-
-    # Speedup only materializes with real cores: on a <= 2-CPU box the
-    # parallel run just measures pool overhead, and the resulting "0.9x
-    # speedup" reads as a regression that isn't there.  Skip the leg and
-    # say so in the JSON instead of recording a meaningless number.
-    cpu_count = os.cpu_count() or 1
-    parallel_leg_run = cpu_count > 2
-
-    events = serial.last_report.events_processed
-    payload = {
-        "schema": 2,
-        "host": host_provenance(),
-        "n_cells": len(cells),
-        "n_jobs_per_cell": EXECUTOR_N_JOBS,
-        "max_workers": EXECUTOR_WORKERS,
-        "cpu_count": cpu_count,
-        "parallel_leg_run": parallel_leg_run,
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": None,
-        "speedup": None,
-        "events_processed": events,
-        "serial_events_per_second": round(events / serial_seconds, 1),
-        "parallel_events_per_second": None,
-    }
-
-    if parallel_leg_run:
-        parallel = CellExecutor(max_workers=EXECUTOR_WORKERS, store=ResultStore())
-        started = time.perf_counter()
-        parallel_metrics = parallel.execute(cells)
-        parallel_seconds = time.perf_counter() - started
-
-        # The speedup claim is only meaningful if the results are identical.
-        for s, p in zip(serial_metrics, parallel_metrics):
-            assert metrics_digest(s) == metrics_digest(p)
-
-        payload.update(
-            parallel_seconds=round(parallel_seconds, 3),
-            speedup=round(serial_seconds / parallel_seconds, 2),
-            parallel_events_per_second=round(events / parallel_seconds, 1),
-        )
-
-    out = Path(__file__).parent / "BENCH_executor.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    if parallel_leg_run:
-        assert parallel_seconds < serial_seconds * 1.5  # sanity, not a strict bar

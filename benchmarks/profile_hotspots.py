@@ -4,7 +4,7 @@ The perf work in this repo is profile-driven: every optimization in the
 event loop (``sim/engine.py``), the scheduler queue (``sched/base.py``),
 and the table-native feed (``sim/feed.py``) started as a line in this
 harness's output.  It profiles the same 90-cell CTC sweep that
-``bench_sweep.py`` / ``bench_hotloop.py`` time — table-native by default,
+``bench_hotloop.py`` times — table-native by default,
 ``--rows`` for the row-``Workload`` reference leg — and prints the top-N
 functions by cumulative and by internal time.
 

@@ -28,37 +28,12 @@ from pathlib import Path
 #: skipped so schema growth never breaks the collation.
 TRAJECTORY = [
     {
-        "file": "BENCH_executor.json",
-        "subject": "process-parallel cell executor",
-        "headlines": [
-            ("serial", "serial_events_per_second", "{:,.0f} events/s"),
-            ("parallel", "parallel_events_per_second", "{:,.0f} events/s"),
-            ("speedup", "speedup", "{:.2f}x"),
-        ],
-    },
-    {
-        "file": "BENCH_sweep.json",
-        "subject": "90-cell CTC sweep, columnar pipeline",
-        "headlines": [
-            ("columnar serial", "columnar_serial_cells_per_second", "{:,.1f} cells/s"),
-        ],
-    },
-    {
         "file": "BENCH_chain.json",
         "subject": "checkpoint/fork prefix-sharing chains",
         "headlines": [
             ("independent", "independent_serial_cells_per_second", "{:,.1f} cells/s"),
             ("chained", "chained_serial_cells_per_second", "{:,.1f} cells/s"),
             ("speedup", "serial_speedup", "{:.2f}x"),
-        ],
-    },
-    {
-        "file": "BENCH_store.json",
-        "subject": "batch result store backends",
-        "headlines": [
-            ("json resolve", "json_warm_resolve_cells_per_second", "{:,.0f} cells/s"),
-            ("sqlite resolve", "sqlite_warm_resolve_cells_per_second", "{:,.0f} cells/s"),
-            ("speedup", "sqlite_resolve_speedup_vs_json", "{:.2f}x"),
         ],
     },
     {

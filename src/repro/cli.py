@@ -38,7 +38,6 @@ import time
 from repro._version import __version__
 from repro.errors import ReproError
 from repro.exec import (
-    BACKEND_CHOICES,
     Cell,
     ExecConfig,
     ExecutionReport,
@@ -112,41 +111,20 @@ def _add_execution_flags(subparser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="simulate cells over N worker processes (default: 1, serial)",
+        help="simulate cells over N queue-draining worker processes "
+        "(default: 1, in-process)",
     )
     subparser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persist per-cell results as JSON under DIR and reuse them "
-        "across invocations",
+        help="persist per-cell results in DIR's SQLite database and reuse "
+        "them across invocations",
     )
     subparser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore --cache-dir: neither read nor write persisted results",
-    )
-    subparser.add_argument(
-        "--store-backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="disk layout for --cache-dir: 'json' (one file per cell), "
-        "'sqlite' (one WAL database), 'shard' (columnar npz shards); "
-        "'auto' sniffs an existing directory (default: auto)",
-    )
-    subparser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="dispatch K cells per worker task (default: auto-size per "
-        "batch; only meaningful with --parallel > 1)",
-    )
-    subparser.add_argument(
-        "--no-chains",
-        action="store_true",
-        help="disable simulation chains (forked prefix sharing across "
-        "cells that differ only by horizon); chains are on by default",
     )
 
 
@@ -159,19 +137,10 @@ def _configure_execution(args: argparse.Namespace):
     """
     if args.parallel < 1:
         raise ReproError(f"--parallel must be >= 1, got {args.parallel}")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        raise ReproError(f"--chunk-size must be >= 1, got {args.chunk_size}")
     cache_dir = None if args.no_cache else args.cache_dir
     progress = _progress_printer() if sys.stderr.isatty() else None
     return set_default_executor(
-        ExecConfig(
-            parallel=args.parallel,
-            cache_dir=cache_dir,
-            progress=progress,
-            chunk_size=args.chunk_size,
-            use_chains=not args.no_chains,
-            store_backend=args.store_backend,
-        )
+        ExecConfig(parallel=args.parallel, cache_dir=cache_dir, progress=progress)
     )
 
 
@@ -208,10 +177,20 @@ def _progress_printer():
     return emit
 
 
-def _print_execution_summary(executor) -> None:
+def _finish_execution(executor) -> None:
+    """Print the session summary to stderr, then release the executor."""
     session = executor.session
     if session.cells_total:
         print(f"[exec] {session.render()}", file=sys.stderr)
+    _release_execution(executor)
+
+
+def _release_execution(executor) -> None:
+    """Close a command's executor — its database handles and, for a
+    cache-less ``--parallel`` run, the temporary queue directory it
+    owns — and put the lazy in-process default back."""
+    executor.close()
+    set_default_executor(None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,29 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect and maintain a persistent result cache"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
-    concrete = tuple(name for name in BACKEND_CHOICES if name != "auto")
 
     stats = store_sub.add_parser(
-        "stats", help="print a cache directory's backend, entry count, and size"
+        "stats", help="print a cache directory's entry count and size"
     )
     stats.add_argument("cache_dir", help="the result-cache directory")
-    stats.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="force a disk layout instead of sniffing (default: auto)",
-    )
 
     gc = store_sub.add_parser(
         "gc", help="sweep a cache, dropping stale and corrupt entries"
     )
     gc.add_argument("cache_dir", help="the result-cache directory")
-    gc.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="force a disk layout instead of sniffing (default: auto)",
-    )
     gc.add_argument(
         "--dry-run",
         action="store_true",
@@ -354,22 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     migrate = store_sub.add_parser(
-        "migrate", help="copy every cache entry into another backend layout"
+        "migrate", help="import a legacy JSON-per-file cache directory"
     )
-    migrate.add_argument("source", help="existing cache directory to read")
-    migrate.add_argument("dest", help="cache directory to write (may be new)")
+    migrate.add_argument("source", help="legacy cache directory to read")
     migrate.add_argument(
-        "--to",
-        default="sqlite",
-        choices=concrete,
-        help="destination disk layout (default: sqlite)",
-    )
-    migrate.add_argument(
-        "--from",
-        dest="source_backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="source disk layout (default: auto-sniffed)",
+        "dest", help="cache directory to write (may be new, or the source itself)"
     )
 
     sweep = sub.add_parser(
@@ -473,7 +428,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             failures += 1
     if failures:
         print(f"{failures} experiment(s) had trend checks that did not hold.")
-    _print_execution_summary(executor)
+    _finish_execution(executor)
     return 0
 
 
@@ -506,13 +461,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workload = make_workload(spec)
         workload_name = workload.name
         scheduler_name = make_scheduler(args.scheduler, args.priority).describe()
-        # Route through the execution layer so --parallel/--cache-dir/
-        # --store-backend/--chunk-size behave exactly as in `experiment`
+        # Route through the execution layer so --parallel/--cache-dir
+        # behave exactly as in `experiment`
         # (a repeated invocation with a cache directory is a pure cache
         # hit).  Output is identical to the direct path: the cell worker
         # runs the same simulate() call.
-        _configure_execution(args)
+        executor = _configure_execution(args)
         metrics = run_cells([Cell.make(spec, args.scheduler, args.priority)])[0]
+        _release_execution(executor)
     if profiler is not None:
         import pstats
 
@@ -578,7 +534,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"({experiment_id} written in {elapsed:.1f}s)", file=sys.stderr)
     index = writer.finalize()
     print(f"index: {index}")
-    _print_execution_summary(executor)
+    _finish_execution(executor)
     return 0
 
 
@@ -628,21 +584,18 @@ def _human_bytes(n: int) -> str:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.exec import ResultStore, migrate_store
-    from repro.exec.backends.sqlite import SqliteBackend
 
     if args.store_command == "stats":
-        store = ResultStore(cache_dir=args.cache_dir, backend=args.backend)
-        print(f"backend : {store.backend_kind}")
+        store = ResultStore(cache_dir=args.cache_dir)
         print(f"entries : {store.entry_count()}")
         print(f"size    : {_human_bytes(store.size_bytes())}")
-        backend = store.backend
-        if isinstance(backend, SqliteBackend) and backend.queue_exists():
+        if store.backend.queue_exists():
             from repro.exec.queue import CellQueue
 
             print(CellQueue(args.cache_dir).stats().render())
         return 0
     if args.store_command == "gc":
-        store = ResultStore(cache_dir=args.cache_dir, backend=args.backend)
+        store = ResultStore(cache_dir=args.cache_dir)
         report = store.gc(dry_run=args.dry_run)
         verb = "would remove" if args.dry_run else "removed"
         print(
@@ -650,7 +603,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             f"+ {report.corrupt_removed} corrupt"
         )
         backend = store.backend
-        if isinstance(backend, SqliteBackend) and backend.queue_exists():
+        if backend.queue_exists():
             # Done leases are pure debris once their results are in the
             # result tables; pending/leased/poisoned rows are live state
             # and stay.
@@ -661,10 +614,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 cleared = backend.queue_clear_done()
                 print(f"queue: cleared {cleared} done lease row(s)")
         return 0
-    source = ResultStore(cache_dir=args.source, backend=args.source_backend)
-    dest = ResultStore(cache_dir=args.dest, backend=args.to)
-    copied = migrate_store(source, dest)
-    print(f"migrated {copied} entries ({source.backend_kind} -> {dest.backend_kind})")
+    copied = migrate_store(args.source, args.dest)
+    print(f"migrated {copied} entries (json -> sqlite)")
     return 0
 
 
@@ -702,7 +653,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor = _configure_execution(args)
     run_cells(cells)
     print(f"swept {len(cells)} cells across {len(ids)} experiment(s)")
-    _print_execution_summary(executor)
+    _finish_execution(executor)
     return 0
 
 

@@ -1,14 +1,17 @@
-"""Parallel experiment execution: typed cells, a process-pool executor,
-and a persistent result store.
+"""Experiment execution: typed cells, a chain-forking executor, a
+persistent result store, and a lease queue that fans cells out over
+worker processes.
 
 The public surface:
 
 * :class:`Cell` — the frozen, hashable unit of simulation work
   (workload spec x scheduler kind x priority x options) with a stable
   content hash;
-* :class:`CellExecutor` — fans batches of cells out over worker
-  processes with per-cell crash retry and deterministic result order;
-* :class:`ResultStore` — layered (memory + JSON-on-disk) cache of
+* :class:`CellExecutor` — answers a batch from the store and simulates
+  the misses in-process, forking shared prefixes, with deterministic
+  result order; :class:`DistExecutor` is the same contract over N
+  crash-safe queue workers;
+* :class:`ResultStore` — layered (memory + SQLite-on-disk) cache of
   per-cell :class:`~repro.metrics.collector.RunMetrics`, schema-versioned
   and corrupt-entry tolerant;
 * :func:`run_cells` — the batch entry point the experiment harness uses:
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.exec.backends import BACKEND_CHOICES, StoreBackend, make_backend
 from repro.exec.cell import CACHE_SCHEMA_VERSION, Cell
 from repro.exec.config import ExecConfig
 from repro.exec.chains import ChainStats, chain_key, plan_chains, run_chain
@@ -56,7 +58,6 @@ from repro.exec.store import (
 from repro.metrics.collector import RunMetrics
 
 __all__ = [
-    "BACKEND_CHOICES",
     "CACHE_SCHEMA_VERSION",
     "Cell",
     "CellExecutor",
@@ -71,12 +72,10 @@ __all__ = [
     "PoisonedCell",
     "QueueStats",
     "ResultStore",
-    "StoreBackend",
     "StoredResult",
     "StoreStats",
     "WorkerReport",
     "chain_key",
-    "make_backend",
     "migrate_store",
     "plan_chains",
     "run_chain",
@@ -125,7 +124,7 @@ def set_default_executor(config: ExecConfig | CellExecutor | None) -> CellExecut
     if isinstance(config, CellExecutor):
         _default_executor = config
     elif isinstance(config, ExecConfig):
-        _default_executor = CellExecutor.from_config(config)
+        _default_executor = config.build_executor()
     else:
         raise TypeError(
             f"expected ExecConfig, CellExecutor or None, got {type(config).__name__}"
@@ -140,7 +139,7 @@ def run_cells(
 
     This is the batch entry point experiments use.  Results come from
     the executor's store when already known; misses are simulated —
-    in parallel when the executor (default: the process-wide one, see
-    :func:`set_default_executor`) has ``max_workers > 1``.
+    over queue workers when the executor (default: the process-wide one,
+    see :func:`set_default_executor`) is a :class:`DistExecutor`.
     """
     return (executor or default_executor()).execute(cells)

@@ -1,78 +1,25 @@
-"""Pluggable result-store backends.
+"""The result store's physical layer.
 
-Three physical layouts under one :class:`~repro.exec.backends.base.StoreBackend`
-protocol:
-
-* ``json`` — the original one-file-per-cell layout (kept for debugging);
-* ``sqlite`` — a single WAL-mode database, batched transactional writes,
-  safe for concurrent writer processes;
-* ``shard`` — immutable columnar ``.npz`` files, one per write batch,
-  with bulk resolution from scalar arrays.
-
-:func:`make_backend` builds one by name; name ``"auto"`` sniffs an
-existing cache directory (a ``results.sqlite`` means SQLite, a
-``shards/`` directory means shards, anything else — including a fresh
-directory — means JSON, preserving the historical default layout).
+One layout: :class:`~repro.exec.backends.sqlite.SqliteBackend`, a single
+WAL-mode database per cache directory — batched transactional writes,
+safe for concurrent writer processes, and the host of the lease queue.
+:mod:`~repro.exec.backends.jsondir` reads the retired JSON-per-file
+layout for ``repro store migrate`` and refuses, by name, to open a
+legacy directory as if it were empty.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
-from repro.errors import ConfigurationError
-from repro.exec.backends.base import EntryMeta, LoadResult, Resolution, StoreBackend
-from repro.exec.backends.jsondir import JsonDirBackend
-from repro.exec.backends.shard import SHARD_DIRNAME, ShardBackend
+from repro.exec.backends.base import EntryMeta, LoadResult, Resolution
+from repro.exec.backends.jsondir import iter_legacy_entries, refuse_legacy_layout
 from repro.exec.backends.sqlite import DB_FILENAME, SqliteBackend
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_CHOICES",
+    "DB_FILENAME",
     "EntryMeta",
-    "JsonDirBackend",
     "LoadResult",
     "Resolution",
-    "ShardBackend",
     "SqliteBackend",
-    "StoreBackend",
-    "detect_backend",
-    "make_backend",
+    "iter_legacy_entries",
+    "refuse_legacy_layout",
 ]
-
-#: Name -> constructor for every concrete backend.
-BACKENDS = {
-    "json": JsonDirBackend,
-    "sqlite": SqliteBackend,
-    "shard": ShardBackend,
-}
-
-#: The flag/argument spelling accepted wherever a backend is chosen.
-BACKEND_CHOICES = ("auto", *BACKENDS)
-
-
-def detect_backend(cache_dir: str | os.PathLike) -> str:
-    """Which backend an existing cache directory holds (default: json).
-
-    Detection keys on backend-owned artifacts, so a directory that was
-    migrated in place resolves to the migration target.
-    """
-    root = Path(cache_dir)
-    if (root / DB_FILENAME).exists():
-        return "sqlite"
-    if (root / SHARD_DIRNAME).is_dir():
-        return "shard"
-    return "json"
-
-
-def make_backend(name: str, cache_dir: str | os.PathLike) -> StoreBackend:
-    """Build the named backend over ``cache_dir`` (``"auto"`` sniffs)."""
-    if name == "auto":
-        name = detect_backend(cache_dir)
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown store backend {name!r}; expected one of {BACKEND_CHOICES}"
-        ) from None
-    return factory(cache_dir)

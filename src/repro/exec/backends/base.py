@@ -1,7 +1,8 @@
-"""The result-store backend protocol.
+"""The result-store backend contract: entry payloads and bulk outcomes.
 
-A *backend* is the physical layer under :class:`repro.exec.store.ResultStore`:
-it maps string keys (cell content hashes) to *entry payloads* — the same
+The *backend* is the physical layer under :class:`repro.exec.store.ResultStore`
+(:class:`~repro.exec.backends.sqlite.SqliteBackend`, the only one): it
+maps string keys (cell content hashes) to *entry payloads* — the same
 JSON-safe dict the original one-file-per-cell layout persisted::
 
     {
@@ -12,30 +13,29 @@ JSON-safe dict the original one-file-per-cell layout persisted::
         "metrics": <dict>,           # metrics_to_payload() output
     }
 
-Backends store and return payloads verbatim; all *semantic* judgment —
-schema staleness, cell-identity verification, metrics decoding — lives in
-the store front, so every backend behaves identically under the
-differential suite (``tests/exec/test_backends.py``).
+The backend stores and returns payloads verbatim; all *semantic*
+judgment — schema staleness, cell-identity verification, metrics
+decoding — lives in the store front, which is why an imported legacy
+cache behaves exactly like a native one (``tests/exec/test_backends.py``).
 
-The protocol is **batch-native**: the primitive operations are
-:meth:`~StoreBackend.resolve_many` (cheap membership + bookkeeping facts,
-*without* materializing metrics) and :meth:`~StoreBackend.load_many`
-(full payloads), so a sweep executor can settle the cache state of an
-entire grid in O(1) backend calls instead of one disk probe per cell.
-Single-key traffic is expressed through the batch calls.
+The contract is **batch-native**: the primitive operations are
+``resolve_many`` (cheap membership + bookkeeping facts, *without*
+materializing metrics) and ``load_many`` (full payloads), so a sweep
+executor can settle the cache state of an entire grid in O(1) backend
+calls instead of one disk probe per cell.  Single-key traffic is
+expressed through the batch calls.
 
-Physical corruption (an unreadable file, an undecodable row) is reported
+Physical corruption (an undecodable row) is reported
 via the ``corrupt`` key lists rather than raised: a damaged entry is
 never fatal, the store drops it and the cell is re-simulated.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-__all__ = ["EntryMeta", "Resolution", "LoadResult", "StoreBackend"]
+__all__ = ["EntryMeta", "Resolution", "LoadResult"]
 
 
 class EntryMeta(NamedTuple):
@@ -54,7 +54,7 @@ class EntryMeta(NamedTuple):
 
 @dataclass
 class Resolution:
-    """Outcome of a bulk :meth:`StoreBackend.resolve_many` call.
+    """Outcome of a bulk ``resolve_many`` call.
 
     Keys absent from both mappings are misses.  ``corrupt`` keys were
     present but physically unreadable; the caller decides whether to
@@ -67,72 +67,7 @@ class Resolution:
 
 @dataclass
 class LoadResult:
-    """Outcome of a bulk :meth:`StoreBackend.load_many` call."""
+    """Outcome of a bulk ``load_many`` call."""
 
     payloads: dict[str, dict] = field(default_factory=dict)
     corrupt: list[str] = field(default_factory=list)
-
-
-class StoreBackend(ABC):
-    """Physical key -> entry-payload storage under a cache directory.
-
-    Implementations must be safe for concurrent writer *processes*
-    sharing one cache directory (atomic replace for the file backends,
-    WAL + busy-wait transactions for SQLite); they are not required to
-    be thread-safe within a process — the store front owns one backend
-    and serializes access the way the executor already serializes
-    ``put`` traffic.
-    """
-
-    #: Registry name ("json", "sqlite", "shard") — set by subclasses.
-    kind: str = "?"
-
-    # -- batch primitives ------------------------------------------------------
-
-    @abstractmethod
-    def resolve_many(self, keys: Sequence[str]) -> Resolution:
-        """Membership + :class:`EntryMeta` for ``keys``, metrics untouched.
-
-        This is the warm-path workhorse: backends answer it without
-        deserializing metrics payloads wherever their layout allows
-        (SQLite selects bookkeeping columns only, shards read their
-        scalar arrays), so resolving a fully-warm 100k-cell grid costs
-        far less than loading it.
-        """
-
-    @abstractmethod
-    def load_many(self, keys: Sequence[str]) -> LoadResult:
-        """Full entry payloads for ``keys`` (absent keys are misses)."""
-
-    @abstractmethod
-    def put_many(self, items: Sequence[tuple[str, dict]]) -> None:
-        """Persist ``(key, payload)`` pairs; later writes win on rewrite.
-
-        One call is one durability batch: SQLite wraps it in a single
-        transaction, the shard backend packs it into one ``.npz`` file,
-        the JSON backend degrades to per-file atomic replaces.
-        """
-
-    @abstractmethod
-    def delete_many(self, keys: Sequence[str]) -> int:
-        """Remove entries; returns how many existed.  Missing keys are fine."""
-
-    @abstractmethod
-    def keys(self) -> list[str]:
-        """Every stored key (order unspecified)."""
-
-    # -- facts -----------------------------------------------------------------
-
-    @abstractmethod
-    def size_bytes(self) -> int:
-        """Total bytes the backend occupies under its cache directory."""
-
-    def count(self) -> int:
-        """Number of stored entries."""
-        return len(self.keys())
-
-    def close(self) -> None:
-        """Release any held handles (connections, mapped files)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging sugar
-        return f"<{type(self).__name__} kind={self.kind!r}>"

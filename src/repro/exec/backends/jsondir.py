@@ -1,16 +1,20 @@
-"""The original one-JSON-file-per-cell backend, kept verbatim for debugging.
+"""Read-only access to the retired cache layouts.
 
-Layout: ``<cache_dir>/<key>.json``, each file holding one entry payload.
-Writes stay atomic (temp file + ``os.replace``) so concurrent harness
-invocations sharing a cache directory never observe torn files — the
-guarantee the pre-backend ``ResultStore`` shipped with.
+Two layouts predate the single SQLite database
+(:mod:`repro.exec.backends.sqlite`):
 
-This backend has no bulk advantage: every batch call degrades to one
-``stat`` + ``open`` + ``read`` + ``json.loads`` per key, which is exactly
-why it is hopeless at production sweep scale (``benchmarks/bench_store.py``
-quantifies the gap against SQLite and shards).  It survives because a
-directory of pretty-greppable JSON files is unbeatable for debugging a
-single suspicious cell.
+* **JSON-per-file** — ``<cache_dir>/<key>.json``, one entry payload per
+  file; what every ``--cache-dir`` wrote before the store went
+  SQLite-only.  It resolved a warm grid at 1/46 of SQLite's rate and
+  could not host the lease queue.  :func:`iter_legacy_entries` reads it
+  so ``repro store migrate SRC DEST`` can import one; nothing writes it.
+* **npz shards** — ``<cache_dir>/shards/``.  Selectable only by a flag
+  nothing set by default, so there is no importer: results are
+  reproducible, and a shard directory is refused by name.
+
+:func:`refuse_legacy_layout` is what keeps an old directory from being
+silently shadowed by a fresh ``results.sqlite`` written beside it — the
+orphaned-cache defect (DESIGN.md section 10).
 """
 
 from __future__ import annotations
@@ -18,97 +22,54 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
-from repro.exec.backends.base import EntryMeta, LoadResult, Resolution, StoreBackend
+from repro.errors import ConfigurationError
+from repro.exec.backends.sqlite import DB_FILENAME
 
-__all__ = ["JsonDirBackend"]
+__all__ = ["iter_legacy_entries", "refuse_legacy_layout"]
+
+_SHARD_DIRNAME = "shards"
+
+#: What an entry payload must carry to be importable (see ``base.py``).
+_ENTRY_KEYS = {"schema", "cell", "events_processed", "sim_seconds", "metrics"}
 
 
-class JsonDirBackend(StoreBackend):
-    """One ``<key>.json`` file per entry under the cache directory."""
+def iter_legacy_entries(cache_dir: str | os.PathLike) -> Iterator[tuple[str, dict]]:
+    """Yield ``(key, payload)`` for every readable ``<key>.json`` entry.
 
-    kind = "json"
+    Unreadable files and files that are not an entry payload are
+    skipped: they would never have served, and the store front re-judges
+    schema and cell identity of everything that is imported.
+    """
+    for path in sorted(Path(cache_dir).glob("*.json")):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            continue
+        if isinstance(payload, dict) and _ENTRY_KEYS <= payload.keys():
+            yield path.stem, payload
 
-    def __init__(self, cache_dir: str | os.PathLike) -> None:
-        self.cache_dir = Path(cache_dir)
 
-    def path_for(self, key: str) -> Path:
-        """The file a key's entry lives in (whether or not it exists)."""
-        return self.cache_dir / f"{key}.json"
+def refuse_legacy_layout(cache_dir: str | os.PathLike) -> None:
+    """Raise if ``cache_dir`` holds a retired layout and no database.
 
-    # -- batch primitives ------------------------------------------------------
-
-    def resolve_many(self, keys: Sequence[str]) -> Resolution:
-        # A JSON file's bookkeeping facts are not separable from its
-        # metrics: resolution costs a full parse per key regardless.
-        resolution = Resolution()
-        for key, payload in self._read_each(keys, resolution.corrupt):
-            try:
-                resolution.hits[key] = EntryMeta(
-                    schema=int(payload["schema"]),
-                    events_processed=int(payload["events_processed"]),
-                    sim_seconds=float(payload["sim_seconds"]),
-                )
-            except (KeyError, TypeError, ValueError):
-                resolution.corrupt.append(key)
-        return resolution
-
-    def load_many(self, keys: Sequence[str]) -> LoadResult:
-        result = LoadResult()
-        for key, payload in self._read_each(keys, result.corrupt):
-            result.payloads[key] = payload
-        return result
-
-    def put_many(self, items: Sequence[tuple[str, dict]]) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        pid = os.getpid()
-        for key, payload in items:
-            path = self.path_for(key)
-            tmp = path.with_suffix(f".tmp.{pid}")
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, path)
-
-    def delete_many(self, keys: Sequence[str]) -> int:
-        removed = 0
-        for key in keys:
-            try:
-                self.path_for(key).unlink()
-                removed += 1
-            except OSError:  # missing, races, read-only dir — all fine
-                pass
-        return removed
-
-    def keys(self) -> list[str]:
-        if not self.cache_dir.is_dir():
-            return []
-        return [path.stem for path in self.cache_dir.glob("*.json")]
-
-    # -- facts -----------------------------------------------------------------
-
-    def size_bytes(self) -> int:
-        if not self.cache_dir.is_dir():
-            return 0
-        return sum(path.stat().st_size for path in self.cache_dir.glob("*.json"))
-
-    # -- internals -------------------------------------------------------------
-
-    def _read_each(self, keys: Sequence[str], corrupt: list[str]):
-        """Yield ``(key, payload)`` per readable file, collecting corruption."""
-        for key in keys:
-            try:
-                text = self.path_for(key).read_text(encoding="utf-8")
-            except FileNotFoundError:
-                continue
-            except OSError:
-                corrupt.append(key)
-                continue
-            try:
-                payload = json.loads(text)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                corrupt.append(key)
-                continue
-            if not isinstance(payload, dict):
-                corrupt.append(key)
-                continue
-            yield key, payload
+    A directory that already has ``results.sqlite`` is current — that is
+    also the state an in-place ``migrate`` leaves behind — and costs one
+    ``stat`` here.
+    """
+    root = Path(cache_dir)
+    if (root / DB_FILENAME).exists() or not root.is_dir():
+        return
+    if (root / _SHARD_DIRNAME).is_dir():
+        raise ConfigurationError(
+            f"{root} holds the retired npz-shard cache layout, which has no "
+            "importer; results are reproducible — point --cache-dir at a "
+            "fresh directory and re-run"
+        )
+    if next(root.glob("*.json"), None) is not None:
+        raise ConfigurationError(
+            f"{root} holds the legacy JSON-per-file cache layout; import it "
+            f"with 'repro store migrate {root} DEST' (DEST may be {root} "
+            "itself) before using it as a cache directory"
+        )

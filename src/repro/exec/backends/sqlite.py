@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.exec.backends.base import EntryMeta, LoadResult, Resolution, StoreBackend
+from repro.exec.backends.base import EntryMeta, LoadResult, Resolution
 
 __all__ = ["SqliteBackend", "DB_FILENAME"]
 
@@ -114,10 +114,14 @@ _CREATE_QUEUE_INDEX = (
 )
 
 
-class SqliteBackend(StoreBackend):
-    """Single-table SQLite storage with WAL-mode concurrent writers."""
+class SqliteBackend:
+    """Key -> entry-payload storage in ``<cache_dir>/results.sqlite``.
 
-    kind = "sqlite"
+    Safe for concurrent writer *processes* sharing one cache directory
+    (WAL + busy-wait transactions); not required to be thread-safe
+    within a process — the store front owns one backend and serializes
+    access the way the executor already serializes ``put`` traffic.
+    """
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
         self.cache_dir = Path(cache_dir)
@@ -168,6 +172,7 @@ class SqliteBackend(StoreBackend):
                 time.sleep(_OPEN_BACKOFF_SECONDS * attempt)
 
     def close(self) -> None:
+        """Release the held connection (it reopens lazily on next use)."""
         if self._conn is not None and self._conn_pid == os.getpid():
             self._conn.close()
         self._conn = None
@@ -176,6 +181,13 @@ class SqliteBackend(StoreBackend):
     # -- batch primitives ------------------------------------------------------
 
     def resolve_many(self, keys: Sequence[str]) -> Resolution:
+        """Membership + :class:`EntryMeta` for ``keys``, metrics untouched.
+
+        This is the warm-path workhorse: it selects the bookkeeping
+        columns of ``meta`` only and never deserializes a metrics
+        payload, so resolving a fully-warm 100k-cell grid costs far less
+        than loading it.
+        """
         resolution = Resolution()
         if not self.path.exists():
             return resolution
@@ -194,6 +206,7 @@ class SqliteBackend(StoreBackend):
         return resolution
 
     def load_many(self, keys: Sequence[str]) -> LoadResult:
+        """Full entry payloads for ``keys`` (absent keys are misses)."""
         result = LoadResult()
         if not self.path.exists():
             return result
@@ -223,6 +236,10 @@ class SqliteBackend(StoreBackend):
         return result
 
     def put_many(self, items: Sequence[tuple[str, dict]]) -> None:
+        """Persist ``(key, payload)`` pairs; later writes win on rewrite.
+
+        One call is one durability batch: a single transaction.
+        """
         if not items:
             return
         meta_rows = []
@@ -255,6 +272,7 @@ class SqliteBackend(StoreBackend):
             )
 
     def delete_many(self, keys: Sequence[str]) -> int:
+        """Remove entries; returns how many existed.  Missing keys are fine."""
         if not self.path.exists():
             return 0
         conn = self._connection()
@@ -270,6 +288,7 @@ class SqliteBackend(StoreBackend):
         return removed
 
     def keys(self) -> list[str]:
+        """Every stored key (order unspecified)."""
         if not self.path.exists():
             return []
         return [row[0] for row in self._connection().execute("SELECT key FROM meta")]
@@ -552,12 +571,14 @@ class SqliteBackend(StoreBackend):
     # -- facts -----------------------------------------------------------------
 
     def count(self) -> int:
+        """Number of stored entries."""
         if not self.path.exists():
             return 0
         [[n]] = self._connection().execute("SELECT COUNT(*) FROM meta")
         return n
 
     def size_bytes(self) -> int:
+        """Total bytes the database and its WAL files occupy."""
         total = 0
         for suffix in ("", "-wal", "-shm"):
             try:

@@ -224,12 +224,13 @@ def run_chain_groups(
 def simulate_chunk_chained(
     cells: Sequence[Cell],
 ) -> tuple[list[StoredResult], ChainStats]:
-    """Worker task: simulate a chunk, chaining within it (order preserved).
+    """Queue-worker task: simulate one lease, chaining within it (order
+    preserved).
 
-    The executor packs whole chain groups into chunks, so re-planning
-    inside the worker recovers exactly the parent's groups for this
-    chunk.  No commit callback: the store lives in the parent, which
-    batches the whole chunk's results on receipt.
+    A lease is a whole chain group (the queue never splits one), so
+    re-planning here recovers exactly the group the coordinator
+    enqueued.  No commit callback: the worker commits the results and
+    the lease's ``done`` flip together, in one transaction.
     """
     stats = ChainStats()
     by_cell: dict[Cell, StoredResult] = dict(run_chain_groups(cells, stats))

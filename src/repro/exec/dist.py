@@ -5,16 +5,19 @@ Two halves, both thin over :class:`~repro.exec.queue.CellQueue`:
 * :func:`run_worker` — the worker loop behind ``repro worker``: claim a
   batch of chain-group leases, simulate them through the existing
   :func:`~repro.exec.chains.simulate_chunk_chained` path (the runner's
-  per-process workload cache plays the preload role across leases — a
-  worker builds each distinct base workload once and forks chains within
-  a group exactly as the process-pool path does), and commit every
-  group's results in the same transaction that marks its lease done.
-  Run any number of these, on one host or many sharing a filesystem.
-* :class:`DistExecutor` — a drop-in :class:`CellExecutor`: resolves warm
-  cells against the store in one ``get_many``, enqueues only the misses,
-  optionally spawns local worker processes (spawn context — workers must
-  never inherit the coordinator's SQLite handles), waits for the queue
-  to drain, and reads the finished results back from the shared
+  per-process workload cache carries across leases — a worker builds
+  each distinct base workload once and forks chains within a group
+  exactly as the in-process executor does), and commit every group's
+  results in the same transaction that marks its lease done.  Run any
+  number of these, on one host or many sharing a filesystem.
+* :class:`DistExecutor` — a drop-in :class:`CellExecutor`, and the only
+  fan-out there is (``--parallel N`` and ``ExecConfig(parallel=N)``
+  build one): resolves warm cells against the store in one ``get_many``,
+  enqueues only the misses, spawns local worker processes (spawn
+  context — workers must never inherit the coordinator's SQLite
+  handles) when there is more than one chain group to share out, waits
+  for the queue to drain — draining inline itself whenever no local
+  worker is alive — and reads the finished results back from the shared
   database.  Because it *is* a ``CellExecutor``, it installs with
   :func:`repro.exec.set_default_executor` and everything built on
   :func:`repro.exec.run_cells` — experiments, the CLI — distributes
@@ -34,16 +37,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, ReproError
-from repro.exec.backends.sqlite import SqliteBackend
+from repro.exec.backends import DB_FILENAME
 from repro.exec.cell import Cell
 from repro.exec.chains import simulate_chunk_chained
-from repro.exec.executor import CellExecutor, ExecutionReport
+from repro.exec.executor import CellExecutor, ExecutionReport, _Batch
 from repro.exec.queue import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
@@ -210,16 +214,20 @@ def worker_process_main(
 class DistExecutor(CellExecutor):
     """A :class:`CellExecutor` that runs its misses through the queue.
 
-    ``workers`` local worker processes are spawned per batch (0 means
-    the coordinator drains inline — and external ``repro worker``
-    processes pointed at the same directory join in either way).  The
-    store is the queue directory's SQLite database, so workers' commits
-    are immediately visible to the coordinator and to the next sweep.
+    Up to ``workers`` local worker processes are spawned per batch —
+    never more than there are chain groups to lease, and none for a
+    single group or ``workers=0``: the coordinator then drains inline
+    (external ``repro worker`` processes pointed at the same directory
+    join in either way).  The store is the queue directory's SQLite
+    database, so workers' commits are immediately visible to the
+    coordinator and to the next sweep.  ``queue_dir=None`` runs over a
+    temporary directory the executor owns and :meth:`close` removes —
+    fan-out without a persistent cache.
     """
 
     def __init__(
         self,
-        queue_dir: str | os.PathLike,
+        queue_dir: str | os.PathLike | None = None,
         *,
         workers: int = 0,
         store: ResultStore | None = None,
@@ -231,20 +239,19 @@ class DistExecutor(CellExecutor):
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        self._owned_dir: tempfile.TemporaryDirectory | None = None
+        if queue_dir is None:
+            self._owned_dir = tempfile.TemporaryDirectory(prefix="repro-queue-")
+            queue_dir = self._owned_dir.name
         queue_dir = Path(queue_dir)
         if store is None:
-            store = ResultStore(queue_dir, backend="sqlite")
-        else:
-            backend = store.backend
-            if (
-                not isinstance(backend, SqliteBackend)
-                or backend.path != SqliteBackend(queue_dir).path
-            ):
-                raise ConfigurationError(
-                    "DistExecutor needs a sqlite-backed store on the queue "
-                    "directory itself — workers commit results there"
-                )
-        super().__init__(max_workers=1, store=store, progress=progress)
+            store = ResultStore(queue_dir)
+        elif store.backend is None or store.backend.path != queue_dir / DB_FILENAME:
+            raise ConfigurationError(
+                "DistExecutor needs a disk-backed store on the queue "
+                "directory itself — workers commit results there"
+            )
+        super().__init__(store=store, progress=progress)
         self.queue = CellQueue(
             queue_dir, lease_seconds=lease_seconds, max_attempts=max_attempts
         )
@@ -253,48 +260,29 @@ class DistExecutor(CellExecutor):
         self.poll_seconds = poll_seconds
 
     def execute(self, cells: Iterable[Cell]) -> list[RunMetrics]:
-        ordered = list(cells)
-        started = time.perf_counter()
-        report = ExecutionReport(cells_total=len(ordered))
+        batch = self._open_batch(cells)
+        report = batch.report
         report.parallel_requested = True
-        self.last_report = report
-        corrupt_before = self.store.stats.corrupt_dropped
-        stale_before = self.store.stats.stale_dropped
-
-        unique = list(dict.fromkeys(ordered))
-        resolved = self.store.get_many(unique)
-        misses = [cell for cell in unique if cell not in resolved]
-        report.cache_hits = len(resolved)
-        report.completed = len(resolved)
-        report.elapsed_seconds = time.perf_counter() - started
-        if report.completed:
-            self._emit(report)
-
+        misses = batch.misses
         if misses:
             sim_started = time.perf_counter()
-            report.parallel_used = self.workers > 0
-            report.parallel_reason = (
-                f"dist queue, {self.workers} local workers"
-                if self.workers
-                else "dist queue, inline drain"
-            )
-            self.queue.enqueue(misses)
-            procs = self._spawn_workers()
+            groups = self.queue.enqueue(misses).groups
+            # One group cannot be shared out: spawning for it would buy
+            # process start-up and nothing else.
+            spawn = min(self.workers, groups) if groups > 1 else 0
+            report.parallel_used = spawn > 0
+            if spawn:
+                report.parallel_reason = f"dist queue, {spawn} local workers"
+            elif self.workers:
+                report.parallel_reason = (
+                    f"dist queue, single chain group drained inline, "
+                    f"{self.workers} workers idle"
+                )
+            else:
+                report.parallel_reason = "dist queue, inline drain"
+            procs = self._spawn_workers(spawn)
             try:
-                if not procs:
-                    # The coordinator is the local worker; any external
-                    # workers steal from the same queue concurrently.
-                    inline = run_worker(
-                        self.queue.queue_dir,
-                        lease_seconds=self.queue.lease_seconds,
-                        max_attempts=self.queue.max_attempts,
-                        batch_groups=self.batch_groups,
-                        poll_seconds=self.poll_seconds,
-                    )
-                    report.chains += inline.chains
-                    report.chained_cells += inline.chained_cells
-                    report.chain_forks += inline.chain_forks
-                self._await_drain(misses, report, started, sim_started)
+                self._await_drain(batch, procs, sim_started)
             finally:
                 self._reap_workers(procs)
             self._raise_poisoned(misses)
@@ -309,26 +297,26 @@ class DistExecutor(CellExecutor):
                 )
             for cell in misses:
                 stored = fetched[cell]
-                resolved[cell] = stored
-                self._note_simulated(report, stored, started, sim_started)
+                batch.resolved[cell] = stored
+                self._note_simulated(report, stored, batch.started, sim_started)
             report.sim_elapsed_seconds = time.perf_counter() - sim_started
-        else:
-            report.parallel_reason = "fully cached"
+        return self._close_batch(batch)
 
-        report.corrupt_dropped = self.store.stats.corrupt_dropped - corrupt_before
-        report.stale_dropped = self.store.stats.stale_dropped - stale_before
-        report.elapsed_seconds = time.perf_counter() - started
-        self.session.absorb(report)
-        return [resolved[cell].metrics for cell in ordered]
+    def close(self) -> None:
+        """Release the database handles and remove an owned directory."""
+        super().close()
+        self.queue.close()
+        if self._owned_dir is not None:
+            self._owned_dir.cleanup()
 
     # -- internals -------------------------------------------------------------
 
-    def _spawn_workers(self) -> list:
-        """Start the local worker fleet (spawn context: no inherited
+    def _spawn_workers(self, count: int) -> list:
+        """Start ``count`` local workers (spawn context: no inherited
         SQLite handles, identical semantics on every platform)."""
         ctx = multiprocessing.get_context("spawn")
         procs = []
-        for index in range(self.workers):
+        for index in range(count):
             proc = ctx.Process(
                 target=worker_process_main,
                 args=(
@@ -353,14 +341,16 @@ class DistExecutor(CellExecutor):
                 proc.terminate()
                 proc.join()
 
-    def _await_drain(
-        self,
-        misses: Sequence[Cell],
-        report: ExecutionReport,
-        started: float,
-        sim_started: float,
-    ) -> None:
-        """Poll the queue until every miss is done or poisoned."""
+    def _await_drain(self, batch: _Batch, procs: Sequence, sim_started: float) -> None:
+        """Poll the queue until every miss is done or poisoned.
+
+        Whenever open cells remain and no local worker is alive — none
+        was spawned, or the whole fleet died — the coordinator is the
+        local worker: it drains inline (external workers steal from the
+        same queue concurrently), waiting out and stealing any lease a
+        dead worker left behind.
+        """
+        misses, report = batch.misses, batch.report
         while True:
             states = self.queue.states_for(misses)
             finished = sum(
@@ -368,11 +358,25 @@ class DistExecutor(CellExecutor):
             )
             done = sum(1 for state in states.values() if state == "done")
             report.completed = report.cache_hits + done
-            report.elapsed_seconds = time.perf_counter() - started
+            report.elapsed_seconds = time.perf_counter() - batch.started
             report.sim_elapsed_seconds = time.perf_counter() - sim_started
             self._emit(report)
             if finished >= len(misses):
                 return
+            if not any(proc.is_alive() for proc in procs):
+                if procs:
+                    report.parallel_reason += ", all exited early: drained inline"
+                inline = run_worker(
+                    self.queue.queue_dir,
+                    lease_seconds=self.queue.lease_seconds,
+                    max_attempts=self.queue.max_attempts,
+                    batch_groups=self.batch_groups,
+                    poll_seconds=self.poll_seconds,
+                )
+                report.chains += inline.chains
+                report.chained_cells += inline.chained_cells
+                report.chain_forks += inline.chain_forks
+                continue
             time.sleep(self.poll_seconds)
 
     def _raise_poisoned(self, misses: Sequence[Cell]) -> None:

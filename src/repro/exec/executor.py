@@ -1,75 +1,52 @@
-"""The cell executor: fan simulation cells out over worker processes.
+"""The cell executor: answer a batch from the store, simulate the rest.
 
 :class:`CellExecutor` takes a batch of :class:`~repro.exec.cell.Cell`
 work items, answers what it can from its :class:`ResultStore` — the
 entire batch's cache state settles in **one** bulk ``get_many`` query,
 so the disk backend never sees a per-cell probe — and simulates the
-rest, serially for ``max_workers=1``, otherwise over a
-``concurrent.futures.ProcessPoolExecutor``.  Fresh results are committed
-back through ``put_many`` in batches (one per chain group serially, one
-per dispatch chunk in parallel).  Guarantees:
+rest in-process, one chain group at a time: cells that differ only by
+horizon fork a shared simulation prefix (:mod:`repro.exec.chains`), and
+each finished group is committed through ``put_many`` as one write
+batch.  Guarantees:
 
 * **deterministic results** — output order matches input order, and the
-  simulation itself is seeded, so the parallel path returns float-
-  identical metrics to the serial path;
-* **crash resilience** — a worker process dying (OOM kill, segfault)
-  breaks the pool; the executor rebuilds the pool and retries the
-  affected cells up to ``max_retries`` times, then falls back to
-  simulating in-process, so one bad worker never loses a batch;
+  simulation itself is seeded, so the queue-distributed subclass
+  (:class:`~repro.exec.dist.DistExecutor`, what ``--parallel N`` builds)
+  returns float-identical metrics to this serial path;
 * **progress/timing reporting** — an :class:`ExecutionReport` (cells
   completed, cache hit rate, events/sec) is updated per completion and
   exposed both per-batch (``last_report``) and cumulatively
   (``session``).
 
 Exceptions raised *by the simulation itself* (configuration errors,
-invariant violations) are deterministic and re-raised, not retried.
-
-Two dispatch optimizations for large sweeps:
-
-* **chunked dispatch** — misses are grouped into chunks of ``chunk_size``
-  cells (auto-sized by default) and each chunk is one pool task, so the
-  per-task pickling/IPC overhead is amortized across the chunk; a chunk
-  whose worker dies is retried cell-by-cell bookkeeping-wise, so crash
-  semantics are unchanged.
-* **worker preload** — before the pool starts, the distinct workload
-  specs among the misses are built once in the parent (cheap: the runner
-  memoizes base tables) and shipped to every worker through the pool
-  initializer as flat columnar buffers; a worker's first cell then skips
-  workload construction entirely.  Only the default process pool does
-  this — a custom ``pool_factory`` (the test seam) is left untouched.
+invariant violations) are deterministic and re-raised, never retried.
+Crash resilience lives in the queue path — lease expiry, steal, attempt
+cap and poisoning (:mod:`repro.exec.queue`) — not here: this executor
+has no worker processes to lose.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from repro.errors import ReproError
 from repro.exec.cell import Cell
-from repro.exec.chains import (
-    ChainStats,
-    plan_chains,
-    run_chain_groups,
-    simulate_chunk_chained,
-)
+from repro.exec.chains import ChainStats, run_chain_groups
 from repro.exec.store import ResultStore, StoredResult
 from repro.metrics.collector import RunMetrics
 
-__all__ = ["ExecutionReport", "CellExecutor", "simulate_cell", "simulate_chunk"]
-
-#: Ceiling for the automatic chunk size; keeps retry granularity and
-#: progress reporting reasonable even for huge batches.
-MAX_AUTO_CHUNK = 16
+__all__ = ["ExecutionReport", "CellExecutor", "simulate_cell"]
 
 
 def simulate_cell(cell: Cell) -> StoredResult:
-    """Simulate one cell from scratch (no caching) — the worker function.
+    """Simulate one cell from scratch (no caching, no chain forking).
 
-    Runs in worker processes during parallel execution and inline for the
-    serial path; workload construction is memoized per process through
-    the runner's bounded workload cache.
+    The unit every execution path bottoms out in — singleton chain
+    groups and chain fallbacks call it — and the differential reference
+    the chain suites compare forked results against.  Workload
+    construction is memoized per process through the runner's bounded
+    workload cache.
     """
     from repro.experiments.runner import cached_table, make_scheduler
     from repro.sim.engine import simulate
@@ -86,18 +63,6 @@ def simulate_cell(cell: Cell) -> StoredResult:
     )
 
 
-def simulate_chunk(cells: Sequence[Cell]) -> list[StoredResult]:
-    """Simulate a chunk of cells in one worker task (order preserved)."""
-    return [simulate_cell(cell) for cell in cells]
-
-
-def _initialize_worker(payloads: list) -> None:
-    """Pool initializer: hand pre-built workload tables to the runner."""
-    from repro.experiments.runner import preload_workload_tables
-
-    preload_workload_tables(payloads)
-
-
 @dataclass
 class ExecutionReport:
     """Progress and timing facts for one batch (or a whole session)."""
@@ -106,7 +71,6 @@ class ExecutionReport:
     completed: int = 0
     cache_hits: int = 0
     simulated: int = 0
-    retries: int = 0
     events_processed: int = 0
     sim_seconds: float = 0.0
     elapsed_seconds: float = 0.0
@@ -128,9 +92,9 @@ class ExecutionReport:
     stale_dropped: int = 0
     #: Whether the caller configured parallel execution for this batch.
     parallel_requested: bool = False
-    #: Whether misses actually ran on a parallel backend — False under
-    #: the quiet serial fallbacks (one worker, a single miss), which used
-    #: to make benchmark provenance guesswork on low-CPU hosts.
+    #: Whether misses actually ran on spawned workers — False under the
+    #: quiet inline fallbacks (no workers, a single chain group), which
+    #: used to make benchmark provenance guesswork on low-CPU hosts.
     parallel_used: bool = False
     #: Human-readable dispatch decision ("" until the batch decides).
     parallel_reason: str = ""
@@ -159,7 +123,6 @@ class ExecutionReport:
         self.completed += other.completed
         self.cache_hits += other.cache_hits
         self.simulated += other.simulated
-        self.retries += other.retries
         self.events_processed += other.events_processed
         self.sim_seconds += other.sim_seconds
         self.elapsed_seconds += other.elapsed_seconds
@@ -209,80 +172,41 @@ def _si(value: float) -> str:
     return f"{value:.0f}" if value == int(value) else f"{value:.1f}"
 
 
+@dataclass
+class _Batch:
+    """One ``execute`` call in flight: what both executors' preludes
+    settle before any miss is simulated."""
+
+    ordered: list[Cell]
+    report: ExecutionReport
+    resolved: dict[Cell, StoredResult]
+    misses: list[Cell]
+    started: float
+    corrupt_before: int
+    stale_before: int
+
+
 class CellExecutor:
-    """Executes batches of cells against a result store.
+    """Executes batches of cells against a result store, in-process.
 
     Parameters:
 
-    * ``max_workers`` — 1 (default) runs everything in-process; N > 1
-      fans misses out over N worker processes.
     * ``store`` — the :class:`ResultStore` consulted before simulating
       and updated after; a private memory-only store if omitted.
-    * ``max_retries`` — how many times a cell is re-dispatched after a
-      worker-pool crash before the in-process fallback runs it.
     * ``progress`` — optional callable receiving the live
       :class:`ExecutionReport` after every completed cell.
-    * ``pool_factory`` — test seam; ``ProcessPoolExecutor`` by default.
-      Supplying one disables chunking and worker preload (the seam
-      predates both and expects one ``submit(fn, cell)`` per cell).
-    * ``chunk_size`` — cells per pool task; ``None`` (default) auto-sizes
-      from the batch: singleton tasks for small batches, chunks of up to
-      :data:`MAX_AUTO_CHUNK` for sweeps, so per-task pickling/IPC is
-      amortized without starving workers.
-    * ``preload_workloads`` — ship the batch's distinct workloads to the
-      workers through the pool initializer (default on; only applies to
-      the default process pool).
-    * ``use_chains`` — fork shared simulation prefixes across cells that
-      differ only by horizon (default on; see :mod:`repro.exec.chains`).
-      Like chunking, disabled under a custom ``pool_factory``.
     """
 
     def __init__(
         self,
         *,
-        max_workers: int = 1,
         store: ResultStore | None = None,
-        max_retries: int = 1,
         progress: Callable[[ExecutionReport], None] | None = None,
-        pool_factory: Callable[[int], object] | None = None,
-        chunk_size: int | None = None,
-        preload_workloads: bool = True,
-        use_chains: bool = True,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.max_workers = max_workers
         self.store = store if store is not None else ResultStore()
-        self.max_retries = max_retries
         self.progress = progress
-        self._default_pool = pool_factory is None
-        self.pool_factory = pool_factory or (
-            lambda workers: ProcessPoolExecutor(max_workers=workers)
-        )
-        self.chunk_size = chunk_size if self._default_pool else 1
-        self.preload_workloads = preload_workloads and self._default_pool
-        self.use_chains = use_chains and self._default_pool
         self.last_report = ExecutionReport()
         self.session = ExecutionReport()
-
-    @classmethod
-    def from_config(cls, config, *, store: ResultStore | None = None) -> "CellExecutor":
-        """Build the executor an :class:`~repro.exec.config.ExecConfig`
-        describes, constructing its store from the same config unless one
-        is passed explicitly."""
-        return cls(
-            max_workers=config.parallel,
-            store=store if store is not None else ResultStore.from_config(config),
-            max_retries=config.max_retries,
-            progress=config.progress,
-            chunk_size=config.chunk_size,
-            preload_workloads=config.preload_workloads,
-            use_chains=config.use_chains,
-        )
 
     # -- public API -----------------------------------------------------------
 
@@ -293,15 +217,45 @@ class CellExecutor:
         simulation.  The batch's :class:`ExecutionReport` is left on
         ``last_report`` and folded into ``session``.
         """
+        batch = self._open_batch(cells)
+        report = batch.report
+        if batch.misses:
+            sim_started = time.perf_counter()
+            report.parallel_reason = "in-process"
+            stats = ChainStats()
+            # One store write batch per chain group: results persist as
+            # the sweep streams in, and a killed run keeps everything up
+            # to the last whole group.
+            for cell, stored in run_chain_groups(
+                batch.misses, stats, commit=self.store.put_many
+            ):
+                batch.resolved[cell] = stored
+                self._note_simulated(report, stored, batch.started, sim_started)
+            report.chains = stats.chains
+            report.chained_cells = stats.chained_cells
+            report.chain_forks = stats.forks
+            report.chain_fallbacks = stats.fallbacks
+        return self._close_batch(batch)
+
+    def close(self) -> None:
+        """Release the store's database handle (it reopens on next use)."""
+        if self.store.backend is not None:
+            self.store.backend.close()
+
+    # -- shared with DistExecutor ----------------------------------------------
+
+    def _open_batch(self, cells: Iterable[Cell]) -> _Batch:
+        """Start a batch's report and settle its cache state.
+
+        The whole batch resolves in one store query — the disk backend
+        sees O(1) bulk calls, never a per-cell probe.
+        """
         ordered = list(cells)
         started = time.perf_counter()
         report = ExecutionReport(cells_total=len(ordered))
         self.last_report = report
         corrupt_before = self.store.stats.corrupt_dropped
         stale_before = self.store.stats.stale_dropped
-
-        # Settle the whole batch's cache state in one store query — the
-        # disk backend sees O(1) bulk calls, never a per-cell probe.
         unique = list(dict.fromkeys(ordered))
         resolved = self.store.get_many(unique)
         misses = [cell for cell in unique if cell not in resolved]
@@ -310,196 +264,26 @@ class CellExecutor:
         report.elapsed_seconds = time.perf_counter() - started
         if report.completed:
             self._emit(report)
-
-        report.parallel_requested = self.max_workers > 1
-        if misses:
-            sim_started = time.perf_counter()
-            if self.max_workers == 1 or len(misses) == 1:
-                runner = self._run_serial
-                report.parallel_reason = (
-                    "max_workers=1"
-                    if self.max_workers == 1
-                    else f"single miss, {self.max_workers} workers idle"
-                )
-            else:
-                runner = self._run_parallel
-                report.parallel_used = True
-                report.parallel_reason = f"process pool, {self.max_workers} workers"
-            # Runners commit results to the store themselves, one write
-            # batch per chain group / dispatch chunk.
-            for cell, stored in runner(misses, report, started, sim_started):
-                resolved[cell] = stored
-            report.sim_elapsed_seconds = time.perf_counter() - sim_started
-        else:
+        if not misses:
             report.parallel_reason = "fully cached"
+        return _Batch(
+            ordered=ordered,
+            report=report,
+            resolved=resolved,
+            misses=misses,
+            started=started,
+            corrupt_before=corrupt_before,
+            stale_before=stale_before,
+        )
 
-        report.corrupt_dropped = self.store.stats.corrupt_dropped - corrupt_before
-        report.stale_dropped = self.store.stats.stale_dropped - stale_before
-        report.elapsed_seconds = time.perf_counter() - started
+    def _close_batch(self, batch: _Batch) -> list[RunMetrics]:
+        """Finish the report, fold it into ``session``, order the answers."""
+        report = batch.report
+        report.corrupt_dropped = self.store.stats.corrupt_dropped - batch.corrupt_before
+        report.stale_dropped = self.store.stats.stale_dropped - batch.stale_before
+        report.elapsed_seconds = time.perf_counter() - batch.started
         self.session.absorb(report)
-        return [resolved[cell].metrics for cell in ordered]
-
-    # -- execution strategies -------------------------------------------------
-
-    def _run_serial(
-        self,
-        misses: Sequence[Cell],
-        report: ExecutionReport,
-        started: float,
-        sim_started: float,
-    ) -> list[tuple[Cell, StoredResult]]:
-        out = []
-        if self.use_chains and len(misses) > 1:
-            stats = ChainStats()
-            for cell, stored in run_chain_groups(
-                misses, stats, commit=self.store.put_many
-            ):
-                out.append((cell, stored))
-                self._note_simulated(report, stored, started, sim_started)
-            self._fold_chain_stats(report, stats)
-            return out
-        for cell in misses:
-            stored = simulate_cell(cell)
-            out.append((cell, stored))
-            self._note_simulated(report, stored, started, sim_started)
-        self.store.put_many(out)
-        return out
-
-    def _run_parallel(
-        self,
-        misses: Sequence[Cell],
-        report: ExecutionReport,
-        started: float,
-        sim_started: float,
-    ) -> list[tuple[Cell, StoredResult]]:
-        attempts = {cell: 0 for cell in misses}
-        queue = list(misses)
-        out: dict[Cell, StoredResult] = {}
-        fallback_pairs: list[tuple[Cell, StoredResult]] = []
-        pool = self._make_pool(min(self.max_workers, len(misses)), misses)
-        try:
-            while queue:
-                futures = {}
-                for chunk in self._chunked(queue):
-                    if len(chunk) == 1:
-                        # Singleton tasks keep the one-cell-per-submit
-                        # contract custom pool factories rely on.
-                        futures[pool.submit(simulate_cell, chunk[0])] = chunk
-                    elif self.use_chains:
-                        futures[pool.submit(simulate_chunk_chained, chunk)] = chunk
-                    else:
-                        futures[pool.submit(simulate_chunk, chunk)] = chunk
-                queue = []
-                pool_broken = False
-                for future in as_completed(futures):
-                    chunk = futures[future]
-                    try:
-                        result = future.result()
-                    except (BrokenExecutor, MemoryError, OSError):
-                        # The pool (or a worker) died; every chunk whose
-                        # future was lost comes back through here.
-                        pool_broken = True
-                        for cell in chunk:
-                            attempts[cell] += 1
-                            report.retries += 1
-                            if attempts[cell] > self.max_retries:
-                                stored = simulate_cell(cell)  # in-process fallback
-                                out[cell] = stored
-                                fallback_pairs.append((cell, stored))
-                                self._note_simulated(
-                                    report, stored, started, sim_started
-                                )
-                            else:
-                                queue.append(cell)
-                        continue
-                    except ReproError:
-                        # Deterministic simulation failure: retrying is
-                        # pointless, surface it to the caller.
-                        raise
-                    if len(chunk) == 1:
-                        storeds = [result]
-                    elif self.use_chains:
-                        storeds, chunk_stats = result
-                        self._fold_chain_stats(report, chunk_stats)
-                    else:
-                        storeds = result
-                    # One store write batch per completed chunk: results
-                    # persist as the sweep streams in, not all at the end.
-                    self.store.put_many(list(zip(chunk, storeds)))
-                    for cell, stored in zip(chunk, storeds):
-                        out[cell] = stored
-                        self._note_simulated(report, stored, started, sim_started)
-                if pool_broken and queue:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool(min(self.max_workers, len(queue)), queue)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if fallback_pairs:
-            self.store.put_many(fallback_pairs)
-        return [(cell, out[cell]) for cell in misses]
-
-    # -- dispatch helpers -----------------------------------------------------
-
-    def _chunked(self, cells: Sequence[Cell]) -> list[tuple[Cell, ...]]:
-        """Split cells into dispatch chunks (order preserved).
-
-        With chains enabled, chain groups are packed whole: a chain split
-        across workers would re-simulate its shared prefix on each side,
-        so a chunk may exceed the nominal size to keep a group together.
-        """
-        size = self.chunk_size
-        if size is None:
-            # Auto: amortize per-task overhead once there are several
-            # tasks' worth of work per worker, but never go so coarse
-            # that workers idle — at least 4 chunks per worker.
-            size = max(1, min(MAX_AUTO_CHUNK, len(cells) // (4 * self.max_workers)))
-        if self.use_chains:
-            groups = plan_chains(cells)
-            if any(len(group) > 1 for group in groups):
-                chunks: list[tuple[Cell, ...]] = []
-                current: list[Cell] = []
-                for group in groups:
-                    if current and len(current) + len(group) > size:
-                        chunks.append(tuple(current))
-                        current = []
-                    current.extend(group)
-                if current:
-                    chunks.append(tuple(current))
-                return chunks
-        if size <= 1:
-            return [(cell,) for cell in cells]
-        return [
-            tuple(cells[i : i + size]) for i in range(0, len(cells), size)
-        ]
-
-    def _make_pool(self, workers: int, cells: Sequence[Cell]):
-        """Create the worker pool, preloading workload tables if enabled."""
-        if not self._default_pool:
-            return self.pool_factory(workers)
-        if self.preload_workloads:
-            try:
-                from repro.experiments.runner import workload_preload_payloads
-
-                payloads = workload_preload_payloads(cell.spec for cell in cells)
-            except Exception:
-                # Preload is an optimization; never let it break a batch.
-                payloads = []
-            if payloads:
-                return ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_initialize_worker,
-                    initargs=(payloads,),
-                )
-        return ProcessPoolExecutor(max_workers=workers)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    @staticmethod
-    def _fold_chain_stats(report: ExecutionReport, stats: ChainStats) -> None:
-        report.chains += stats.chains
-        report.chained_cells += stats.chained_cells
-        report.chain_forks += stats.forks
-        report.chain_fallbacks += stats.fallbacks
+        return [batch.resolved[cell].metrics for cell in batch.ordered]
 
     def _note_simulated(
         self,

@@ -12,7 +12,7 @@ drain the queue by claiming leases, simulating, and committing results
 into the very same database the :class:`~repro.exec.store.ResultStore`
 reads.
 
-The lease state machine (DESIGN.md section 13)::
+The lease state machine (DESIGN.md section 10)::
 
     pending ──claim──▶ leased ──complete──▶ done
        ▲                 │ deadline passes

@@ -18,22 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from repro.metrics.collector import CompletedJob, RunMetrics, summarize
 from repro.workload.job import Job
-from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS
 
 __all__ = [
     "metrics_to_payload",
     "metrics_from_payload",
     "canonical_json",
     "metrics_digest",
-    "RECORD_COLUMNS",
-    "RECORD_INT_COLUMNS",
-    "RECORD_FLOAT_COLUMNS",
-    "record_rows_to_arrays",
-    "record_arrays_to_rows",
 ]
 
 #: Fixed column order of a serialized job; prepended by the record's
@@ -98,55 +90,6 @@ def metrics_from_payload(payload: dict) -> RunMetrics:
         utilization=payload["utilization"],
         makespan=payload["makespan"],
     )
-
-
-#: Column order of a serialized completed-job record, as emitted by
-#: :func:`metrics_to_payload`.
-RECORD_COLUMNS = ("start_time", "finish_time", *_JOB_FIELDS)
-
-#: The integer-valued record columns (exactly the ``Job`` int fields —
-#: start/finish times are simulation clock values, hence floats).  The
-#: split mirrors :data:`repro.workload.table.INT_COLUMNS` /
-#: :data:`~repro.workload.table.FLOAT_COLUMNS` so the shard backend's
-#: int64/float64 arrays round-trip every value exactly, the same
-#: contract ``JobTable`` already honors for workloads.
-RECORD_INT_COLUMNS = tuple(c for c in RECORD_COLUMNS if c in INT_COLUMNS)
-RECORD_FLOAT_COLUMNS = tuple(
-    c for c in RECORD_COLUMNS if c not in INT_COLUMNS
-)
-
-assert set(RECORD_FLOAT_COLUMNS) == set(FLOAT_COLUMNS) | {"start_time", "finish_time"}
-
-
-def record_rows_to_arrays(rows: list) -> dict[str, np.ndarray]:
-    """Transpose record rows into one int64/float64 array per column.
-
-    The columnar transport of a metrics payload's ``records``: the
-    inverse of :func:`record_arrays_to_rows`.  Values survive exactly —
-    int columns hold Python ints (int64-exact by Job validation), float
-    columns are IEEE doubles already.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    n = len(rows)
-    for index, name in enumerate(RECORD_COLUMNS):
-        dtype = np.int64 if name in RECORD_INT_COLUMNS else np.float64
-        arrays[name] = np.fromiter(
-            (row[index] for row in rows), dtype=dtype, count=n
-        )
-    return arrays
-
-
-def record_arrays_to_rows(
-    arrays: dict[str, np.ndarray], start: int = 0, stop: int | None = None
-) -> list[list]:
-    """Rebuild record rows from column arrays (inverse transpose).
-
-    ``ndarray.tolist`` per column yields builtin ``int``/``float``, so a
-    rebuilt payload is value-identical (and digest-identical after
-    decode) to the one :func:`metrics_to_payload` produced.
-    """
-    columns = [arrays[name][start:stop].tolist() for name in RECORD_COLUMNS]
-    return [list(row) for row in zip(*columns)]
 
 
 def canonical_json(payload: dict) -> str:

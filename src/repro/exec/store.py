@@ -6,10 +6,9 @@ Two layers under one interface:
   hash (successor of the old module-level ``_cell_cache``), capped at
   :data:`DEFAULT_MEMORY_LIMIT` entries by default so long-lived
   processes cannot grow without bound;
-* an optional **disk layer** behind a pluggable
-  :class:`~repro.exec.backends.StoreBackend`: the original JSON-per-file
-  layout, a WAL-mode SQLite database, or columnar ``.npz`` shards
-  (see :mod:`repro.exec.backends`).
+* an optional **disk layer**: one WAL-mode SQLite database per cache
+  directory (:class:`~repro.exec.backends.sqlite.SqliteBackend`), which
+  is also what hosts the lease queue.
 
 The store is **batch-native**: :meth:`ResultStore.get_many` /
 :meth:`~ResultStore.put_many` settle a whole grid's cache state in O(1)
@@ -17,7 +16,8 @@ backend calls, which is what keeps warm-path resolution cheap at
 production sweep scale; the single-cell :meth:`~ResultStore.get` /
 :meth:`~ResultStore.put` are thin wrappers over them.
 
-Semantic judgment lives here, identically for every backend:
+Semantic judgment lives here, so an entry imported from a legacy JSON
+cache is judged exactly like a native one:
 
 * an entry whose ``schema`` stamp differs from the current
   :data:`~repro.exec.cell.CACHE_SCHEMA_VERSION` is **stale** — dropped
@@ -35,11 +35,16 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.exec.backends import StoreBackend, make_backend
-from repro.exec.backends.jsondir import JsonDirBackend
+from repro.errors import ConfigurationError
+from repro.exec.backends import (
+    SqliteBackend,
+    iter_legacy_entries,
+    refuse_legacy_layout,
+)
 from repro.exec.cell import CACHE_SCHEMA_VERSION, Cell
 from repro.exec.serialize import metrics_from_payload, metrics_to_payload
 from repro.metrics.collector import RunMetrics
@@ -135,53 +140,32 @@ class ResultStore:
 
     ``cache_dir=None`` (the default) keeps the store memory-only;
     passing a directory enables persistence across processes and
-    invocations.  ``backend`` picks the disk layout by name (``"auto"``
-    sniffs an existing directory, defaulting to the JSON-per-file layout
-    for fresh ones); ``memory_limit`` caps the in-process layer
-    (``None`` = unbounded).
+    invocations in that directory's ``results.sqlite``.  A directory
+    holding a retired layout (JSON-per-file entries, npz shards) and no
+    database raises :class:`~repro.errors.ConfigurationError` rather
+    than being shadowed by a fresh, empty database.  ``memory_limit``
+    caps the in-process layer (``None`` = unbounded).
     """
 
     def __init__(
         self,
         cache_dir: str | os.PathLike | None = None,
         *,
-        backend: str = "auto",
         memory_limit: int | None = DEFAULT_MEMORY_LIMIT,
     ) -> None:
         if memory_limit is not None and memory_limit < 1:
             raise ValueError(f"memory_limit must be >= 1 or None, got {memory_limit}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.backend: StoreBackend | None = (
-            make_backend(backend, self.cache_dir) if self.cache_dir is not None else None
-        )
+        self.backend: SqliteBackend | None = None
+        if self.cache_dir is not None:
+            refuse_legacy_layout(self.cache_dir)
+            self.backend = SqliteBackend(self.cache_dir)
         self.memory_limit = memory_limit
         self._memory: OrderedDict[str, StoredResult] = OrderedDict()
         self.stats = StoreStats()
 
-    @classmethod
-    def from_config(cls, config) -> "ResultStore":
-        """Build the store an :class:`~repro.exec.config.ExecConfig`
-        describes (its ``cache_dir`` / ``store_backend`` /
-        ``memory_limit`` fields)."""
-        return cls(
-            cache_dir=config.cache_dir,
-            backend=config.store_backend,
-            memory_limit=config.memory_limit,
-        )
-
     def __len__(self) -> int:
         return len(self._memory)
-
-    @property
-    def backend_kind(self) -> str | None:
-        """The active disk backend's name (None when memory-only)."""
-        return self.backend.kind if self.backend is not None else None
-
-    def path_for(self, cell: Cell) -> Path | None:
-        """The disk file for a cell's result (JSON backend only, else None)."""
-        if isinstance(self.backend, JsonDirBackend):
-            return self.backend.path_for(cell.content_hash())
-        return None
 
     # -- single-cell API (thin wrappers over the batch calls) ------------------
 
@@ -244,8 +228,7 @@ class ResultStore:
     def put_many(self, pairs: Iterable[tuple[Cell, StoredResult]]) -> None:
         """Record a batch of results in memory and (if enabled) on disk.
 
-        One call is one backend write batch — a single transaction for
-        SQLite, a single shard file for the columnar backend.
+        One call is one backend write batch — a single transaction.
         """
         pairs = list(pairs)
         items: list[tuple[str, dict]] = []
@@ -339,8 +322,7 @@ class ResultStore:
         """Sweep the disk layer, dropping stale and corrupt entries.
 
         Walks every stored key through the backend's bulk resolution,
-        classifies, and deletes (unless ``dry_run``).  Unreadable shard
-        files and orphaned temp files are removed as well.
+        classifies, and deletes (unless ``dry_run``).
         """
         report = GcReport()
         if self.backend is None:
@@ -364,7 +346,6 @@ class ResultStore:
             self.backend.delete_many(stale + corrupt)
             self.stats.stale_dropped += len(stale)
             self.stats.corrupt_dropped += len(corrupt)
-            self._sweep_debris()
         return report
 
     # -- internals -------------------------------------------------------------
@@ -403,41 +384,35 @@ class ResultStore:
             )
         except Exception:
             # Any malformed content — truncated records, values that
-            # Job/CompletedJob validation rejects, a hand-renamed file
-            # serving the wrong cell — is corruption: drop and re-simulate.
+            # Job/CompletedJob validation rejects, a row serving the
+            # wrong cell — is corruption: drop and re-simulate.
             self.stats.corrupt_dropped += 1
             doomed.append(key)
             return None
 
-    def _sweep_debris(self) -> None:
-        """Remove orphaned temp files left by crashed writers."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return
-        for path in self.cache_dir.rglob("*.tmp.*"):
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - races are fine
-                pass
 
-
-def migrate_store(source: ResultStore, dest: ResultStore, *, batch: int = 2048) -> int:
-    """Copy every disk entry from ``source``'s backend to ``dest``'s.
+def migrate_store(
+    source_dir: str | os.PathLike, dest_dir: str | os.PathLike, *, batch: int = 2048
+) -> int:
+    """Import a legacy JSON-per-file cache into ``dest_dir``'s database.
 
     Payloads travel verbatim — schema stamps, bookkeeping facts, and
     metrics included — so a migrated cache answers exactly what the
-    original did (pinned by the backend-equivalence suite).  Returns the
-    number of entries copied; physically corrupt source entries are
-    skipped (they would never have served anyway).
+    original did (pinned by ``tests/exec/test_backends.py``).  Returns
+    the number of entries copied; unreadable source files are skipped
+    (they would never have served anyway).  ``dest_dir`` may be
+    ``source_dir`` itself: the database then sits beside the JSON files,
+    which are left in place and no longer consulted.
     """
-    if source.backend is None or dest.backend is None:
-        raise ValueError("migrate_store needs disk-backed stores on both sides")
-    keys = source.backend.keys()
+    if not Path(source_dir).is_dir():
+        raise ConfigurationError(f"no cache directory at {source_dir}")
+    dest = SqliteBackend(dest_dir)
+    entries = iter_legacy_entries(source_dir)
     copied = 0
-    for start in range(0, len(keys), batch):
-        chunk = keys[start : start + batch]
-        loaded = source.backend.load_many(chunk)
-        items = [(key, loaded.payloads[key]) for key in chunk if key in loaded.payloads]
-        if items:
-            dest.backend.put_many(items)
+    try:
+        while items := list(islice(entries, batch)):
+            dest.put_many(items)
             copied += len(items)
+    finally:
+        dest.close()
     return copied

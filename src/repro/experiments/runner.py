@@ -18,17 +18,13 @@ trace's jobs — is memoized once per ``(trace, n_jobs, seed)`` as a
 and each spec's load scale and estimate model are then derived from that
 table with vectorized transforms (:func:`make_workload_table`).  The
 result is float-identical to the original row-at-a-time path, which the
-differential suite keeps in ``tests/oracles/row_pipeline.py``.  Worker
-processes can additionally be seeded with fully-derived tables up front
-(:func:`preload_workload_tables` — the executor ships them through the
-pool initializer as flat buffers) so the first cell a worker runs does
-not pay workload construction at all.
+differential suite keeps in ``tests/oracles/row_pipeline.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
@@ -69,7 +65,6 @@ __all__ = [
     "make_estimate_model",
     "make_scheduler",
     "cached_workload",
-    "preload_workload_tables",
     "clear_cache",
 ]
 
@@ -228,34 +223,6 @@ WORKLOAD_CACHE_LIMIT = 32
 
 _workload_cache: OrderedDict[WorkloadSpec, Workload] = OrderedDict()
 
-#: Spec -> JobTable payload, stashed by :func:`preload_workload_tables`
-#: in worker processes before any cell runs.
-_preloaded_tables: dict[WorkloadSpec, dict] = {}
-
-
-def preload_workload_tables(payloads: list[tuple[dict, dict]]) -> None:
-    """Stash pre-built workload tables for :func:`cached_workload`.
-
-    ``payloads`` is a list of ``(spec_fields, table_payload)`` pairs —
-    the spec's constructor kwargs plus ``JobTable.to_payload()`` output.
-    The executor calls this through the worker-pool initializer, so a
-    fresh worker answers its first ``cached_workload`` from the shipped
-    buffers instead of regenerating the trace.  Entries are consumed on
-    first use (the rebuilt ``Workload`` then lives in the normal LRU).
-    """
-    _preloaded_tables.clear()
-    for spec_fields, table_payload in payloads:
-        _preloaded_tables[WorkloadSpec(**spec_fields)] = table_payload
-
-
-def workload_preload_payloads(specs) -> list[tuple[dict, dict]]:
-    """Build :func:`preload_workload_tables` input for distinct ``specs``."""
-    out = []
-    for spec in dict.fromkeys(specs):
-        out.append((asdict(spec), make_workload_table(spec).to_payload()))
-    return out
-
-
 _table_cache: OrderedDict[WorkloadSpec, JobTable] = OrderedDict()
 
 
@@ -263,19 +230,13 @@ def cached_table(spec: WorkloadSpec) -> JobTable:
     """Memoized :func:`make_workload_table`, bounded by an LRU of
     :data:`WORKLOAD_CACHE_LIMIT` entries.
 
-    The table-native cache the executor simulates from: a preloaded
-    payload (shipped by the worker initializer) rebuilds in one
-    ``frombuffer`` view per column — zero per-job work — and the
-    simulator consumes the table directly, materializing ``Job`` objects
-    lazily per arrival batch through the trusted constructor.
+    The table-native cache the executor simulates from: the simulator
+    consumes the table directly, materializing ``Job`` objects lazily
+    per arrival batch through the trusted constructor.
     """
     table = _table_cache.get(spec)
     if table is None:
-        payload = _preloaded_tables.pop(spec, None)
-        if payload is not None:
-            table = JobTable.from_payload(payload)
-        else:
-            table = make_workload_table(spec)
+        table = make_workload_table(spec)
         _table_cache[spec] = table
         while len(_table_cache) > WORKLOAD_CACHE_LIMIT:
             _table_cache.popitem(last=False)
@@ -287,9 +248,8 @@ def cached_table(spec: WorkloadSpec) -> JobTable:
 def cached_workload(spec: WorkloadSpec) -> Workload:
     """Memoized :func:`make_workload` in row form (compat surface).
 
-    Delegates to :func:`cached_table` — one shared source of truth for
-    preloaded payloads — and memoizes the materialized row form
-    separately so repeated hits stay free."""
+    Delegates to :func:`cached_table` and memoizes the materialized row
+    form separately so repeated hits stay free."""
     workload = _workload_cache.get(spec)
     if workload is None:
         workload = cached_table(spec).to_workload()
@@ -313,5 +273,4 @@ def clear_cache() -> None:
     _workload_cache.clear()
     _table_cache.clear()
     _base_table_cache.clear()
-    _preloaded_tables.clear()
     default_store().clear_memory()

@@ -6,8 +6,8 @@ field as a numpy column — and round-trips losslessly to and from the
 row form.  It exists for the sweep pipeline:
 
 * **transport** — the arrays pickle as flat buffers, so a whole trace
-  ships to a worker process in one compact message instead of thousands
-  of ``Job`` objects (see ``CellExecutor``'s worker preload);
+  ships between processes in one compact message instead of thousands
+  of ``Job`` objects (:meth:`JobTable.to_payload`);
 * **vectorized derivation** — the per-condition transforms of a sweep
   (load scaling, estimate stamping, truncation) are a handful of array
   operations on a table, where the row path rebuilds every ``Job``
@@ -247,7 +247,7 @@ class JobTable:
 
         The arrays are shipped as raw C-order buffers, so pickling the
         payload costs one memcpy per column instead of one object walk
-        per job — this is what the executor's worker preload sends.
+        per job.
         """
         return {
             "columns": {

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import settings
 
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
@@ -13,6 +16,16 @@ from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.multiqueue import MultiQueueScheduler
 from repro.workload.job import Job, Workload
+
+# Tier-1 is deterministic by construction: the default profile derives
+# every example from the test itself and keeps no example database, so
+# two runs collect and execute the identical cases.  The nightly job
+# explores instead (``--hypothesis-profile=explore``, Hypothesis's own
+# flag): fresh random examples, ten times the default budget for tests
+# that do not cap their own.
+settings.register_profile("default", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, max_examples=1000)
+settings.load_profile("default")
 
 
 def make_job(
@@ -36,6 +49,19 @@ def make_job(
 
 def make_workload(jobs, max_procs: int = 10, name: str = "test") -> Workload:
     return Workload.from_jobs(jobs, max_procs=max_procs, name=name)
+
+
+def write_legacy_json(cache_dir, pairs) -> None:
+    """Write ``(cell, stored)`` pairs the way the retired JSON-per-file
+    store backend did: ``<cache_dir>/<content hash>.json``, one entry
+    payload each.  Nothing in the package writes this layout any more;
+    the suites that check it is imported or refused build it here."""
+    from repro.exec.store import stored_payload
+
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    for cell, stored in pairs:
+        path = cache_dir / f"{cell.content_hash()}.json"
+        path.write_text(json.dumps(stored_payload(cell, stored)))
 
 
 #: All scheduling disciplines, for parametrized invariant tests.

@@ -1,9 +1,7 @@
-"""Chain planning, dispatch packing, fallback, and reporting."""
-
-import pytest
+"""Chain planning, fallback, and reporting."""
 
 from repro.errors import SimulationError
-from repro.exec import Cell, CellExecutor, ExecConfig, ResultStore, metrics_digest
+from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest
 from repro.exec.chains import (
     ChainStats,
     chain_key,
@@ -103,57 +101,6 @@ class TestRunChain:
             want = simulate_cell(cell)
             assert metrics_digest(stored.metrics) == metrics_digest(want.metrics)
         assert stats.chains == 1 and stats.chained_cells == 2
-
-
-class TestDispatchPacking:
-    def test_chains_never_straddle_chunks(self):
-        executor = CellExecutor(max_workers=2, store=ResultStore(), chunk_size=4)
-        cells = [
-            _cell(seed=seed, n_jobs=n)
-            for seed in (1, 2, 3)
-            for n in (80, 120, 160)
-        ]
-        chunks = executor._chunked(cells)
-        groups = {
-            tuple(sorted((c.spec.seed, c.spec.n_jobs) for c in g))
-            for g in plan_chains(cells)
-        }
-        for group in groups:
-            homes = {
-                i
-                for i, chunk in enumerate(chunks)
-                for c in chunk
-                if (c.spec.seed, c.spec.n_jobs) in group
-            }
-            assert len(homes) == 1, f"chain {group} split across chunks {homes}"
-
-    def test_oversized_group_becomes_its_own_chunk(self):
-        executor = CellExecutor(max_workers=2, store=ResultStore(), chunk_size=2)
-        cells = [_cell(n_jobs=n) for n in (80, 120, 160)]
-        chunks = executor._chunked(cells)
-        assert len(chunks) == 1 and len(chunks[0]) == 3
-
-    def test_no_chain_groups_falls_back_to_plain_chunking(self):
-        executor = CellExecutor(max_workers=2, store=ResultStore(), chunk_size=2)
-        cells = [_cell(seed=s) for s in (1, 2, 3, 4)]
-        assert [len(c) for c in executor._chunked(cells)] == [2, 2]
-
-
-class TestConfiguration:
-    def test_custom_pool_factory_disables_chains(self):
-        executor = CellExecutor(pool_factory=lambda workers: None)
-        assert executor.use_chains is False
-
-    def test_configure_threads_use_chains_through(self):
-        assert ExecConfig(use_chains=False).build_executor().use_chains is False
-        assert ExecConfig().build_executor().use_chains is True
-
-    def test_cli_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["experiment", "all", "--no-chains"])
-        assert args.no_chains is True
-        assert build_parser().parse_args(["experiment", "all"]).no_chains is False
 
 
 class TestReportRendering:

@@ -11,6 +11,7 @@ surface loudly instead of hanging the sweep.
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -67,7 +68,7 @@ def test_two_workers_drain_disjointly_with_serial_identical_results(tmp_path):
     # so no group ever needed a second lease grant.
     assert stats.retried_cells == 0
 
-    fetched = ResultStore(tmp_path, backend="sqlite").get_many(cells)
+    fetched = ResultStore(tmp_path).get_many(cells)
     assert [metrics_digest(fetched[c].metrics) for c in cells] == serial_digests
     queue.close()
 
@@ -105,7 +106,7 @@ def test_killed_worker_leases_are_stolen_and_finished(tmp_path):
     assert stats.poisoned_cells == 0
     assert stats.retried_cells >= 2  # at least the ghost's stranded leases
 
-    fetched = ResultStore(tmp_path, backend="sqlite").get_many(cells)
+    fetched = ResultStore(tmp_path).get_many(cells)
     assert [metrics_digest(fetched[c].metrics) for c in cells] == serial_digests
     queue.close()
 
@@ -113,7 +114,7 @@ def test_killed_worker_leases_are_stolen_and_finished(tmp_path):
 class TestDistExecutor:
     def test_inline_drain_matches_serial_and_reports_provenance(self, tmp_path):
         cells = grid(6)
-        serial = CellExecutor(max_workers=1, store=ResultStore(tmp_path / "ref"))
+        serial = CellExecutor(store=ResultStore(tmp_path / "ref"))
         expected = [metrics_digest(m) for m in serial.execute(cells)]
 
         dist = DistExecutor(tmp_path / "queue")
@@ -160,37 +161,75 @@ class TestDistExecutor:
         assert poisoned[0].attempts == 1  # poisoned on first grant, no retry loop
         assert "synthetic deterministic failure" in poisoned[0].error
         # Good cells still completed and persisted despite the failure.
-        fetched = ResultStore(tmp_path, backend="sqlite").get_many(good)
+        fetched = ResultStore(tmp_path).get_many(good)
         assert len(fetched) == len(good)
         dist.queue.close()
 
     def test_rejects_foreign_store_and_negative_workers(self, tmp_path):
         with pytest.raises(ConfigurationError):
             DistExecutor(tmp_path / "q", workers=-1)
-        foreign = ResultStore(tmp_path / "elsewhere", backend="sqlite")
+        foreign = ResultStore(tmp_path / "elsewhere")
         with pytest.raises(ConfigurationError):
             DistExecutor(tmp_path / "q", store=foreign)
-        json_store = ResultStore(tmp_path / "q", backend="json")
         with pytest.raises(ConfigurationError):
-            DistExecutor(tmp_path / "q", store=json_store)
+            DistExecutor(tmp_path / "q", store=ResultStore())  # memory-only
 
 
 class TestParallelProvenance:
     """Satellite: every execution report says whether parallelism ran."""
 
     def test_serial_executor_explains_itself(self, tmp_path):
-        executor = CellExecutor(max_workers=1, store=ResultStore(tmp_path))
+        executor = CellExecutor(store=ResultStore(tmp_path))
         executor.execute(grid(2))
         report = executor.last_report
         assert report.parallel_requested is False
         assert report.parallel_used is False
-        assert report.parallel_reason == "max_workers=1"
-        assert "serial (max_workers=1)" in report.render()
+        assert report.parallel_reason == "in-process"
+        assert "serial (in-process)" in report.render()
 
     def test_single_miss_falls_back_to_serial_with_reason(self, tmp_path):
-        executor = CellExecutor(max_workers=4, store=ResultStore(tmp_path))
+        executor = DistExecutor(tmp_path, workers=4)
         executor.execute(grid(1))
         report = executor.last_report
         assert report.parallel_requested is True
         assert report.parallel_used is False
         assert "workers idle" in report.parallel_reason
+        executor.close()
+
+
+def _die_at_startup(*_args):
+    """Worker target standing in for a fleet that cannot start."""
+    os._exit(3)
+
+
+@pytest.mark.slow
+def test_dead_fleet_does_not_hang_the_coordinator(tmp_path, monkeypatch):
+    import repro.exec.dist as dist_mod
+
+    cells = grid(6)
+    expected = [metrics_digest(simulate_cell(c).metrics) for c in cells]
+    monkeypatch.setattr(dist_mod, "worker_process_main", _die_at_startup)
+
+    outcome = {}
+
+    def coordinate():
+        dist = DistExecutor(tmp_path, workers=2, lease_seconds=1.0, poll_seconds=0.05)
+        outcome["metrics"] = dist.execute(cells)
+        outcome["report"] = dist.last_report
+        dist.close()
+
+    # On a thread so that a coordinator polling a queue nobody serves
+    # fails this test instead of hanging the suite.
+    thread = threading.Thread(target=coordinate, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "coordinator still waiting on a dead fleet"
+
+    # No local worker alive and open cells remaining: it drained inline.
+    assert [metrics_digest(m) for m in outcome["metrics"]] == expected
+    assert outcome["report"].simulated == len(cells)
+    assert "all exited early: drained inline" in outcome["report"].parallel_reason
+    queue = CellQueue(tmp_path)
+    stats = queue.stats()
+    assert (stats.done_cells, stats.open_cells, stats.poisoned_cells) == (6, 0, 0)
+    queue.close()

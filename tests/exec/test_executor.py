@@ -1,7 +1,4 @@
-"""CellExecutor: determinism, dedup, crash retry, error propagation."""
-
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+"""CellExecutor: determinism, dedup, error propagation, report timing."""
 
 import pytest
 
@@ -9,7 +6,9 @@ from repro.errors import ReproError
 from repro.exec import (
     Cell,
     CellExecutor,
+    DistExecutor,
     ExecConfig,
+    ExecutionReport,
     ResultStore,
     default_executor,
     metrics_digest,
@@ -32,14 +31,29 @@ def _grid(n_jobs=120):
 
 
 class TestDeterminism:
-    def test_parallel_results_identical_to_serial(self):
-        # The acceptance bar: exact float equality, not approximate.
-        cells = _grid()
+    @pytest.mark.slow
+    def test_parallel_results_identical_to_serial(self, tmp_path):
+        # The acceptance bar: exact float equality, not approximate, on
+        # every path a cell can take — in-process, the queue drained
+        # inline, the queue drained by spawned workers, and what
+        # ``--parallel 2`` builds.
+        cells = _grid(n_jobs=60)
         assert len(cells) >= 12
-        serial = CellExecutor(max_workers=1, store=ResultStore()).execute(cells)
-        parallel = CellExecutor(max_workers=4, store=ResultStore()).execute(cells)
-        for s, p in zip(serial, parallel):
-            assert metrics_digest(s) == metrics_digest(p)
+        serial = CellExecutor(store=ResultStore()).execute(cells)
+        executors = [
+            DistExecutor(tmp_path / "inline", workers=0),
+            DistExecutor(tmp_path / "spawned", workers=2),
+            ExecConfig(parallel=2, cache_dir=tmp_path / "config").build_executor(),
+        ]
+        for executor in executors:
+            parallel = executor.execute(cells)
+            executor.close()
+            assert [metrics_digest(m) for m in parallel] == [
+                metrics_digest(m) for m in serial
+            ]
+        for spawning in executors[1:]:
+            assert spawning.last_report.parallel_used is True
+            assert spawning.last_report.parallel_reason == "dist queue, 2 local workers"
 
     def test_results_in_input_order(self):
         cells = _grid(n_jobs=60)[:4]
@@ -81,83 +95,34 @@ class TestDedupAndCaching:
         assert "cells 3/3" in seen[-1].render()
 
 
-class _FlakyPool:
-    """Fake pool whose futures fail with BrokenProcessPool N times per cell."""
-
-    def __init__(self, failures_per_cell, counts):
-        self.failures_per_cell = failures_per_cell
-        self.counts = counts  # shared dict: cell -> submissions seen
-
-    def submit(self, fn, cell):
-        self.counts[cell] = self.counts.get(cell, 0) + 1
-        future = Future()
-        if self.counts[cell] <= self.failures_per_cell:
-            future.set_exception(BrokenProcessPool("worker died"))
-        else:
-            future.set_result(fn(cell))
-        return future
-
-    def shutdown(self, wait=False, cancel_futures=False):
-        pass
-
-
 class TestCrashResilience:
-    def test_broken_pool_retries_and_recovers(self):
-        cells = _grid(n_jobs=60)[:2]
-        counts = {}
-        executor = CellExecutor(
-            max_workers=2,
-            store=ResultStore(),
-            max_retries=1,
-            pool_factory=lambda workers: _FlakyPool(1, counts),
-        )
-        metrics = executor.execute(cells)
-        assert executor.last_report.retries == 2
-        assert all(counts[c] == 2 for c in cells)  # failed once, retried once
-        for got, cell in zip(metrics, cells):
-            assert metrics_digest(got) == metrics_digest(simulate_cell(cell).metrics)
+    """Worker crashes are the queue's business (``test_dist.py``,
+    ``test_queue.py``: lease expiry, steal, attempt cap, poisoning).
+    What the executor itself owes is that a deterministic failure
+    surfaces at once instead of being retried."""
 
-    def test_exhausted_retries_fall_back_in_process(self):
-        cells = _grid(n_jobs=60)[:2]
-        counts = {}
-        executor = CellExecutor(
-            max_workers=2,
-            store=ResultStore(),
-            max_retries=0,
-            pool_factory=lambda workers: _FlakyPool(10**9, counts),
-        )
-        metrics = executor.execute(cells)  # every pool attempt fails
-        assert len(metrics) == 2
-        assert executor.last_report.simulated == 2
-        for got, cell in zip(metrics, cells):
-            assert metrics_digest(got) == metrics_digest(simulate_cell(cell).metrics)
+    def test_deterministic_simulation_error_not_retried(self, monkeypatch):
+        import repro.exec.chains as chains
 
-    def test_deterministic_simulation_error_not_retried(self):
         spec = WorkloadSpec("CTC", 60, 1, 0.75, "exact")
         bad = Cell.make(spec, "cons", "FCFS", compression="bogus")
-        counts = {}
-        executor = CellExecutor(
-            max_workers=2,
-            store=ResultStore(),
-            pool_factory=lambda workers: _FlakyPool(0, counts),
-        )
+        attempts = []
+        real = chains._simulate_independent
+
+        def counting(cell):
+            attempts.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(chains, "_simulate_independent", counting)
         with pytest.raises(ReproError):
-            executor.execute([bad, *_grid(n_jobs=60)[:1]])
-        assert counts[bad] == 1  # surfaced immediately, no retry
+            CellExecutor(store=ResultStore()).execute([bad, *_grid(n_jobs=60)[:1]])
+        assert attempts == [bad]  # surfaced immediately, no retry
 
     def test_serial_path_raises_too(self):
         spec = WorkloadSpec("CTC", 60, 1, 0.75, "exact")
         bad = Cell.make(spec, "cons", "FCFS", compression="bogus")
         with pytest.raises(ReproError):
             CellExecutor(store=ResultStore()).execute([bad])
-
-
-class TestValidation:
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            CellExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            CellExecutor(max_retries=-1)
 
 
 class TestDefaultExecutor:
@@ -200,3 +165,42 @@ class TestPlanCompleteness:
             )
         finally:
             set_default_executor(None)
+
+
+class TestReportTiming:
+    def test_events_per_second_uses_sim_elapsed(self):
+        report = ExecutionReport(
+            events_processed=100, elapsed_seconds=10.0, sim_elapsed_seconds=2.0
+        )
+        assert report.events_per_second == 50.0
+
+    def test_events_per_second_zero_when_nothing_simulated(self):
+        report = ExecutionReport(elapsed_seconds=5.0)
+        assert report.events_per_second == 0.0
+
+    def test_absorb_accumulates_sim_elapsed(self):
+        total = ExecutionReport(sim_elapsed_seconds=1.0)
+        total.absorb(ExecutionReport(sim_elapsed_seconds=2.5))
+        assert total.sim_elapsed_seconds == 3.5
+
+    def test_cached_batch_accrues_no_sim_elapsed(self):
+        cells = _grid(n_jobs=60)[:2]
+        executor = CellExecutor(store=ResultStore())
+        executor.execute(cells)
+        first = executor.last_report
+        assert 0.0 < first.sim_elapsed_seconds <= first.elapsed_seconds
+        executor.execute(cells)  # fully cached now
+        second = executor.last_report
+        assert second.sim_elapsed_seconds == 0.0
+        assert second.events_per_second == 0.0
+        assert second.elapsed_seconds > 0.0
+
+    def test_mixed_batch_sim_elapsed_bounded_by_elapsed(self):
+        cells = _grid(n_jobs=60)[:3]
+        executor = CellExecutor(store=ResultStore())
+        executor.execute(cells[:1])
+        executor.execute(cells)  # one warm, two fresh
+        report = executor.last_report
+        assert report.cache_hits == 1
+        assert report.simulated == 2
+        assert 0.0 < report.sim_elapsed_seconds <= report.elapsed_seconds

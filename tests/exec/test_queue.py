@@ -205,7 +205,7 @@ class TestCompleteAndFail:
 
         # Results landed in the very store a warm sweep reads, and are
         # digest-identical to a direct ResultStore write.
-        store = ResultStore(tmp_path, backend="sqlite")
+        store = ResultStore(tmp_path)
         fetched = store.get_many(cells)
         assert len(fetched) == 5
         for cell, stored in fetched.items():
@@ -257,7 +257,7 @@ class TestMaintenance:
             queue.complete("w1", [group.group_id], pairs)
         assert queue.clear_done() == 5
         assert queue.stats().total_cells == 0
-        assert len(ResultStore(tmp_path, backend="sqlite").get_many(cells)) == 5
+        assert len(ResultStore(tmp_path).get_many(cells)) == 5
 
     def test_states_for_reports_absent_cells_as_missing(self, queue):
         cells = make_cells()

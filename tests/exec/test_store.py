@@ -1,6 +1,6 @@
 """ResultStore: layered lookup, disk round-trips, corruption tolerance."""
 
-import json
+import sqlite3
 
 import pytest
 
@@ -9,6 +9,15 @@ from repro.experiments.config import WorkloadSpec
 
 SPEC = WorkloadSpec(trace="CTC", n_jobs=80, seed=3, load_scale=0.75, estimate="exact")
 CELL = Cell(SPEC, "easy", "FCFS")
+
+
+def damage(cache_dir, sql, *params):
+    """Edit the database behind the store's back, as bit rot or a stray
+    tool would: one statement, committed, connection closed."""
+    conn = sqlite3.connect(cache_dir / "results.sqlite")
+    with conn:
+        assert conn.execute(sql, params).rowcount == 1
+    conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +44,9 @@ class TestMemoryLayer:
         assert store.get(CELL) is None
 
     def test_memory_only_store_has_no_paths(self):
-        assert ResultStore().path_for(CELL) is None
+        store = ResultStore()
+        assert store.cache_dir is None and store.backend is None
+        assert store.entry_count() == 0 and store.size_bytes() == 0
 
 
 class TestDiskLayer:
@@ -62,67 +73,85 @@ class TestDiskLayer:
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.memory_hits == 1
 
-    def test_put_writes_one_file_per_cell(self, stored, tmp_path):
+    def test_put_writes_one_row_per_cell(self, stored, tmp_path):
         store = ResultStore(cache_dir=tmp_path)
         store.put(CELL, stored)
         store.put(Cell(SPEC, "cons", "FCFS"), stored)
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 2
-        assert store.path_for(CELL) in files
+        assert store.entry_count() == 2
+        assert CELL.content_hash() in store.backend.keys()
+        assert (tmp_path / "results.sqlite").exists()
 
 
 class TestCorruptionTolerance:
     def test_truncated_file_is_dropped_and_remissed(self, stored, tmp_path):
         ResultStore(cache_dir=tmp_path).put(CELL, stored)
-        path = ResultStore(cache_dir=tmp_path).path_for(CELL)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        key = CELL.content_hash()
+        damage(
+            tmp_path,
+            "UPDATE payloads SET metrics = substr(metrics, 1, length(metrics) / 2) "
+            "WHERE key = ?",
+            key,
+        )
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get(CELL) is None
         assert fresh.stats.corrupt_dropped == 1
-        assert not path.exists()  # the bad file is unlinked, not left to rot
+        assert fresh.entry_count() == 0  # the bad row is deleted, not left to rot
 
     def test_garbage_json_is_dropped(self, stored, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        store.put(CELL, stored)
-        store.path_for(CELL).write_text("not json at all {{{")
+        ResultStore(cache_dir=tmp_path).put(CELL, stored)
+        damage(
+            tmp_path,
+            "UPDATE payloads SET metrics = 'not json at all {{{' WHERE key = ?",
+            CELL.content_hash(),
+        )
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get(CELL) is None
         assert fresh.stats.corrupt_dropped == 1
 
     def test_schema_mismatch_is_stale_not_corrupt(self, stored, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        store.put(CELL, stored)
-        path = store.path_for(CELL)
-        payload = json.loads(path.read_text())
-        payload["schema"] = 999
-        path.write_text(json.dumps(payload))
+        ResultStore(cache_dir=tmp_path).put(CELL, stored)
+        damage(
+            tmp_path,
+            "UPDATE meta SET schema_version = 999 WHERE key = ?",
+            CELL.content_hash(),
+        )
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get(CELL) is None
         assert fresh.stats.stale_dropped == 1
         assert fresh.stats.corrupt_dropped == 0
-        assert not path.exists()  # stale entries are reaped like corrupt ones
+        assert fresh.entry_count() == 0  # stale entries are reaped like corrupt ones
 
     def test_wrong_cell_payload_is_a_miss(self, stored, tmp_path):
-        # A hash collision (or a hand-renamed file) must not serve the
+        # A hash collision (or a hand-edited row) must not serve the
         # wrong cell's result.
-        store = ResultStore(cache_dir=tmp_path)
         other = Cell(SPEC, "cons", "FCFS")
-        store.put(other, stored)
-        store.path_for(other).rename(store.path_for(CELL))
+        ResultStore(cache_dir=tmp_path).put(other, stored)
+        for table in ("meta", "payloads"):
+            damage(
+                tmp_path,
+                f"UPDATE {table} SET key = ? WHERE key = ?",
+                CELL.content_hash(),
+                other.content_hash(),
+            )
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get(CELL) is None
+        assert fresh.stats.corrupt_dropped == 1
 
     def test_corruption_recovers_via_resimulation(self, stored, tmp_path):
         from repro.exec import CellExecutor
 
         ResultStore(cache_dir=tmp_path).put(CELL, stored)
-        path = ResultStore(cache_dir=tmp_path).path_for(CELL)
-        path.write_text("corrupt")
+        damage(
+            tmp_path,
+            "UPDATE payloads SET metrics = 'corrupt' WHERE key = ?",
+            CELL.content_hash(),
+        )
         executor = CellExecutor(store=ResultStore(cache_dir=tmp_path))
         [metrics] = executor.execute([CELL])
         assert metrics_digest(metrics) == metrics_digest(stored.metrics)
         assert executor.last_report.simulated == 1
-        # The rewritten file is valid again.
+        assert executor.last_report.corrupt_dropped == 1
+        # The rewritten row is valid again.
         assert ResultStore(cache_dir=tmp_path).get(CELL) is not None
 
 

@@ -1,10 +1,9 @@
 """Concurrent multi-process writers must never tear or lose committed rows.
 
 The SQLite backend claims WAL-mode safety for multiple writer processes
-sharing one cache directory; the shard backend claims safety by
-immutability (writers only ever add whole files).  These tests spawn
-real processes, synchronize them on a barrier so their write bursts
-genuinely overlap, and then audit the directory from the parent:
+sharing one cache directory.  These tests spawn real processes,
+synchronize them on a barrier so their write bursts genuinely overlap,
+and then audit the directory from the parent:
 
 * **disjoint cells** — every process's rows must all be present;
 * **same cells** — last writer wins row by row, but each surviving row
@@ -14,10 +13,7 @@ genuinely overlap, and then audit the directory from the parent:
 
 import multiprocessing
 
-import pytest
-
-from repro.exec.backends import make_backend
-from repro.exec.serialize import RECORD_COLUMNS
+from repro.exec.backends import SqliteBackend
 
 KEYS_PER_WRITER = 120
 WRITERS = 3
@@ -34,9 +30,7 @@ def _key(i: int) -> str:
 
 def _payload(i: int, tag: int) -> dict:
     # ``tag`` is woven into several fields so a torn row (fields from two
-    # writers mixed) is detectable; records use the real column layout so
-    # the shard backend can pack them.
-    record = [float(tag)] * len(RECORD_COLUMNS)
+    # writers mixed) is detectable.
     return {
         "schema": 1,
         "cell": {"i": i, "tag": tag},
@@ -45,14 +39,13 @@ def _payload(i: int, tag: int) -> dict:
         "metrics": {
             "utilization": float(tag),
             "makespan": float(tag),
-            "columns": list(RECORD_COLUMNS),
-            "records": [record],
+            "records": [[float(tag)] * 4],
         },
     }
 
 
-def _write_disjoint(backend_name, cache_dir, writer_id, barrier):
-    backend = make_backend(backend_name, cache_dir)
+def _write_disjoint(cache_dir, writer_id, barrier):
+    backend = SqliteBackend(cache_dir)
     base = writer_id * KEYS_PER_WRITER
     barrier.wait()
     for lo in range(0, KEYS_PER_WRITER, BATCH):
@@ -65,8 +58,8 @@ def _write_disjoint(backend_name, cache_dir, writer_id, barrier):
     backend.close()
 
 
-def _write_same(backend_name, cache_dir, writer_id, barrier):
-    backend = make_backend(backend_name, cache_dir)
+def _write_same(cache_dir, writer_id, barrier):
+    backend = SqliteBackend(cache_dir)
     barrier.wait()
     for lo in range(0, KEYS_PER_WRITER, BATCH):
         backend.put_many(
@@ -75,10 +68,10 @@ def _write_same(backend_name, cache_dir, writer_id, barrier):
     backend.close()
 
 
-def _run_writers(target, backend_name, cache_dir):
+def _run_writers(target, cache_dir):
     barrier = _CTX.Barrier(WRITERS)
     procs = [
-        _CTX.Process(target=target, args=(backend_name, str(cache_dir), w, barrier))
+        _CTX.Process(target=target, args=(str(cache_dir), w, barrier))
         for w in range(WRITERS)
     ]
     for proc in procs:
@@ -88,10 +81,9 @@ def _run_writers(target, backend_name, cache_dir):
         assert proc.exitcode == 0
 
 
-@pytest.mark.parametrize("backend_name", ["sqlite", "shard", "json"])
-def test_disjoint_writers_lose_nothing(backend_name, tmp_path):
-    _run_writers(_write_disjoint, backend_name, tmp_path)
-    backend = make_backend(backend_name, tmp_path)
+def test_disjoint_writers_lose_nothing(tmp_path):
+    _run_writers(_write_disjoint, tmp_path)
+    backend = SqliteBackend(tmp_path)
     total = WRITERS * KEYS_PER_WRITER
     assert backend.count() == total
     keys = [_key(i) for i in range(total)]
@@ -106,10 +98,9 @@ def test_disjoint_writers_lose_nothing(backend_name, tmp_path):
         assert payload["cell"]["tag"] == payload["events_processed"]
 
 
-@pytest.mark.parametrize("backend_name", ["sqlite", "shard"])
-def test_same_cell_writers_never_tear_rows(backend_name, tmp_path):
-    _run_writers(_write_same, backend_name, tmp_path)
-    backend = make_backend(backend_name, tmp_path)
+def test_same_cell_writers_never_tear_rows(tmp_path):
+    _run_writers(_write_same, tmp_path)
+    backend = SqliteBackend(tmp_path)
     assert backend.count() == KEYS_PER_WRITER
     keys = [_key(i) for i in range(KEYS_PER_WRITER)]
     loaded = backend.load_many(keys)
@@ -122,4 +113,4 @@ def test_same_cell_writers_never_tear_rows(backend_name, tmp_path):
         assert payload["cell"]["tag"] == tag
         assert payload["sim_seconds"] == float(tag)
         assert payload["metrics"]["utilization"] == float(tag)
-        assert payload["metrics"]["records"] == [[float(tag)] * len(RECORD_COLUMNS)]
+        assert payload["metrics"]["records"] == [[float(tag)] * 4]

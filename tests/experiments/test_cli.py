@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.conftest import write_legacy_json
+
 
 class TestParser:
     def test_requires_command(self):
@@ -99,3 +101,59 @@ class TestErrorPath:
         code = main(["experiment", "figure99", "--jobs", "100", "--seeds", "1"])
         assert code == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+
+class TestExecutionFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "out", "--store-backend", "sqlite"],
+            ["report", "out", "--chunk-size", "4"],
+            ["report", "out", "--no-chains"],
+            ["store", "stats", "dir", "--backend", "sqlite"],
+            ["store", "gc", "dir", "--backend", "sqlite"],
+            ["store", "migrate", "src", "dest", "--from", "json"],
+            ["store", "migrate", "src", "dest", "--to", "sqlite"],
+        ],
+    )
+    def test_retired_dispatch_knobs_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestLegacyCacheDirectory:
+    """README's first example used to leave JSON files under
+    ``--cache-dir D``; a later ``sweep --dist --cache-dir D`` must
+    neither re-simulate them nor write a database that shadows them."""
+
+    ARGS = ["figure1", "--jobs", "100", "--seeds", "1", "--traces", "CTC"]
+
+    def _legacy_dir(self, tmp_path):
+        from repro.exec import simulate_cell
+        from repro.experiments.config import ExperimentParams
+        from repro.experiments.registry import collect_cells
+
+        cells = collect_cells(
+            ["figure1"],
+            ExperimentParams(n_jobs=100, seeds=(1,), traces=("CTC",)),
+        )
+        assert cells
+        legacy = tmp_path / "D"
+        write_legacy_json(legacy, ((cell, simulate_cell(cell)) for cell in cells))
+        return legacy, len(cells)
+
+    def test_refused_until_migrated_then_every_cell_hits(self, tmp_path, capsys):
+        legacy, n_cells = self._legacy_dir(tmp_path)
+        sweep = ["sweep", *self.ARGS, "--dist", "--cache-dir", str(legacy)]
+
+        assert main(sweep) == 1
+        assert "repro store migrate" in capsys.readouterr().err
+        assert not (legacy / "results.sqlite").exists()
+
+        assert main(["store", "migrate", str(legacy), str(legacy)]) == 0
+        assert f"migrated {n_cells} entries" in capsys.readouterr().out
+
+        assert main(sweep) == 0
+        assert f"{n_cells} cached (100% hit rate)" in capsys.readouterr().err

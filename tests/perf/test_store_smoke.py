@@ -1,59 +1,70 @@
-"""Perf smoke test: batch-native backends must beat JSON at warm resolve.
+"""Perf smoke test: the store's bulk calls stay bulk — counted, not timed.
 
-Runs a small slice of the ``benchmarks/bench_store.py`` grid (3k cells
-instead of 100k, one shared small result) and asserts that the better of
-SQLite/shard resolves the warm grid faster than the JSON-per-file
-baseline at all — a deliberately generous floor far below the order-of-
-magnitude ratios the full benchmark records, so only a lost optimization
-(e.g. resolution quietly re-reading full payloads) trips it, not CI
-jitter.  Real numbers belong to ``benchmarks/bench_store.py`` +
-``benchmarks/compare_bench.py``.
+What makes SQLite resolve a warm grid fast is structural: a handful of
+``IN (...)`` selects over the compact ``meta`` table, never a per-cell
+probe and never a page of metrics text; and what makes writes cheap and
+crash-safe is one transaction per ``put_many``.  Both are visible in the
+statements the connection executes (``sqlite3.Connection.set_trace_callback``),
+so they are asserted exactly — a lost optimization (resolution quietly
+joining ``payloads``, a commit per row) changes a count, not a wall-clock
+ratio a noisy runner can flip.
 """
 
-import time
-from pathlib import Path
+import math
 
 import pytest
 
 from repro.exec import Cell, ResultStore, simulate_cell
+from repro.exec.backends.sqlite import _SELECT_CHUNK
 from repro.experiments.config import WorkloadSpec
 
-from benchmarks.bench_store import synthetic_cells
-
 N_CELLS = 3_000
-WRITE_BATCH = 1_000
 
-#: The full benchmark shows >=10x for the best backend; require only
-#: "faster than JSON at all" so a noisy runner cannot false-alarm.
-MIN_SPEEDUP = 1.0
+
+@pytest.fixture(scope="module")
+def cells():
+    return [
+        Cell(WorkloadSpec("CTC", 25, seed=seed, load_scale=0.75), "easy", "FCFS")
+        for seed in range(N_CELLS)
+    ]
+
+
+@pytest.fixture(scope="module")
+def stored(cells):
+    return simulate_cell(cells[1])
+
+
+def traced(store):
+    """Every SQL statement ``store``'s connection executes from here on."""
+    statements = []
+    store.backend._connection().set_trace_callback(statements.append)
+    return statements
 
 
 @pytest.mark.perf
-def test_batch_backends_beat_json_at_warm_resolve(tmp_path):
-    cells = synthetic_cells(N_CELLS)
-    for cell in cells:
-        cell.content_hash()
-    stored = simulate_cell(
-        Cell(WorkloadSpec("CTC", 25, seed=1, load_scale=0.75), "easy", "FCFS")
-    )
+def test_warm_resolve_issues_one_meta_select_per_chunk(tmp_path, cells, stored):
+    ResultStore(tmp_path).put_many((cell, stored) for cell in cells)
 
-    seconds = {}
-    for backend in ("json", "sqlite", "shard"):
-        cache_dir = Path(tmp_path) / backend
-        writer = ResultStore(cache_dir=cache_dir, backend=backend)
-        for lo in range(0, N_CELLS, WRITE_BATCH):
-            writer.put_many((cell, stored) for cell in cells[lo : lo + WRITE_BATCH])
-        assert writer.entry_count() == N_CELLS
+    warm = ResultStore(tmp_path)
+    statements = traced(warm)
+    resolved = warm.resolve_many(cells)
 
-        warm = ResultStore(cache_dir=cache_dir, backend=backend)
-        started = time.perf_counter()
-        resolved = warm.resolve_many(cells)
-        seconds[backend] = time.perf_counter() - started
-        assert len(resolved) == N_CELLS
+    assert len(resolved) == N_CELLS
+    assert len(statements) == math.ceil(N_CELLS / _SELECT_CHUNK) == 4
+    for statement in statements:
+        assert statement.startswith("SELECT")
+        assert "FROM meta" in statement
+        assert "payloads" not in statement
 
-    best = min(seconds["sqlite"], seconds["shard"])
-    assert seconds["json"] > best * MIN_SPEEDUP, (
-        f"batch-native resolve no longer beats JSON: json {seconds['json']:.3f}s "
-        f"vs best {best:.3f}s; run benchmarks/bench_store.py and compare "
-        "against the checked-in BENCH_store.json"
-    )
+
+@pytest.mark.perf
+def test_put_many_batch_is_one_transaction(tmp_path, cells, stored):
+    store = ResultStore(tmp_path)
+    statements = traced(store)
+    store.put_many((cell, stored) for cell in cells[:500])
+
+    verbs = [statement.split()[0] for statement in statements]
+    assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"
+    assert verbs.count("BEGIN") == verbs.count("COMMIT") == 1
+    assert set(verbs[1:-1]) == {"INSERT"}
+    assert store.entry_count() == 500

@@ -43,8 +43,8 @@ def test_render_markdown_and_table(tmp_path):
 
 
 def test_unknown_keys_are_skipped_quietly(tmp_path):
-    (tmp_path / "BENCH_executor.json").write_text(json.dumps({"schema": 99}))
+    (tmp_path / "BENCH_chain.json").write_text(json.dumps({"schema": 99}))
     records = collect(tmp_path)
-    record = next(r for r in records if r["bench"] == "BENCH_executor.json")
+    record = next(r for r in records if r["bench"] == "BENCH_chain.json")
     assert record["headlines"] == []
     assert "(no headline keys)" in render(records)

@@ -21,7 +21,14 @@ from functools import lru_cache
 import pytest
 
 from repro.errors import SimulationError
-from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest
+from repro.exec import (
+    Cell,
+    CellExecutor,
+    DistExecutor,
+    ResultStore,
+    metrics_digest,
+    simulate_cell,
+)
 from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import (
     SCHEDULER_KINDS,
@@ -208,10 +215,14 @@ class TestExecutorChainEquivalence:
             for n in (60, 110, 180)
         ]
 
+    def _unchained(self, cells):
+        """The reference: every cell simulated from scratch, on its own."""
+        return [simulate_cell(cell).metrics for cell in cells]
+
     def test_serial_chained_matches_unchained(self):
         cells = self._grid()
-        plain = CellExecutor(store=ResultStore(), use_chains=False).execute(cells)
-        chained_exec = CellExecutor(store=ResultStore(), use_chains=True)
+        plain = self._unchained(cells)
+        chained_exec = CellExecutor(store=ResultStore())
         chained = chained_exec.execute(cells)
         for a, b in zip(plain, chained):
             assert metrics_digest(a) == metrics_digest(b)
@@ -221,11 +232,15 @@ class TestExecutorChainEquivalence:
         assert report.chain_forks == 8
         assert report.chain_fallbacks == 0
 
-    def test_parallel_chained_matches_serial_unchained(self):
+    @pytest.mark.slow
+    def test_parallel_chained_matches_serial_unchained(self, tmp_path):
         cells = self._grid()
-        plain = CellExecutor(store=ResultStore(), use_chains=False).execute(cells)
-        chained = CellExecutor(
-            max_workers=2, store=ResultStore(), use_chains=True, chunk_size=6
-        ).execute(cells)
+        plain = self._unchained(cells)
+        executor = DistExecutor(tmp_path, workers=2)
+        chained = executor.execute(cells)
+        executor.close()
         for a, b in zip(plain, chained):
             assert metrics_digest(a) == metrics_digest(b)
+        # Four chain groups leased whole to two workers: every cell was
+        # answered from a fork made in some worker, none fell back.
+        assert executor.queue.stats().done_groups == 4

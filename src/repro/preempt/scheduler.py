@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sched.priority.policies import FCFSPriority, PriorityPolicy, xfactor
+from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job
 
 __all__ = ["RunningView", "SuspendDecision", "SelectiveSuspensionScheduler"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)

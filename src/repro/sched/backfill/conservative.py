@@ -10,27 +10,32 @@ defining guarantee of the scheme.
 When a job completes *early* (actual runtime < estimate) a hole opens in
 the profile.  Following the paper's description (Section 4.1), queued jobs
 are then reconsidered **in priority order**: each may move its reservation
-earlier if a better slot now exists.  A reservation is never moved later,
-preserving the start-time guarantee; this is also why, with exact user
-estimates, all priority policies produce the *identical* schedule — no
-early completions means no holes, so the priority order is never consulted
-(the paper's priority-equivalence observation, verified by our tests).
+earlier if a better slot now exists.  Under the ``none``, ``startonly``
+and ``full`` compressions a reservation is never moved later, preserving
+the start-time guarantee; the default ``repack`` re-plans every
+reservation against the present (through :mod:`repro.sched.plan`) and
+can move one later — 5-15 of 500 jobs on the CTC workloads — so it
+bounds delay statistically, not as a guarantee (see the class
+docstring).  In every mode, with exact user estimates all priority
+policies produce the *identical* schedule — no early completions means
+no holes, so the priority order is never consulted (the paper's
+priority-equivalence observation, verified by our tests).
 """
 
 from __future__ import annotations
 
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
+from repro.sched.plan import PlanningScheduler
 from repro.sched.profile import Profile
 from repro.sched.reservations import carve_reservations
+from repro.sched.tol import EPS_DUE as _EPS
 from repro.workload.job import Job
 
 __all__ = ["ConservativeScheduler"]
 
-_EPS = 1e-6
 
-
-class ConservativeScheduler(Scheduler):
+class ConservativeScheduler(PlanningScheduler):
     """Reservation-per-job backfilling with a pluggable priority policy.
 
     ``compression`` selects what happens when an early completion opens a
@@ -82,19 +87,18 @@ class ConservativeScheduler(Scheduler):
             )
         self.compression = compression
         self.advance_reservations = tuple(advance_reservations)
-        self._profile: Profile | None = None
         self._reservation_start: dict[int, float] = {}
         self._running_resv_end: dict[int, float] = {}
 
     def reset(self) -> None:
-        self._profile = None
+        super().reset()
         self._reservation_start.clear()
         self._running_resv_end.clear()
 
     def _fork_into(self, clone: Scheduler) -> None:
+        super()._fork_into(clone)
         clone._reservation_start = dict(self._reservation_start)
         clone._running_resv_end = dict(self._running_resv_end)
-        clone._profile = None if self._profile is None else self._profile.fork()
 
     # -- internals ---------------------------------------------------------------
 
@@ -248,31 +252,13 @@ class ConservativeScheduler(Scheduler):
 
         The profile is reconstructed from the running jobs' estimated
         remainders, then queued jobs claim earliest-feasible slots in
-        priority order.  Jobs whose fresh slot is *now* start immediately
-        (their usage stays in the profile as running occupancy).  The
-        rebuild reloads the profile the scheduler already holds in one
-        endpoint sweep — repack runs on every early completion, so this is
-        the kernel's hottest path.
+        priority order (the shared ``_replan``).  Jobs whose fresh slot is
+        *now* start immediately (their usage stays in the profile as
+        running occupancy).
         """
-        machine = self._machine()
-        profile = self._profile
-        if profile is None:
-            profile = self.profile_factory(machine.total_procs, origin=now)
-        profile.rebuild_into(
-            now,
-            [
-                (job.procs, self._running_resv_end[job.job_id])
-                for job, _ in self._running.values()
-            ],
-        )
-        if self.advance_reservations:
-            carve_reservations(profile, self.advance_reservations, now)
-        self._profile = profile
-        committed = sum(j.procs for j in started)
         ordered = self._ordered_queue(now)
-        starts = profile.claim_many(
-            [q.procs for q in ordered], [q.estimate for q in ordered], now
-        )
+        _, starts = self._replan(now, self._occupancy(), ordered)
+        committed = sum(j.procs for j in started)
         wake = None
         for queued, start in zip(ordered, starts):
             self._reservation_start[queued.job_id] = start

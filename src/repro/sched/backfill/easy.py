@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
+from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job
 
 __all__ = ["EasyScheduler"]
-
-_EPS = 1e-9
 
 
 class EasyScheduler(Scheduler):

@@ -30,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sched.backfill.easy import EasyScheduler
+from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job
 
 __all__ = ["LookaheadScheduler"]
-
-_EPS = 1e-9
 
 
 def _max_packing(candidates: list[Job], capacity: int) -> list[Job]:

@@ -49,11 +49,9 @@ from itertools import accumulate
 from typing import Iterable
 
 from repro.errors import ProfileError
+from repro.sched.tol import EPS_DUE, EPS_SNAP as _EPS
 
 __all__ = ["Profile"]
-
-#: Tolerance for comparing reservation timestamps.
-_EPS = 1e-9
 
 
 class Profile:
@@ -445,7 +443,7 @@ class Profile:
         if not math.isfinite(now):
             raise ProfileError(f"profile origin must be finite, got {now}")
         now = float(now)
-        floor = now + 1e-6
+        floor = now + EPS_DUE
         horizons: list[tuple[float, int]] = []
         busy = 0
         for procs, finish in running:

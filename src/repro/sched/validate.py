@@ -26,6 +26,7 @@ import math
 from typing import Iterable, Mapping
 
 from repro.metrics.collector import CompletedJob
+from repro.sched.tol import EPS_DUE as _EPS
 from repro.workload.job import Workload
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
     "validate_no_backfill",
     "validate_conservative_guarantees",
 ]
-
-_EPS = 1e-6
 
 
 def validate_schedule(

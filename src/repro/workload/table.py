@@ -5,9 +5,6 @@ A :class:`JobTable` holds the same information as a
 field as a numpy column — and round-trips losslessly to and from the
 row form.  It exists for the sweep pipeline:
 
-* **transport** — the arrays pickle as flat buffers, so a whole trace
-  ships between processes in one compact message instead of thousands
-  of ``Job`` objects (:meth:`JobTable.to_payload`);
 * **vectorized derivation** — the per-condition transforms of a sweep
   (load scaling, estimate stamping, truncation) are a handful of array
   operations on a table, where the row path rebuilds every ``Job``
@@ -241,38 +238,6 @@ class JobTable:
         if self._submit_is_sorted():
             return Workload._trusted(jobs, self.max_procs, self.name, dict(self.metadata))
         return Workload(jobs, self.max_procs, self.name, dict(self.metadata))
-
-    def to_payload(self) -> dict:
-        """Compact transport form: the arrays plus the scalar facts.
-
-        The arrays are shipped as raw C-order buffers, so pickling the
-        payload costs one memcpy per column instead of one object walk
-        per job.
-        """
-        return {
-            "columns": {
-                name: (arr.dtype.str, arr.tobytes())
-                for name, arr in self.columns.items()
-            },
-            "n": len(self),
-            "max_procs": self.max_procs,
-            "name": self.name,
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JobTable":
-        """Inverse of :meth:`to_payload` (zero-copy views over the buffers)."""
-        columns = {
-            name: np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(payload["n"])
-            for name, (dtype, raw) in payload["columns"].items()
-        }
-        return cls(
-            columns=columns,
-            max_procs=payload["max_procs"],
-            name=payload["name"],
-            metadata=dict(payload["metadata"]),
-        )
 
     # -- derivation (the columnar transforms) ----------------------------------
 

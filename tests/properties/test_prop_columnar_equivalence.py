@@ -96,15 +96,6 @@ class TestWorkloadConstruction:
         again = JobTable.from_workload(table.to_workload())
         assert again.to_workload().jobs == table.to_workload().jobs
 
-    def test_payload_round_trip(self):
-        spec = WorkloadSpec("SDSC", 80, 5, 0.75, "r2")
-        table = make_workload_table(spec)
-        again = JobTable.from_payload(table.to_payload())
-        assert again.to_workload().jobs == table.to_workload().jobs
-        assert again.max_procs == table.max_procs
-        assert again.name == table.name
-        assert again.metadata == table.metadata
-
 
 class TestEndToEnd:
     """Row-built workload + row summarize vs columnar workload + columnar

@@ -18,10 +18,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SlackScheduler(slack_factor=-0.1)
 
-    def test_invalid_candidate_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SlackScheduler(max_candidates=0)
-
 
 class TestSlackSemantics:
     # Machine 10.  job1 occupies 6 procs for 100 s.  job2 (8 procs, est

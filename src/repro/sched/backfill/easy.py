@@ -16,12 +16,21 @@ every scheduling event:
 Because later jobs get no reservation at all, a wide job can be overtaken
 indefinitely until it reaches the head — the source of the unbounded
 worst-case turnaround the paper reports in Tables 4 and 7.
+
+A pass pays only for what the event changed: running releases stay sorted
+between events, so the shadow is a walk, and the phases walk the base
+class's checked priority order by index instead of copying it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from itertools import islice
+from typing import Iterable
+
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
+from repro.sched.priority.policies import PriorityPolicy
 from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job
 
@@ -33,108 +42,66 @@ class EasyScheduler(Scheduler):
 
     name = "EASY"
 
-    #: (head_job_id, free_procs) -> (shadow, extra), reused across events
-    #: that change neither the running set nor the blocked head.  Safe
-    #: because a running job always has ``start + estimate > now``
-    #: (runtimes are capped at estimates and releases are processed before
-    #: scheduler reactions), so the shadow is a function of (head, free,
-    #: running set) only — not of ``now``.  Class-level default so the
-    #: invalidation hooks work pre-bind().
-    _shadow_cache: tuple[tuple[int, int], tuple[float, int]] | None = None
+    def __init__(self, priority: PriorityPolicy | None = None) -> None:
+        super().__init__(priority)
+        #: ``(start + estimate, procs)`` per running job, in the order the
+        #: shadow walk consumes them; kept sorted as jobs start and finish.
+        self._releases: list[tuple[float, int]] = []
 
     def reset(self) -> None:
-        self._shadow_cache = None
+        self._releases = []
 
     def _fork_into(self, clone: Scheduler) -> None:
-        # The shadow memo is a pure cache keyed on state the clone shares;
-        # dropping it is always safe and the first pass rebuilds it.
-        clone._shadow_cache = None
+        clone._releases = list(self._releases)
 
     def notify_started(self, job: Job, now: float) -> None:
         super().notify_started(job, now)
-        self._shadow_cache = None
+        insort(self._releases, (now + job.estimate, job.procs))
 
     def notify_finished(self, job: Job, now: float) -> None:
-        super().notify_finished(job, now)
-        self._shadow_cache = None
+        running = self._running.get(job.job_id)
+        super().notify_finished(job, now)  # raises for a job not running
+        release = (running[1] + job.estimate, job.procs)
+        releases = self._releases
+        index = bisect_left(releases, release)
+        if index == len(releases) or releases[index] != release:
+            raise SchedulingError(f"{self.name}: job {job.job_id} has no release entry")
+        del releases[index]
 
-    def _shadow_cached(
-        self,
-        head: Job,
-        now: float,
-        free: int,
-        pseudo_running: list[tuple[Job, float]],
-        cacheable: bool,
-    ) -> tuple[float, int]:
-        """Memoized :meth:`_shadow`; only consulted when ``cacheable``
-        (no same-pass starts, so ``pseudo_running`` is exactly the
-        notified running set the invalidation hooks track)."""
-        if not cacheable:
-            return self._shadow(head, now, free, pseudo_running)
-        key = (head.job_id, free)
-        cached = self._shadow_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        result = self._shadow(head, now, free, pseudo_running)
-        self._shadow_cache = (key, result)
-        return result
-
-    def _shadow(
-        self,
-        head: Job,
-        now: float,
-        free: int,
-        pseudo_running: list[tuple[Job, float]],
-    ) -> tuple[float, int]:
+    def _shadow(self, head: Job, now: float, free: int,
+                started: list[Job]) -> tuple[float, int]:
         """Shadow time and extra processors for the blocked ``head``.
 
-        ``pseudo_running`` includes jobs started earlier in this same pass.
+        Walks the running jobs' releases merged with the jobs ``started``
+        earlier in this same pass (released at ``now + estimate``).
         Running jobs are assumed to release processors at ``start +
         estimate``; with estimates always >= actual runtimes this is a safe
         (conservative) bound, so the head can never be delayed past the
         shadow by a backfill decision.
         """
-        releases = sorted(
-            (max(start + job.estimate, now), job.procs)
-            for job, start in pseudo_running
-        )
+        releases = self._releases
+        if started:
+            # One sorted run plus a few same-pass starts: timsort merges.
+            releases = sorted(releases + [(now + j.estimate, j.procs) for j in started])
         available = free
         for finish, procs in releases:
             available += procs
             if available >= head.procs:
-                return finish, available - head.procs
+                # A running job always has ``start + estimate > now``
+                # (runtimes are capped at estimates and releases are
+                # processed before scheduler reactions), so the clamp
+                # never bites and the walk order is the clamped order.
+                return max(finish, now), available - head.procs
         raise SchedulingError(
             f"{self.name}: job {head.job_id} ({head.procs} procs) can never "
             f"start — machine too small or accounting bug"
         )
 
-    def _schedule_pass(self, now: float) -> list[Job]:
-        machine = self._machine()
-        free = machine.free_procs
+    def _backfill(self, now: float, candidates: Iterable[Job], free: int,
+                  shadow: float, extra: int) -> list[Job]:
+        """Phase 3: start the ``candidates`` that cannot delay the head."""
         started: list[Job] = []
-
-        queue = self._ordered_queue(now)
-
-        # Phase 1: start in priority order while the head fits.
-        while queue and queue[0].procs <= free:
-            job = queue.pop(0)
-            self._dequeue(job)
-            started.append(job)
-            free -= job.procs
-        if not queue:
-            return started
-
-        # Phase 2: the head is blocked; give it the one reservation.
-        head = queue[0]
-        pseudo_running = list(self._running.values()) + [
-            (job, now) for job in started
-        ]
-        shadow, extra = self._shadow_cached(
-            head, now, free, pseudo_running, cacheable=not started
-        )
-
-        # Phase 3: backfill the remainder of the queue in priority order.
-        for job in queue[1:]:
+        for job in candidates:
             if job.procs > free:
                 continue
             finishes_by_shadow = now + job.estimate <= shadow + _EPS
@@ -145,6 +112,30 @@ class EasyScheduler(Scheduler):
                 if not finishes_by_shadow:
                     extra -= job.procs
         return started
+
+    def _schedule_pass(self, now: float) -> list[Job]:
+        free = self._machine().free_procs
+        started: list[Job] = []
+
+        queue = self._ordered_queue(now)
+
+        # Phase 1: start in priority order while the head fits.
+        for job in queue:
+            if job.procs > free:
+                break
+            self._dequeue(job)
+            started.append(job)
+            free -= job.procs
+        else:
+            return started  # every queued job fit
+
+        # Phase 2: the head is blocked; give it the one reservation.
+        head = len(started)  # phase 1 started exactly the queue's prefix
+        shadow, extra = self._shadow(queue[head], now, free, started)
+
+        # Phase 3: backfill the remainder of the queue in priority order.
+        candidates = islice(queue, head + 1, None)
+        return started + self._backfill(now, candidates, free, shadow, extra)
 
     def poke(self, now: float) -> list[Job]:
         # A withdrawn head hands its reservation to the next job.

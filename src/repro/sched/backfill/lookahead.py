@@ -21,11 +21,14 @@ top of the EASY reservation discipline:
 
 The admission conditions are exactly EASY's, so every schedule this
 produces is also a legal EASY-style schedule — only the chosen backfill
-set differs.  The knapsack is O(candidates x free_procs) per scheduling
-pass.
+set differs, so steps 1–2 are EASY's own pass and this class overrides
+only its backfill step.  The knapsack is O(candidates x free_procs) per
+scheduling pass.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -73,28 +76,10 @@ class LookaheadScheduler(EasyScheduler):
 
     name = "LOOK"
 
-    def _schedule_pass(self, now: float) -> list[Job]:
-        machine = self._machine()
-        free = machine.free_procs
-        started: list[Job] = []
-
-        queue = self._ordered_queue(now)
-        while queue and queue[0].procs <= free:
-            job = queue.pop(0)
-            self._dequeue(job)
-            started.append(job)
-            free -= job.procs
-        if not queue:
-            return started
-
-        head = queue[0]
-        pseudo_running = list(self._running.values()) + [(job, now) for job in started]
-        shadow, extra = self._shadow_cached(
-            head, now, free, pseudo_running, cacheable=not started
-        )
-
+    def _backfill(self, now: float, candidates: Iterable[Job], free: int,
+                  shadow: float, extra: int) -> list[Job]:
         # Partition the remaining queue by which EASY condition applies.
-        candidates = queue[1:]
+        candidates = list(candidates)
         shadow_safe = [
             job
             for job in candidates
@@ -103,20 +88,11 @@ class LookaheadScheduler(EasyScheduler):
         packed = _max_packing(shadow_safe, free)
         for job in packed:
             self._dequeue(job)
-            started.append(job)
             free -= job.procs
 
-        # Second chance for everything not packed: the extra-processor rule
-        # (may run past the shadow using processors the head will not need).
+        # Second chance for everything not packed: EASY's rule, whose
+        # extra-processor branch may run past the shadow using processors
+        # the head will not need.
         packed_ids = {job.job_id for job in packed}
-        for job in candidates:
-            if job.job_id in packed_ids or job.procs > free:
-                continue
-            finishes_by_shadow = now + job.estimate <= shadow + _EPS
-            if finishes_by_shadow or job.procs <= extra:
-                self._dequeue(job)
-                started.append(job)
-                free -= job.procs
-                if not finishes_by_shadow:
-                    extra -= job.procs
-        return started
+        rest = (job for job in candidates if job.job_id not in packed_ids)
+        return packed + super()._backfill(now, rest, free, shadow, extra)

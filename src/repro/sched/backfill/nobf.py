@@ -44,7 +44,7 @@ class FCFSScheduler(Scheduler):
                 count += 1
             return self._pop_queue_prefix(count) if count else []
         started: list[Job] = []
-        for job in self.priority.sort(queue, now):
+        for job in self._ordered_queue(now):
             if job.procs > free:
                 break  # head of queue blocks; no skipping ever
             self._dequeue(job)

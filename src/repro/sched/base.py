@@ -14,9 +14,12 @@ Queue-order maintenance (kernel fast path): policies whose sort keys never
 change as time passes (``PriorityPolicy.is_dynamic`` is False — FCFS, SJF,
 LJF, narrowest-first) get an *incrementally sorted* queue: arrivals are
 placed by binary insertion and :meth:`Scheduler._ordered_queue` is a copy,
-not a sort.  Time-varying policies (XFactor, fair-share) re-sort per event
-as before.  Keys always end in ``(submit_time, job_id)``, so both paths
-produce the identical total order.
+not a sort.  Time-varying policies (XFactor, fair-share) keep the queue in
+arrival order and the previous pass's order beside it, which
+:meth:`PriorityPolicy.sort` checks and re-sorts only once two keys have
+crossed.  Keys always end in ``(submit_time, job_id)``, so a strictly
+increasing order *is* the sorted order and every path produces the
+identical total order.  Jobs leave the queue by identity, never by ``==``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ from repro.sched.profile import Profile
 from repro.workload.job import Job
 
 __all__ = ["Scheduler"]
+
+
+def _remove_identical(jobs: list[Job], job: Job) -> bool:
+    """Delete ``job`` itself from ``jobs``; False if it is not there."""
+    for index, queued in enumerate(jobs):
+        if queued is job:
+            del jobs[index]
+            return True
+    return False
 
 
 class Scheduler(ABC):
@@ -68,6 +80,9 @@ class Scheduler(ABC):
         #: bisects instead of per-comparison ``priority.key`` calls.
         self._queue_keys: list[tuple] = []
         self._queue_is_sorted = False  # set at bind(); see module docstring
+        #: Dynamic policies only: ``_queue``'s jobs in the previous pass's
+        #: priority order, a hint that ``priority.sort`` checks.
+        self._order: list[Job] = []
         self._running: dict[int, tuple[Job, float]] = {}  # id -> (job, start)
         self._request_wakeup = None  # set by bind(); Callable[[float], None]
         self._observe_finish = getattr(self.priority, "observe_finish", None)
@@ -86,6 +101,7 @@ class Scheduler(ABC):
         self._request_wakeup = request_wakeup
         self._queue.clear()
         self._queue_keys.clear()
+        self._order.clear()
         self._queue_is_sorted = not self.priority.is_dynamic
         self._running.clear()
         # Stateful priority policies (e.g. fair-share usage tracking) are
@@ -131,6 +147,7 @@ class Scheduler(ABC):
         clone._request_wakeup = None
         clone._queue = list(self._queue)
         clone._queue_keys = list(self._queue_keys)
+        clone._order = list(self._order)
         clone._running = dict(self._running)
         # Rebound to the *forked* policy — the shallow copy above would
         # otherwise leave a stateful policy's method bound to the original.
@@ -244,9 +261,7 @@ class Scheduler(ABC):
                 self._queue.insert(index, job)
         else:
             self._queue.append(job)
-
-    def _static_key(self, job: Job) -> tuple:
-        return self.priority.key(job, 0.0)
+            self._order.append(job)
 
     def _dequeue(self, job: Job) -> None:
         if self._queue_is_sorted:
@@ -254,19 +269,14 @@ class Scheduler(ABC):
             # unique and a bisect lands exactly on it if present.
             keys = self._queue_keys
             index = bisect_left(keys, self.priority.key(job, 0.0))
-            if index < len(keys) and self._queue[index] == job:
+            if index < len(keys) and self._queue[index] is job:
                 del keys[index]
                 del self._queue[index]
                 return
-        else:
-            try:
-                self._queue.remove(job)
-                return
-            except ValueError:
-                pass
-        raise SchedulingError(
-            f"{self.name}: job {job.job_id} is not in the idle queue"
-        ) from None
+        elif _remove_identical(self._queue, job):
+            _remove_identical(self._order, job)
+            return
+        raise SchedulingError(f"{self.name}: job {job.job_id} is not in the idle queue")
 
     def _pop_queue_prefix(self, count: int) -> list[Job]:
         """Remove and return the first ``count`` jobs of the sorted queue.
@@ -285,7 +295,9 @@ class Scheduler(ABC):
         """The idle queue in priority order at time ``now``."""
         if self._queue_is_sorted:
             return list(self._queue)
-        return self.priority.sort(self._queue, now)
+        # The previous order is usually still sorted; the policy checks it.
+        self._order = order = self.priority.sort(self._order, now)
+        return list(order)
 
     def _machine(self) -> Machine:
         if self.machine is None:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -72,17 +74,29 @@ class PriorityPolicy(ABC):
     def key(self, job: Job, now: float) -> tuple:
         """Sort key for ``job`` at time ``now`` (smaller = higher priority)."""
 
+    def keys(self, jobs: Sequence[Job], now: float) -> list[tuple]:
+        """``[self.key(job, now) for job in jobs]``; overridable in bulk."""
+        key = self.key
+        return [key(job, now) for job in jobs]
+
     def sort(self, jobs: Sequence[Job], now: float) -> list[Job]:
-        """Return ``jobs`` ordered from highest to lowest priority."""
-        return sorted(jobs, key=lambda job: self.key(job, now))
+        """Return ``jobs`` ordered from highest to lowest priority (stably).
+
+        Input already strictly increasing by key is copied, not sorted."""
+        keys = self.keys(jobs, now)
+        if all(map(lt, keys, islice(keys, 1, None))):
+            return list(jobs)
+        return [jobs[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
     @property
     def is_dynamic(self) -> bool:
-        """True if keys change as time passes (queue must be re-sorted).
+        """True if keys change as time passes (the order must be checked).
 
         Static policies (the False default) get an incrementally
         maintained sorted queue from :class:`repro.sched.base.Scheduler`;
         their :meth:`key` must therefore be a pure function of the job.
+        A dynamic policy's order is handed back to :meth:`sort` each pass,
+        which re-sorts only once some pair of keys has crossed.
         """
         return False
 
@@ -138,6 +152,12 @@ class XFactorPriority(PriorityPolicy):
 
     def key(self, job: Job, now: float) -> tuple:
         return (-xfactor(job, now), job.submit_time, job.job_id)
+
+    def keys(self, jobs: Sequence[Job], now: float) -> list[tuple]:
+        # xfactor() inlined, max(wait, 0.0) spelled the way max() decides
+        # it (``0.0 > wait``): bit-identical keys without two calls per job.
+        return [(-(((0.0 if (w := now - j.submit_time) < 0.0 else w) + j.estimate)
+                   / j.estimate), j.submit_time, j.job_id) for j in jobs]
 
     @property
     def is_dynamic(self) -> bool:

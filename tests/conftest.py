@@ -64,6 +64,23 @@ def write_legacy_json(cache_dir, pairs) -> None:
         path.write_text(json.dumps(stored_payload(cell, stored)))
 
 
+#: The batch trap: simultaneous arrivals and many finishes
+#: inside one batch are where "nothing changed since the last pass" stops
+#: being true.  23 one-processor and one two-processor 10 s jobs at t = 0
+#: on a 4-processor machine, then one 20 s job at t = 50, exact estimates.
+#: Pinned by the planner and the EASY differential suites.
+BATCH_TRAP = Workload(
+    tuple(
+        [Job(job_id=i + 1, submit_time=0.0, runtime=10.0, estimate=10.0, procs=1)
+         for i in range(23)]
+        + [Job(job_id=24, submit_time=0.0, runtime=10.0, estimate=10.0, procs=2),
+           Job(job_id=25, submit_time=50.0, runtime=20.0, estimate=20.0, procs=1)]
+    ),
+    max_procs=4,
+    name="batch-trap",
+)
+
+
 #: All scheduling disciplines, for parametrized invariant tests.
 ALL_SCHEDULER_FACTORIES = {
     "nobf": FCFSScheduler,

@@ -1,20 +1,19 @@
 """Differential tests: optimized kernel vs the frozen reference kernel.
 
-The fast-kernel work (numpy Profile with fused ``claim``, incremental
-sorted queues, EASY shadow caching, buffer-reuse repack) is only admissible
+The fast-kernel work (list-backed Profile with fused ``claim``,
+incremental sorted queues, buffer-reuse repack) is only admissible
 because it is *behaviour-preserving*: every scheduler must produce the
 byte-identical schedule it produced on the seed kernel.  These properties
 pin that contract against ``tests/oracles/profile_ref.py``, the verbatim
-pre-optimization implementation, and against test-local subclasses that
-switch the two scheduler-side optimizations off:
+pre-optimization implementation, and against a policy that switches the
+incrementally sorted queue off (the EASY pass has its own frozen oracle,
+``tests/properties/test_prop_easy_equivalence.py``):
 
 * every scheduler x priority combination yields identical ``start_times()``
   on random inaccurate-estimate workloads (inaccurate estimates exercise
   the repack/compression paths where the optimizations live);
-* a statically-keyed policy declared ``is_dynamic`` (queue re-sorted every
+* a statically-keyed policy declared ``is_dynamic`` (order checked every
   pass) schedules exactly like its incrementally-sorted original;
-* EASY and lookahead with the shadow memo bypassed schedule exactly like
-  the cached originals;
 * ``Profile.claim`` equals the ``find_start`` + ``reserve`` composition on
   random operation sequences, state and return value both;
 * bulk ``from_running_jobs`` / ``rebuild_into`` equal R sequential
@@ -23,7 +22,7 @@ switch the two scheduler-side optimizations off:
 """
 
 import hypothesis.strategies as st
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
@@ -101,7 +100,7 @@ def test_every_scheduler_matches_reference_kernel(wl):
 @given(workloads())
 @settings(max_examples=25, deadline=None)
 def test_resorted_queue_matches_incrementally_sorted_queue(wl):
-    """``is_dynamic = True`` forces the per-pass sort; order must not change."""
+    """``is_dynamic = True`` forces the checked order; it must not change."""
     for factory in SCHEDULER_FACTORIES:
         for static in (FCFSPriority, SJFPriority, LJFPriority):
             resorting = type(
@@ -112,58 +111,6 @@ def test_resorted_queue_matches_incrementally_sorted_queue(wl):
             assert insorted.start_times() == resorted.start_times(), (
                 f"{factory.__name__} x {static.__name__} diverged between "
                 "the incrementally sorted and the re-sorted queue"
-            )
-
-
-class UncachedEasy(EasyScheduler):
-    def _shadow_cached(self, head, now, free, pseudo_running, cacheable):
-        return self._shadow(head, now, free, pseudo_running)
-
-
-class UncachedLookahead(LookaheadScheduler):
-    _shadow_cached = UncachedEasy._shadow_cached
-
-
-#: Random workloads rarely reach a stale memo, so one that does is pinned:
-#: under SJF job 3 is the blocked head at t=87 and t=244 with 6 processors
-#: free both times, but the running set changed in between (job 5 started,
-#: job 1 finished) — a memo that survived would let job 4 overtake job 3.
-STALE_SHADOW_WORKLOAD = Workload(
-    tuple(
-        Job(
-            job_id=job_id,
-            submit_time=submit,
-            runtime=runtime,
-            estimate=estimate,
-            procs=procs,
-        )
-        for job_id, submit, runtime, estimate, procs in (
-            (1, 4.0, 240.0, 720.0, 4),
-            (2, 7.0, 80.0, 240.0, 5),
-            (3, 10.0, 140.0, 280.0, 7),
-            (4, 14.0, 300.0, 300.0, 5),
-            (5, 15.0, 290.0, 290.0, 4),
-        )
-    ),
-    max_procs=10,
-    name="stale-shadow",
-)
-
-
-@given(workloads())
-@example(STALE_SHADOW_WORKLOAD)
-@settings(max_examples=25, deadline=None)
-def test_uncached_shadow_matches_cached_shadow(wl):
-    for cached, uncached in (
-        (EasyScheduler, UncachedEasy),
-        (LookaheadScheduler, UncachedLookahead),
-    ):
-        for priority in PRIORITIES:
-            want = simulate(wl, uncached(priority()))
-            got = simulate(wl, cached(priority()))
-            assert got.start_times() == want.start_times(), (
-                f"{cached.__name__} x {priority.__name__} diverged from "
-                "the uncached shadow computation"
             )
 
 

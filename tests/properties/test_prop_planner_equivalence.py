@@ -41,6 +41,7 @@ from repro.sched.reservations import AdvanceReservation, validate_reservation_se
 from repro.sim.engine import Simulator, simulate
 from repro.workload.job import Job, Workload
 
+from tests.conftest import BATCH_TRAP
 from tests.oracles import planners
 from tests.oracles.profile_ref import configure_reference_kernel
 
@@ -110,22 +111,6 @@ def reservations(draw):
             continue
         windows.append(candidate)
     return tuple(windows)
-
-
-#: ROADMAP item 5's batch trap: simultaneous arrivals and many finishes
-#: inside one batch are where "nothing changed since the last pass" stops
-#: being true.  23 one-processor and one two-processor 10 s jobs at t = 0
-#: on a 4-processor machine, then one 20 s job at t = 50, exact estimates.
-BATCH_TRAP = Workload(
-    tuple(
-        [Job(job_id=i + 1, submit_time=0.0, runtime=10.0, estimate=10.0, procs=1)
-         for i in range(23)]
-        + [Job(job_id=24, submit_time=0.0, runtime=10.0, estimate=10.0, procs=2),
-           Job(job_id=25, submit_time=50.0, runtime=20.0, estimate=20.0, procs=1)]
-    ),
-    max_procs=4,
-    name="batch-trap",
-)
 
 
 def _schedule(result) -> list[tuple[int, float]]:

@@ -1,9 +1,9 @@
 """Structure gates: one implementation per idea in the scheduling layer.
 
 Source-level assertions (plain ``pathlib`` + ``re``, nothing executed)
-that keep the reservation family on its one replanning core and the
-float tolerances in their one module — greps that used to live in issue
-texts, where they rot.
+that keep the reservation family on its one replanning core, the EASY
+pass free of its retired memo and copies, and the float tolerances in
+their one module — source greps kept as tests, where they cannot rot.
 """
 
 import re
@@ -48,6 +48,22 @@ def test_profiles_are_created_by_the_core_and_conservatives_persistent_one():
     text = (BACKFILL / "conservative.py").read_text()
     method = re.search(r"    def _profile_at\(.*?(?=\n    def )", text, re.DOTALL)
     assert method is not None and "self.profile_factory(" in method.group(0)
+
+
+def test_easy_pass_keeps_no_memo_and_copies_nothing():
+    sources = _sources(SRC)
+    for path, text in sources.items():
+        assert "_shadow_cache" not in text, f"{path.name} keeps a shadow memo"
+    # Dynamic orders are checked in one place; preempt/scheduler.py is the
+    # suspension engine's own pass.
+    sorts = {
+        str(path.relative_to(SRC)): text.count(".priority.sort(")
+        for path, text in sources.items()
+        if ".priority.sort(" in text
+    }
+    assert sorts == {"sched/base.py": 1, "preempt/scheduler.py": 1}
+    for name in ("easy.py", "lookahead.py"):
+        assert ".pop(0)" not in (BACKFILL / name).read_text(), name
 
 
 def test_tolerances_are_defined_only_in_tol():

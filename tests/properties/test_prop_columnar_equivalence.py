@@ -6,8 +6,8 @@ Three layers are pinned, separately and end-to-end:
 * workload construction — ``make_workload`` (columnar derivation from a
   memoized base table) vs the oracle ``make_workload_rows``
   (per-transform Job rebuilds);
-* SWF ingest — ``read_swf(engine="columnar")`` / ``read_swf_table`` vs
-  ``read_swf(engine="rows")``;
+* SWF ingest — ``read_swf`` / ``read_swf_table`` vs the oracle
+  ``read_swf_rows`` (line-at-a-time);
 * aggregation — ``summarize`` vs the oracle ``summarize_rows``.
 
 "Identical" means exact ``==`` on the full ``RunMetrics`` dataclass —
@@ -35,7 +35,12 @@ from repro.workload.swf import read_swf, read_swf_table, write_swf
 from repro.workload.table import JobTable
 from repro.workload.transforms import truncate
 
-from tests.oracles.row_pipeline import make_workload_rows, summarize_rows
+from tests.oracles.row_pipeline import (
+    make_workload_rows,
+    read_swf_rows,
+    summarize_rows,
+    truncate_rows,
+)
 
 ESTIMATES = ("exact", "r2", "r4", "user")
 
@@ -86,7 +91,7 @@ class TestWorkloadConstruction:
             {"max_jobs": 40, "skip": 10},
             {"skip": 25},
         ):
-            rows = truncate(make_workload_rows(spec), **kwargs)
+            rows = truncate_rows(make_workload_rows(spec), **kwargs)
             cols = truncate(make_workload_table(spec), **kwargs).to_workload()
             _assert_same_workload(rows, cols)
 
@@ -137,8 +142,8 @@ class TestSWFEquivalence:
         path = tmp_path / "fixture.swf"
         write_swf(rows, path)
 
-        via_rows = read_swf(path, engine="rows")
-        via_cols = read_swf(path, engine="columnar")
+        via_rows = read_swf_rows(path)
+        via_cols = read_swf(path)
         via_table = read_swf_table(path).to_workload()
         _assert_same_workload(via_rows, via_cols)
         _assert_same_workload(via_rows, via_table)

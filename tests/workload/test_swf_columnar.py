@@ -18,6 +18,8 @@ from repro.workload.job import Job, Workload
 from repro.workload.swf import read_swf, read_swf_table, write_swf
 from repro.workload.table import JobTable
 
+from tests.oracles.row_pipeline import read_swf_rows
+
 QUIRKY = """\
 ; MaxProcs: 128
 ; UnixStartTime: 0
@@ -37,7 +39,7 @@ QUIRKY = """\
 
 
 def _rows(text, **kw):
-    return read_swf(io.StringIO(text), engine="rows", name="q", **kw)
+    return read_swf_rows(io.StringIO(text), name="q", **kw)
 
 
 def _cols(text, **kw):

@@ -17,21 +17,16 @@ the batch path stores them.  Per-job metric values come from the same
 membership uses the same :func:`~repro.metrics.categories.categorize` /
 :func:`~repro.metrics.categories.estimate_quality` functions.  The
 differential suite (``tests/serve/test_streaming_metrics.py``) pins the
-resulting :class:`~repro.metrics.collector.RunMetrics` equal to the
-batch path for every scheduler x priority.
+resulting :class:`~repro.metrics.collector.RunMetrics` aggregates equal
+to the batch path for every scheduler x priority.
 
-Two modes:
-
-* ``exact`` — additionally keeps every record, so
-  :meth:`StreamingMetrics.run_metrics` rebuilds a full
-  :class:`~repro.metrics.collector.RunMetrics` (records included)
-  byte-identical to a batch run.  The differential-testing fallback.
-* ``bounded`` — O(1) memory in job count: aggregates only, plus a
-  fixed-capacity deterministic :class:`QuantileReservoir` per tracked
-  distribution (wait and bounded slowdown) for percentile estimates the
-  exact aggregates cannot provide, plus any explicitly *watched*
-  records (:meth:`StreamingMetrics.watch` — how a what-if branch keeps
-  the one hypothetical job it was forked to predict).
+Memory is O(1) in job count: aggregates only, plus a fixed-capacity
+deterministic :class:`QuantileReservoir` per tracked distribution (wait
+and bounded slowdown) for percentile estimates the aggregates cannot
+provide, plus any explicitly *watched* records
+(:meth:`StreamingMetrics.watch` — how a what-if branch keeps the one
+hypothetical job it was forked to predict).  A caller that needs every
+record runs without a sink and lets the engine keep them.
 """
 
 from __future__ import annotations
@@ -40,19 +35,13 @@ import math
 import random
 from typing import Iterable
 
-from repro.errors import SimulationError
 from repro.metrics.categories import (
     Category,
     EstimateQuality,
     categorize,
     estimate_quality,
 )
-from repro.metrics.collector import (
-    CompletedJob,
-    MetricSummary,
-    RunMetrics,
-    summarize,
-)
+from repro.metrics.collector import CompletedJob, MetricSummary, RunMetrics
 
 __all__ = ["StreamingMetrics", "QuantileReservoir", "GroupAccumulator"]
 
@@ -177,24 +166,16 @@ class StreamingMetrics:
     The engine-facing sink protocol: :meth:`observe` per completion,
     :meth:`fork` on snapshot/resume, :attr:`watched_records`, and
     :meth:`run_metrics` at finalize.  See the module docstring for the
-    ``exact`` / ``bounded`` modes and the float-identity argument.
+    memory bound and the float-identity argument.
     """
-
-    MODES = ("exact", "bounded")
 
     def __init__(
         self,
-        mode: str = "bounded",
         *,
         reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
         reservoir_seed: int = 0,
         watch_ids: Iterable[int] = (),
     ) -> None:
-        if mode not in self.MODES:
-            raise SimulationError(
-                f"unknown StreamingMetrics mode {mode!r}; expected one of {self.MODES}"
-            )
-        self.mode = mode
         self._overall = GroupAccumulator()
         self._by_category = {c: GroupAccumulator() for c in Category}
         self._by_quality = {q: GroupAccumulator() for q in EstimateQuality}
@@ -204,7 +185,6 @@ class StreamingMetrics:
         )
         self._watch_ids: set[int] = set(watch_ids)
         self._watched: dict[int, CompletedJob] = {}
-        self._records: list[CompletedJob] = []  # exact mode only
         self._min_submit = math.inf
         self._max_finish = -math.inf
 
@@ -226,14 +206,12 @@ class StreamingMetrics:
             self._min_submit = record.job.submit_time
         if record.finish_time > self._max_finish:
             self._max_finish = record.finish_time
-        if self.mode == "exact":
-            self._records.append(record)
         if record.job.job_id in self._watch_ids:
             self._watched[record.job.job_id] = record
 
     def fork(self) -> "StreamingMetrics":
         """Independent copy for a snapshot or a forked branch."""
-        clone = StreamingMetrics(self.mode)
+        clone = StreamingMetrics()
         clone._overall = self._overall.fork()
         clone._by_category = {c: a.fork() for c, a in self._by_category.items()}
         clone._by_quality = {q: a.fork() for q, a in self._by_quality.items()}
@@ -241,16 +219,13 @@ class StreamingMetrics:
         clone._slowdown_reservoir = self._slowdown_reservoir.fork()
         clone._watch_ids = set(self._watch_ids)
         clone._watched = dict(self._watched)
-        clone._records = list(self._records)
         clone._min_submit = self._min_submit
         clone._max_finish = self._max_finish
         return clone
 
     @property
     def watched_records(self) -> tuple[CompletedJob, ...]:
-        """Retained records: all of them in exact mode, watched in bounded."""
-        if self.mode == "exact":
-            return tuple(self._records)
+        """The watched records that have completed, in completion order."""
         return tuple(self._watched.values())
 
     def run_metrics(
@@ -258,16 +233,9 @@ class StreamingMetrics:
     ) -> RunMetrics:
         """Materialize a :class:`RunMetrics` from the accumulated state.
 
-        Exact mode routes the retained records through the batch
-        :func:`~repro.metrics.collector.summarize`, so the result is
-        byte-identical to a batch run.  Bounded mode builds the same
-        aggregates from the running sums (bit-identical floats, see the
-        module docstring) with only the watched records attached.
+        The aggregates are the batch path's (bit-identical floats, see the
+        module docstring); only the watched records are attached.
         """
-        if self.mode == "exact":
-            return summarize(
-                self._records, utilization=utilization, makespan=makespan
-            )
         return RunMetrics(
             overall=self._overall.summary(),
             by_category={c: a.summary() for c, a in self._by_category.items()},
@@ -282,17 +250,12 @@ class StreamingMetrics:
     # -- observation-side API -------------------------------------------------
 
     def watch(self, job_id: int) -> None:
-        """Retain the record of ``job_id`` when it completes (bounded mode's
-        escape hatch for the handful of jobs a query is actually about)."""
+        """Retain the record of ``job_id`` when it completes (the escape
+        hatch for the handful of jobs a query is actually about)."""
         self._watch_ids.add(job_id)
 
     def watched_record(self, job_id: int) -> CompletedJob | None:
         """The retained record for a watched job, or None if not finished."""
-        if self.mode == "exact":
-            for record in self._records:
-                if record.job.job_id == job_id:
-                    return record
-            return None
         return self._watched.get(job_id)
 
     @property
@@ -311,12 +274,10 @@ class StreamingMetrics:
     def records_held(self) -> int:
         """Per-job records currently retained — the O(1)-memory witness.
 
-        Bounded mode holds only watched records (plus the fixed-capacity
-        reservoirs, which are value samples, not records), independent of
-        how many jobs streamed through.
+        Only watched records are held (the fixed-capacity reservoirs are
+        value samples, not records), independent of how many jobs streamed
+        through.
         """
-        if self.mode == "exact":
-            return len(self._records)
         return len(self._watched)
 
     def overall_summary(self) -> MetricSummary:
@@ -333,6 +294,6 @@ class StreamingMetrics:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<StreamingMetrics {self.mode} count={self.count} "
+            f"<StreamingMetrics count={self.count} "
             f"records_held={self.records_held}>"
         )

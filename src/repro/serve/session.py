@@ -70,6 +70,9 @@ __all__ = [
 #: blocker base.
 _MAX_JOB_ID = 10**12 - 1
 
+#: ``"bounded"`` feeds a StreamingMetrics sink; ``"exact"`` runs without one.
+_METRICS_MODES = ("exact", "bounded")
+
 
 @dataclass(frozen=True)
 class JobForecast:
@@ -392,10 +395,9 @@ class Session:
     ) -> None:
         if max_procs <= 0:
             raise SimulationError(f"max_procs must be > 0, got {max_procs}")
-        if metrics not in StreamingMetrics.MODES:
+        if metrics not in _METRICS_MODES:
             raise SimulationError(
-                f"unknown metrics mode {metrics!r}; expected one of "
-                f"{StreamingMetrics.MODES}"
+                f"unknown metrics mode {metrics!r}; expected one of {_METRICS_MODES}"
             )
         self.name = name
         self.total_procs = max_procs
@@ -433,9 +435,7 @@ class Session:
         if name in self._sims:
             raise SimulationError(f"duplicate session policy {name!r}")
         sink = (
-            StreamingMetrics(
-                "bounded", reservoir_seed=len(self._sims)
-            )
+            StreamingMetrics(reservoir_seed=len(self._sims))
             if self.metrics_mode == "bounded"
             else None
         )

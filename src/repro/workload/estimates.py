@@ -16,6 +16,12 @@ Mu'alem & Feitelson (2001): users pick round wall-clock limits that are
 usually generous multiples of the true runtime, so the estimate/runtime
 factor is heavy-tailed.  The model exposes the well/poor mix directly because
 that split is exactly what the paper's Section 5.2 analysis conditions on.
+
+A model draws per job (:meth:`EstimateModel.estimate_for`) and per table
+(:meth:`EstimateModel.column_estimates`, the one draw
+:func:`~repro.workload.transforms.apply_estimates` makes).  The base
+class's column draw loops the scalar one, so a custom model needs only
+``estimate_for``; the built-in models vectorize it bit-identically.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.workload.job import Job
+from repro.workload.table import JobTable
 
 __all__ = [
     "EstimateModel",
@@ -95,25 +102,21 @@ class EstimateModel(ABC):
         """Return the user estimate (seconds, > 0 and >= runtime unless the
         model deliberately under-estimates)."""
 
-    def apply(self, job: Job, rng: np.random.Generator) -> Job:
-        """Return a copy of ``job`` with this model's estimate attached."""
-        return job.with_estimate(self.estimate_for(job, rng))
-
     def column_estimates(
-        self, runtimes: np.ndarray, rng: np.random.Generator
+        self, table: JobTable, rng: np.random.Generator
     ) -> np.ndarray:
-        """Estimates for a whole runtime column at once.
+        """Estimates for every job of ``table`` at once.
 
-        Contract: bit-identical to calling :meth:`estimate_for` per row in
-        order with the same generator — including consuming the generator
-        stream in exactly the scalar layout, so the scalar and columnar
-        transform paths stay interchangeable mid-stream.  The built-in
-        models all implement it; custom models that only define
-        :meth:`estimate_for` raise ``NotImplementedError`` here and the
-        columnar transforms fall back to the row path for them.
+        This default calls :meth:`estimate_for` per job in row order, so a
+        model that only defines the scalar draw works on tables too.  The
+        built-in models override it with array arithmetic under one
+        contract: bit-identical to this loop with the same generator —
+        including consuming the generator stream in exactly the scalar
+        layout, so draws stay reproducible whichever body runs.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar estimates"
+        jobs = table.to_workload().jobs
+        return np.fromiter(
+            (self.estimate_for(job, rng) for job in jobs), dtype=np.float64, count=len(jobs)
         )
 
 
@@ -125,9 +128,9 @@ class ExactEstimate(EstimateModel):
         return job.runtime
 
     def column_estimates(
-        self, runtimes: np.ndarray, rng: np.random.Generator
+        self, table: JobTable, rng: np.random.Generator
     ) -> np.ndarray:
-        return np.array(runtimes, dtype=np.float64, copy=True)
+        return table.runtime.copy()
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,9 @@ class MultiplicativeEstimate(EstimateModel):
         return job.runtime * self.factor
 
     def column_estimates(
-        self, runtimes: np.ndarray, rng: np.random.Generator
+        self, table: JobTable, rng: np.random.Generator
     ) -> np.ndarray:
-        return np.asarray(runtimes, dtype=np.float64) * self.factor
+        return table.runtime * self.factor
 
 
 @dataclass(frozen=True)
@@ -202,9 +205,9 @@ class UserEstimateModel(EstimateModel):
         return estimate
 
     def column_estimates(
-        self, runtimes: np.ndarray, rng: np.random.Generator
+        self, table: JobTable, rng: np.random.Generator
     ) -> np.ndarray:
-        runtimes = np.asarray(runtimes, dtype=np.float64)
+        runtimes = table.runtime
         n = len(runtimes)
         if n == 0:
             return np.empty(0, dtype=np.float64)
@@ -258,8 +261,8 @@ class ClampedEstimate(EstimateModel):
         return max(job.runtime, min(raw, self.max_estimate))
 
     def column_estimates(
-        self, runtimes: np.ndarray, rng: np.random.Generator
+        self, table: JobTable, rng: np.random.Generator
     ) -> np.ndarray:
-        runtimes = np.asarray(runtimes, dtype=np.float64)
-        raw = self.inner.column_estimates(runtimes, rng)
+        runtimes = table.runtime
+        raw = self.inner.column_estimates(table, rng)
         return np.maximum(runtimes, np.minimum(raw, self.max_estimate))

@@ -329,8 +329,3 @@ class Workload:
             "mean_width": sum(widths) / len(widths),
             "max_width": max(widths),
         }
-
-
-def _validate_sequence(jobs: Sequence[Job]) -> None:  # pragma: no cover - helper
-    """Kept for API stability; Workload.__post_init__ performs validation."""
-    Workload.from_jobs(jobs, max(j.procs for j in jobs) if jobs else 1)

@@ -29,29 +29,28 @@ whitespace-separated numeric fields:
 ==  =======================  =====================================
 
 The reader is tolerant of real-archive quirks (missing trailing fields,
-``-1`` placeholders, unsorted submit times) and converts each usable line to
-a :class:`repro.workload.job.Job`.  Jobs with a non-positive runtime or
-processor count (failed submissions) are skipped and counted.
+``-1`` placeholders, unsorted submit times) and keeps each usable line as
+one job.  Jobs with a non-positive runtime or processor count (failed
+submissions) are skipped and counted.  A malformed line — too many
+fields, or a field that is not a finite number — raises
+:class:`~repro.errors.SWFFormatError` naming the line, unless a
+``max_jobs`` cutoff stops the reader before it.
 
-Two parsing engines share those semantics exactly:
-
-* ``engine="columnar"`` (the default) tokenizes every data line, converts
-  all fields to a single ``(n, 18)`` float array in one numpy pass, and
-  applies the usability/clamp rules as column masks — several times
-  faster on archive-sized traces;
-* ``engine="rows"`` is the original line-at-a-time reader, kept as the
-  reference implementation the differential tests compare against.
-
-:func:`read_swf_table` parses straight into a columnar
-:class:`~repro.workload.table.JobTable` without materializing ``Job``
-objects at all — the form the sweep pipeline caches and derives
-per-condition workloads from.
+There is one reader.  :func:`read_swf_table` tokenizes every data line,
+converts all fields to a single ``(n, 18)`` float array in one numpy
+pass, applies the usability and clamp rules as column masks, and sorts
+the rows by ``(submit, id)`` into a columnar
+:class:`~repro.workload.table.JobTable`; :func:`read_swf` is
+``read_swf_table(...).to_workload()``.  The line-at-a-time reader it
+replaced is frozen in ``tests/oracles/row_pipeline.py`` as the reference
+the quirk-parity suites compare against.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -72,6 +71,9 @@ __all__ = [
 ]
 
 _N_FIELDS = 18
+
+#: Stand-in for a malformed line: a negative job id, so never usable.
+_UNUSABLE = ["-1"] * _N_FIELDS
 
 
 @dataclass(slots=True)
@@ -118,47 +120,14 @@ def parse_swf_line(line: str, *, line_number: int | None = None) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise SWFFormatError(f"non-numeric field: {exc}", line_number=line_number) from exc
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            raise SWFFormatError(
+                f"field {index + 1} is not finite: {parts[index]}",
+                line_number=line_number,
+            )
     values.extend([-1.0] * (_N_FIELDS - len(values)))
     return values
-
-
-def _job_from_fields(values: list[float]) -> Job | None:
-    """Convert one parsed SWF record to a Job, or None if unusable.
-
-    Uses requested processors when present, else allocated; uses requested
-    time (the user estimate) when present, else falls back to the actual
-    runtime (exact-estimate assumption, matching common simulator practice).
-    """
-    job_id = int(values[0])
-    submit = values[1]
-    runtime = values[3]
-    allocated = int(values[4])
-    requested_procs = int(values[7])
-    requested_time = values[8]
-
-    procs = requested_procs if requested_procs > 0 else allocated
-    if procs <= 0 or runtime <= 0 or submit < 0 or job_id < 0:
-        return None
-    estimate = requested_time if requested_time > 0 else runtime
-
-    return Job(
-        job_id=job_id,
-        submit_time=submit,
-        runtime=runtime,
-        estimate=estimate,
-        procs=procs,
-        avg_cpu_time=values[5],
-        used_memory=values[6],
-        requested_memory=values[9],
-        status=int(values[10]),
-        user_id=int(values[11]),
-        group_id=int(values[12]),
-        executable=int(values[13]),
-        queue=int(values[14]),
-        partition=int(values[15]),
-        preceding_job=int(values[16]),
-        think_time=values[17],
-    )
 
 
 def _source_text(source: str | os.PathLike | TextIO) -> tuple[str, str]:
@@ -171,7 +140,7 @@ def _source_text(source: str | os.PathLike | TextIO) -> tuple[str, str]:
 
 
 def _parse_header_line(header: SWFHeader, line: str) -> None:
-    """Fold one ``;``-prefixed comment line into the header (shared logic)."""
+    """Fold one ``;``-prefixed comment line into the header."""
     body = line[1:].strip()
     if ":" in body:
         key, _, value = body.partition(":")
@@ -185,102 +154,90 @@ def _parse_header_line(header: SWFHeader, line: str) -> None:
 
 def _parse_columns(
     text: str, max_jobs: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SWFHeader, int] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SWFHeader]:
     """One-pass columnar parse of SWF text.
 
-    Returns ``(values, procs, estimates, header, skipped)`` where ``values``
-    is the ``(n_usable, 18)`` float array of retained usable records (the
-    quirk rules — padding missing trailing fields with ``-1``, skipping
-    unusable records, stopping after ``max_jobs`` usable jobs — applied
-    exactly as the row reader does), or ``None`` when the text contains an
-    anomaly (too many fields, a non-numeric field) whose error reporting
-    depends on stream order: the caller then falls back to the row reader,
-    which either raises the identical first error or — when a ``max_jobs``
-    cutoff hides the bad line — succeeds identically.
+    Returns ``(values, procs, usable, header)``: the ``(n, 18)`` float
+    array of the data lines a line-at-a-time reader reads — missing
+    trailing fields padded with ``-1``, stopping after the ``max_jobs``-th
+    usable record — with each record's processor count and usability.
+
+    A malformed line stands in as an unusable row while the array is
+    built; afterwards the first one before the cutoff is re-parsed with
+    :func:`parse_swf_line`, which raises its error with the line number.
+    Lines past the cutoff, header comments included, are never read.
     """
-    header = SWFHeader()
+    lines = text.split("\n")
+    header_lines: list[tuple[int, str]] = []  # (data lines before it, line)
     tokens: list[list[str]] = []
+    line_numbers: list[int] = []
+    malformed: list[int] = []
     ragged = False
-    for raw in text.splitlines():
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith(";"):
-            _parse_header_line(header, line)
+            header_lines.append((len(tokens), line))
             continue
         parts = line.split()
         n_parts = len(parts)
         if n_parts > _N_FIELDS:
-            return None  # row reader owns the error (ordering, line number)
-        if n_parts < _N_FIELDS:
+            malformed.append(len(tokens))
+            parts = _UNUSABLE
+        elif n_parts < _N_FIELDS:
             ragged = True
         tokens.append(parts)
+        line_numbers.append(number)
 
     if ragged:
         tokens = [
             parts if len(parts) == _N_FIELDS else parts + ["-1"] * (_N_FIELDS - len(parts))
             for parts in tokens
         ]
-    flat = list(itertools.chain.from_iterable(tokens))
     try:
-        values = np.array(flat, dtype=np.float64)
-    except ValueError:
-        return None  # non-numeric field: row reader raises with the line number
+        values = np.array(list(itertools.chain.from_iterable(tokens)), dtype=np.float64)
+    except ValueError:  # a non-numeric field: find its lines one at a time
+        rows = []
+        for row, parts in enumerate(tokens):
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                malformed.append(row)
+                rows.append([-1.0] * _N_FIELDS)
+        values = np.array(rows, dtype=np.float64)
     values = values.reshape(len(tokens), _N_FIELDS)
+    non_finite = ~np.isfinite(values).all(axis=1)
+    if non_finite.any():
+        malformed.extend(np.flatnonzero(non_finite).tolist())
+        values[non_finite] = -1.0
 
     job_ids = values[:, 0].astype(np.int64)
     submit = values[:, 1]
     runtime = values[:, 3]
     allocated = values[:, 4].astype(np.int64)
     requested_procs = values[:, 7].astype(np.int64)
-    requested_time = values[:, 8]
     procs = np.where(requested_procs > 0, requested_procs, allocated)
     usable = (procs > 0) & (runtime > 0.0) & (submit >= 0.0) & (job_ids >= 0)
 
+    stop = None  # the first data line never read
     if max_jobs is not None:
         usable_idx = np.flatnonzero(usable)
-        # The row reader breaks *after* appending the max_jobs-th usable
-        # job, so with max_jobs == 0 it still keeps one; lines past the
-        # break are never read and never counted as skipped.
+        # A line-at-a-time reader breaks *after* keeping the max_jobs-th
+        # usable job, so with max_jobs == 0 it still keeps one.
         effective = max(max_jobs, 1)
         if len(usable_idx) >= effective:
-            cutoff = int(usable_idx[effective - 1]) + 1
-            values = values[:cutoff]
-            procs = procs[:cutoff]
-            usable = usable[:cutoff]
-            runtime = runtime[:cutoff]
-            requested_time = requested_time[:cutoff]
-
-    skipped = int(np.count_nonzero(~usable))
-    estimates = np.where(requested_time > 0.0, requested_time, runtime)
-    return values[usable], procs[usable], estimates[usable], header, skipped
-
-
-def _jobs_from_columns(
-    values: np.ndarray, procs: np.ndarray, estimates: np.ndarray
-) -> list[Job]:
-    """Materialize Job rows from parsed usable records (builtin scalars)."""
-    return [
-        Job(
-            job_id=int(row[0]),
-            submit_time=float(row[1]),
-            runtime=float(row[3]),
-            estimate=float(estimate),
-            procs=int(p),
-            avg_cpu_time=float(row[5]),
-            used_memory=float(row[6]),
-            requested_memory=float(row[9]),
-            status=int(row[10]),
-            user_id=int(row[11]),
-            group_id=int(row[12]),
-            executable=int(row[13]),
-            queue=int(row[14]),
-            partition=int(row[15]),
-            preceding_job=int(row[16]),
-            think_time=float(row[17]),
-        )
-        for row, p, estimate in zip(values, procs, estimates)
-    ]
+            stop = int(usable_idx[effective - 1]) + 1
+    if malformed:
+        first = min(malformed)
+        if stop is None or first < stop:
+            number = line_numbers[first]
+            parse_swf_line(lines[number - 1], line_number=number)  # raises
+    header = SWFHeader()
+    for before, line in header_lines:
+        if stop is None or before < stop:
+            _parse_header_line(header, line)
+    return values[:stop], procs[:stop], usable[:stop], header
 
 
 def read_swf(
@@ -289,58 +246,14 @@ def read_swf(
     max_procs: int | None = None,
     name: str | None = None,
     max_jobs: int | None = None,
-    engine: str = "columnar",
 ) -> Workload:
     """Read an SWF file (path or open text stream) into a :class:`Workload`.
 
-    ``max_procs`` overrides the header's ``MaxProcs``; one of the two must be
-    available.  ``max_jobs`` truncates the trace after that many usable jobs.
-    Skipped (unusable) job lines are counted in ``workload.metadata["skipped"]``.
-
-    ``engine`` selects the parser: ``"columnar"`` (default, one vectorized
-    numpy pass) or ``"rows"`` (the original line-at-a-time reference).
-    Both produce identical workloads; the columnar engine falls back to
-    the row engine on malformed input so error reporting is identical too.
+    ``read_swf_table(...).to_workload()``; the options are
+    :func:`read_swf_table`'s.
     """
-    if engine not in ("columnar", "rows"):
-        raise SWFFormatError(f"unknown SWF engine {engine!r}; use 'columnar' or 'rows'")
-    if engine == "columnar":
-        text, default_name = _source_text(source)
-        parsed = _parse_columns(text, max_jobs)
-        if parsed is None:
-            jobs, header, skipped = _read_stream(io.StringIO(text), max_jobs)
-        else:
-            values, procs_col, estimates, header, skipped = parsed
-            jobs = _jobs_from_columns(values, procs_col, estimates)
-    elif hasattr(source, "read"):
-        stream: TextIO = source  # type: ignore[assignment]
-        default_name = str(getattr(source, "name", "swf"))
-        jobs, header, skipped = _read_stream(stream, max_jobs)
-    else:
-        default_name = os.path.splitext(os.path.basename(os.fspath(source)))[0]
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            jobs, header, skipped = _read_stream(fh, max_jobs)
-
-    procs = max_procs if max_procs is not None else header.max_procs
-    if procs is None:
-        if not jobs:
-            raise SWFFormatError("no MaxProcs header and no jobs to infer size from")
-        procs = max(job.procs for job in jobs)
-    # Clamp requests wider than the machine (some archive logs contain them).
-    clamped = [
-        job if job.procs <= procs else None
-        for job in jobs
-    ]
-    usable = [job for job in clamped if job is not None]
-    skipped += len(jobs) - len(usable)
-
-    workload = Workload.from_jobs(
-        usable,
-        max_procs=procs,
-        name=name or str(default_name),
-        metadata={"skipped": skipped, "swf_header": dict(header.fields)},
-    )
-    return workload
+    table = read_swf_table(source, max_procs=max_procs, name=name, max_jobs=max_jobs)
+    return table.to_workload()
 
 
 def read_swf_table(
@@ -350,97 +263,58 @@ def read_swf_table(
     name: str | None = None,
     max_jobs: int | None = None,
 ) -> JobTable:
-    """Parse an SWF source straight into a columnar :class:`JobTable`.
+    """Parse an SWF source into a columnar :class:`JobTable`.
 
-    Semantics are identical to :func:`read_swf` — same quirk tolerance,
-    skip counting, machine-width clamping, name defaulting and metadata —
-    but no ``Job`` objects are materialized: the parsed field matrix is
-    sliced into columns directly.  ``JobTable.from_workload(read_swf(...))``
-    is the reference this is tested against.  Malformed input falls back
-    to the row reader so errors are reported identically.
+    ``max_procs`` overrides the header's ``MaxProcs``; without either, the
+    widest usable job sizes the machine.  Jobs wider than the machine are
+    dropped.  ``max_jobs`` stops the reader after that many usable jobs.
+    Skipped lines (unusable or too wide) are counted in
+    ``metadata["skipped"]`` beside the header fields
+    (``metadata["swf_header"]``); ``name`` defaults to the file's stem.
+    Rows come out sorted by ``(submit_time, job_id)``.
     """
     text, default_name = _source_text(source)
-    parsed = _parse_columns(text, max_jobs)
-    if parsed is None:
-        workload = read_swf(
-            io.StringIO(text),
-            max_procs=max_procs,
-            name=name or str(default_name),
-            max_jobs=max_jobs,
-            engine="rows",
-        )
-        return JobTable.from_workload(workload)
-    values, procs_col, estimates, header, skipped = parsed
+    values, procs, usable, header = _parse_columns(text, max_jobs)
 
     machine = max_procs if max_procs is not None else header.max_procs
     if machine is None:
-        if len(values) == 0:
+        if not usable.any():
             raise SWFFormatError("no MaxProcs header and no jobs to infer size from")
-        machine = int(procs_col.max())
-    keep = procs_col <= machine
-    if not np.all(keep):
-        skipped += int(np.count_nonzero(~keep))
-        values = values[keep]
-        procs_col = procs_col[keep]
-        estimates = estimates[keep]
+        machine = int(procs[usable].max())
+    # Clamp requests wider than the machine (some archive logs contain them).
+    rows = np.flatnonzero(usable & (procs <= machine))
+    # Sort before the table validates, so a repeated id is reported at its
+    # first repeat in submit order, as a Workload reports it.
+    job_ids = values[rows, 0].astype(np.int64)
+    order = np.lexsort((job_ids, values[rows, 1]))
+    rows = rows[order]
+    kept = values[rows]
 
     columns = {
-        "job_id": values[:, 0].astype(np.int64),
-        "procs": procs_col,
-        "user_id": values[:, 11].astype(np.int64),
-        "group_id": values[:, 12].astype(np.int64),
-        "executable": values[:, 13].astype(np.int64),
-        "queue": values[:, 14].astype(np.int64),
-        "partition": values[:, 15].astype(np.int64),
-        "status": values[:, 10].astype(np.int64),
-        "preceding_job": values[:, 16].astype(np.int64),
-        "submit_time": values[:, 1].copy(),
-        "runtime": values[:, 3].copy(),
-        "estimate": np.asarray(estimates, dtype=np.float64),
-        "avg_cpu_time": values[:, 5].copy(),
-        "used_memory": values[:, 6].copy(),
-        "requested_memory": values[:, 9].copy(),
-        "think_time": values[:, 17].copy(),
+        "job_id": job_ids[order],
+        "procs": procs[rows],
+        "user_id": kept[:, 11].astype(np.int64),
+        "group_id": kept[:, 12].astype(np.int64),
+        "executable": kept[:, 13].astype(np.int64),
+        "queue": kept[:, 14].astype(np.int64),
+        "partition": kept[:, 15].astype(np.int64),
+        "status": kept[:, 10].astype(np.int64),
+        "preceding_job": kept[:, 16].astype(np.int64),
+        "submit_time": kept[:, 1].copy(),
+        "runtime": kept[:, 3].copy(),
+        # The user estimate when present, else the runtime (exact estimate).
+        "estimate": np.where(kept[:, 8] > 0.0, kept[:, 8], kept[:, 3]),
+        "avg_cpu_time": kept[:, 5].copy(),
+        "used_memory": kept[:, 6].copy(),
+        "requested_memory": kept[:, 9].copy(),
+        "think_time": kept[:, 17].copy(),
     }
-    table = JobTable(
+    return JobTable(
         columns=columns,
         max_procs=int(machine),
         name=name or str(default_name),
-        metadata={"skipped": skipped, "swf_header": dict(header.fields)},
+        metadata={"skipped": len(values) - len(rows), "swf_header": dict(header.fields)},
     )
-    return table.sorted_by_submit()
-
-
-def _read_stream(
-    stream: TextIO, max_jobs: int | None
-) -> tuple[list[Job], SWFHeader, int]:
-    header = SWFHeader()
-    jobs: list[Job] = []
-    skipped = 0
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(";"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key = key.strip()
-                value = value.strip()
-                if key and " " not in key:
-                    header.set(key, value)
-                    continue
-            header.comments.append(body)
-            continue
-        values = parse_swf_line(line, line_number=line_number)
-        job = _job_from_fields(values)
-        if job is None:
-            skipped += 1
-            continue
-        jobs.append(job)
-        if max_jobs is not None and len(jobs) >= max_jobs:
-            break
-    return jobs, header, skipped
 
 
 def format_swf_line(job: Job, *, wait_time: float = -1.0) -> str:

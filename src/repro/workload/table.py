@@ -3,22 +3,26 @@
 A :class:`JobTable` holds the same information as a
 :class:`~repro.workload.job.Workload` — one row per job, every ``Job``
 field as a numpy column — and round-trips losslessly to and from the
-row form.  It exists for the sweep pipeline:
+row form.  It is the form the workload layer computes in:
 
-* **vectorized derivation** — the per-condition transforms of a sweep
-  (load scaling, estimate stamping, truncation) are a handful of array
-  operations on a table, where the row path rebuilds every ``Job``
-  object per transform;
-* **vectorized ingest** — the SWF reader parses a trace straight into
-  columns (:func:`repro.workload.swf.read_swf_table`).
+* **derivation** — :func:`~repro.workload.transforms.scale_load`,
+  :func:`~repro.workload.transforms.apply_estimates` and
+  :func:`~repro.workload.transforms.truncate` are the methods below, a
+  handful of array operations each; a row ``Workload`` passes through
+  :meth:`JobTable.from_workload` and :meth:`JobTable.to_workload`;
+* **ingest** — the SWF reader parses a trace straight into columns
+  (:func:`repro.workload.swf.read_swf_table`).
 
-Equivalence contract: every columnar operation produces **float-identical**
-results to its row counterpart in :mod:`repro.workload.transforms` /
-:mod:`repro.workload.estimates`.  The arithmetic is elementwise IEEE
-operations in the same order, and RNG-consuming transforms draw from the
-generator stream in exactly the layout the scalar path does (see
-``EstimateModel.column_estimates``).  The differential suite in
-``tests/properties/test_prop_columnar_equivalence.py`` pins this.
+Equivalence contract: every operation here produces **float-identical**
+results to the record-at-a-time reference frozen in
+``tests/oracles/row_pipeline.py`` (``read_swf_rows``,
+``scale_load_rows``, ``apply_estimates_rows``, ``truncate_rows``).  The
+arithmetic is elementwise IEEE operations in the same order, and
+RNG-consuming transforms draw from the generator stream in exactly the
+layout the scalar path does (see ``EstimateModel.column_estimates``).
+``tests/properties/test_prop_columnar_equivalence.py``,
+``tests/properties/test_prop_swf_ingest.py`` and
+``tests/workload/test_swf_columnar.py`` pin this.
 """
 
 from __future__ import annotations
@@ -114,8 +118,8 @@ class JobTable:
         fit).  Running them here — once, on arrays — is what licenses the
         trusted bulk constructor downstream: any table that exists has
         already proven what ``__post_init__`` would re-prove per job per
-        cell.  Submit *ordering* is deliberately not required (SWF ingest
-        constructs, then sorts); it is checked where order matters
+        cell.  Submit *ordering* is deliberately not required (a table
+        may be reordered by :meth:`take`); it is checked where order matters
         (:meth:`to_workload`, the simulator's arrival feed).
 
         Error messages match the row constructors', reported for the first
@@ -239,7 +243,7 @@ class JobTable:
             return Workload._trusted(jobs, self.max_procs, self.name, dict(self.metadata))
         return Workload(jobs, self.max_procs, self.name, dict(self.metadata))
 
-    # -- derivation (the columnar transforms) ----------------------------------
+    # -- derivation (the bodies of repro.workload.transforms) -------------------
 
     def _with(self, *, columns=None, name=None, metadata=None) -> "JobTable":
         return replace(
@@ -247,15 +251,6 @@ class JobTable:
             columns=columns if columns is not None else self.columns,
             name=name if name is not None else self.name,
             metadata=metadata if metadata is not None else dict(self.metadata),
-        )
-
-    def sorted_by_submit(self) -> "JobTable":
-        """Rows reordered by (submit_time, job_id) — Workload.from_jobs order."""
-        order = np.lexsort((self.columns["job_id"], self.columns["submit_time"]))
-        if np.array_equal(order, np.arange(len(self))):
-            return self
-        return self._with(
-            columns={name: arr[order] for name, arr in self.columns.items()}
         )
 
     def take(self, rows) -> "JobTable":
@@ -271,7 +266,7 @@ class JobTable:
         skip: int = 0,
         name: str | None = None,
     ) -> "JobTable":
-        """Columnar :func:`repro.workload.transforms.truncate`."""
+        """Drop the first ``skip`` rows, then keep at most ``max_jobs``."""
         if skip < 0:
             raise ConfigurationError(f"skip must be >= 0, got {skip}")
         if max_jobs is not None and max_jobs < 0:
@@ -281,17 +276,13 @@ class JobTable:
         return table if name is None else table._with(name=name)
 
     def scale_load(self, factor: float, *, name: str | None = None) -> "JobTable":
-        """Columnar :func:`repro.workload.transforms.scale_load`.
-
-        Same elementwise arithmetic (``origin + (t - origin) * factor``)
-        as the row path, so the resulting submit times are bit-identical.
-        """
+        """Multiply inter-arrival times by ``factor``, anchored at the
+        first submit (``origin + (t - origin) * factor`` elementwise)."""
         if factor <= 0:
             raise ConfigurationError(f"load scale factor must be > 0, got {factor}")
         default_name = f"{self.name}-x{1.0 / factor:.2f}load"
         if len(self) == 0:
-            # Row path returns the workload untouched (name and all).
-            return self
+            return self  # untouched, name and all
         submit = self.columns["submit_time"]
         origin = submit[0]
         columns = dict(self.columns)
@@ -307,19 +298,14 @@ class JobTable:
     def apply_estimates(
         self, model, *, seed: int | np.random.Generator = 0, name: str | None = None
     ) -> "JobTable":
-        """Columnar :func:`repro.workload.transforms.apply_estimates`.
-
-        Requires the model to implement ``column_estimates`` (all built-in
-        models do); the draws consume the generator stream in exactly the
-        scalar layout, so estimates are bit-identical to the row path.
-        """
+        """Replace the estimate column with ``model.column_estimates``."""
         rng = (
             seed
             if isinstance(seed, np.random.Generator)
             else np.random.default_rng(seed)
         )
         estimates = np.asarray(
-            model.column_estimates(self.columns["runtime"], rng), dtype=np.float64
+            model.column_estimates(self, rng), dtype=np.float64
         )
         columns = dict(self.columns)
         columns["estimate"] = estimates

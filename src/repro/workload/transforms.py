@@ -10,14 +10,16 @@ These are the pre-processing steps the paper applies to its traces:
   :func:`shift_to_zero` — the usual trace hygiene operations (warm-up
   removal, subsetting, id normalization).
 
-All transforms are pure: they return new :class:`Workload` objects.
+All transforms are pure: they return new workloads.
 
-:func:`scale_load`, :func:`apply_estimates` and :func:`truncate` also
-accept a columnar :class:`~repro.workload.table.JobTable` (returning a
-``JobTable``): the columnar form computes the same transform with array
-operations and is float-identical to the row path — that is the fast
-sweep pipeline, which derives many (load, estimate) conditions from one
-base table without rebuilding ``Job`` objects per step.
+:func:`scale_load`, :func:`apply_estimates` and :func:`truncate` have one
+body each, the :class:`~repro.workload.table.JobTable` method: a
+``JobTable`` argument is transformed as is (the sweep pipeline derives
+many (load, estimate) conditions from one base table), and a
+:class:`Workload` goes ``JobTable.from_workload`` → transform →
+``to_workload()``, so no ``Job`` is re-validated per step.  The
+row-at-a-time bodies they replaced are frozen in
+``tests/oracles/row_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,18 @@ __all__ = [
 ]
 
 
-def scale_load(workload: Workload, factor: float, *, name: str | None = None) -> Workload:
+def _on_table(
+    workload: Workload | JobTable, derive: Callable[[JobTable], JobTable]
+) -> Workload | JobTable:
+    """Apply a table derivation to either form, returning the form given."""
+    if isinstance(workload, JobTable):
+        return derive(workload)
+    return derive(JobTable.from_workload(workload)).to_workload()
+
+
+def scale_load(
+    workload: Workload | JobTable, factor: float, *, name: str | None = None
+) -> Workload | JobTable:
     """Multiply all inter-arrival times by ``factor``.
 
     ``factor < 1`` compresses arrivals and raises the offered load by
@@ -53,86 +66,36 @@ def scale_load(workload: Workload, factor: float, *, name: str | None = None) ->
     content is identical — only the arrival pressure changes.  This is the
     paper's high-load transformation.
     """
-    if isinstance(workload, JobTable):
-        return workload.scale_load(factor, name=name)
-    if factor <= 0:
-        raise ConfigurationError(f"load scale factor must be > 0, got {factor}")
-    if len(workload) == 0:
-        return workload
-
-    origin = workload.jobs[0].submit_time
-    jobs = [
-        job.with_submit_time(origin + (job.submit_time - origin) * factor)
-        for job in workload.jobs
-    ]
-    meta = dict(workload.metadata)
-    meta["load_scale_factor"] = meta.get("load_scale_factor", 1.0) * factor
-    return Workload(
-        tuple(jobs),
-        workload.max_procs,
-        name if name is not None else f"{workload.name}-x{1.0 / factor:.2f}load",
-        meta,
-    )
+    return _on_table(workload, lambda table: table.scale_load(factor, name=name))
 
 
 def apply_estimates(
-    workload: Workload,
+    workload: Workload | JobTable,
     model: EstimateModel,
     *,
     seed: int | np.random.Generator = 0,
     name: str | None = None,
-) -> Workload:
+) -> Workload | JobTable:
     """Replace every job's estimate with a draw from ``model``.
 
     ``seed`` may be an integer (a fresh generator is created, making the
     transform reproducible) or an existing :class:`numpy.random.Generator`.
-
-    A :class:`JobTable` input takes the columnar path when the model
-    supports it (all built-in models do) and falls back to this row path
-    — returning a table again — for custom row-only models.
     """
-    if isinstance(workload, JobTable):
-        try:
-            return workload.apply_estimates(model, seed=seed, name=name)
-        except NotImplementedError:
-            rows = apply_estimates(
-                workload.to_workload(), model, seed=seed, name=name
-            )
-            return JobTable.from_workload(rows)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    jobs = tuple(model.apply(job, rng) for job in workload.jobs)
-    meta = dict(workload.metadata)
-    meta["estimate_model"] = repr(model)
-    return Workload(
-        jobs,
-        workload.max_procs,
-        name if name is not None else workload.name,
-        meta,
+    return _on_table(
+        workload, lambda table: table.apply_estimates(model, seed=seed, name=name)
     )
 
 
 def truncate(
-    workload: Workload,
+    workload: Workload | JobTable,
     *,
     max_jobs: int | None = None,
     skip: int = 0,
     name: str | None = None,
-) -> Workload:
+) -> Workload | JobTable:
     """Drop the first ``skip`` jobs, then keep at most ``max_jobs`` jobs."""
-    if isinstance(workload, JobTable):
-        return workload.truncate(max_jobs=max_jobs, skip=skip, name=name)
-    if skip < 0:
-        raise ConfigurationError(f"skip must be >= 0, got {skip}")
-    if max_jobs is not None and max_jobs < 0:
-        raise ConfigurationError(f"max_jobs must be >= 0, got {max_jobs}")
-    jobs = workload.jobs[skip:]
-    if max_jobs is not None:
-        jobs = jobs[:max_jobs]
-    return Workload(
-        jobs,
-        workload.max_procs,
-        name if name is not None else workload.name,
-        dict(workload.metadata),
+    return _on_table(
+        workload, lambda table: table.truncate(max_jobs=max_jobs, skip=skip, name=name)
     )
 
 

@@ -8,8 +8,12 @@ The shipped package reads SWF straight into columns
 one numpy pass (:func:`repro.metrics.collector.summarize`); all of it must
 stay *float-identical* to the straightforward implementations frozen
 here, which ``tests/workload/test_swf_columnar.py``,
+``tests/properties/test_prop_swf_ingest.py``,
 ``tests/properties/test_prop_columnar_equivalence.py`` and
-``tests/metrics/test_summarize_columnar.py`` compare against.
+``tests/metrics/test_summarize_columnar.py`` compare against.  Not a
+parity case: this reader skips a ``nan`` submit or runtime and lets
+``Job`` reject an infinite one, where the shipped reader refuses any
+non-finite field with an ``SWFFormatError`` naming the line.
 
 Do not optimize this file: its value is being the slow, obviously-correct
 oracle.
@@ -37,12 +41,8 @@ from repro.workload.job import Job, Workload
 from repro.workload.swf import SWFHeader
 
 __all__ = [
-    "read_swf_rows",
-    "scale_load_rows",
-    "apply_estimates_rows",
-    "truncate_rows",
-    "make_workload_rows",
-    "summarize_rows",
+    "read_swf_rows", "scale_load_rows", "apply_estimates_rows", "truncate_rows",
+    "make_workload_rows", "summarize_rows",
 ]
 
 _N_FIELDS = 18

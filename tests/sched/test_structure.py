@@ -1,9 +1,11 @@
-"""Structure gates: one implementation per idea in the scheduling layer.
+"""Structure gates: one implementation per idea in the package.
 
 Source-level assertions (plain ``pathlib`` + ``re``, nothing executed)
 that keep the reservation family on its one replanning core, the EASY
-pass free of its retired memo and copies, and the float tolerances in
-their one module — source greps kept as tests, where they cannot rot.
+pass free of its retired memo and copies, the float tolerances in their
+one module, the workload layer on one SWF reader and one body per
+transform, and the streaming metrics sink without modes — source greps
+kept as tests, where they cannot rot.
 """
 
 import re
@@ -13,10 +15,18 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 SCHED = SRC / "sched"
 BACKFILL = SCHED / "backfill"
 KERNEL = SCHED / "profile.py"
+WORKLOAD = SRC / "workload"
 
 
 def _sources(root: Path) -> dict[Path, str]:
     return {path: path.read_text() for path in sorted(root.rglob("*.py"))}
+
+
+def _parameters(text: str, header: str) -> str:
+    """The parameter list of the first ``def`` whose line starts ``header``."""
+    match = re.search(rf"{re.escape(header)}\((.*?)\)\s*->", text, re.DOTALL)
+    assert match is not None, header
+    return match.group(1)
 
 
 def _files_calling(call: str, sources: dict[Path, str]) -> dict[str, int]:
@@ -75,3 +85,19 @@ def test_tolerances_are_defined_only_in_tol():
     ]
     assert offenders == []
     assert len(literal.findall((SCHED / "tol.py").read_text())) == 2
+
+
+def test_workload_layer_has_one_reader_and_one_body_per_transform():
+    for path, text in _sources(WORKLOAD).items():
+        for twin in ("_read_stream", "_job_from_fields", ".apply(job"):
+            assert twin not in text, f"{path.name} keeps {twin}"
+    for name in ("estimates.py", "transforms.py"):
+        assert "NotImplementedError" not in (WORKLOAD / name).read_text(), name
+    swf = (WORKLOAD / "swf.py").read_text()
+    assert "engine" not in _parameters(swf, "def read_swf")
+
+
+def test_streaming_metrics_has_no_mode():
+    text = (SRC / "metrics" / "streaming.py").read_text()
+    sink = text[text.index("class StreamingMetrics"):]
+    assert "mode" not in _parameters(sink, "def __init__")

@@ -7,13 +7,17 @@ from repro.errors import ConfigurationError
 from repro.workload.estimates import (
     ROUND_LIMITS,
     ClampedEstimate,
+    EstimateModel,
     ExactEstimate,
     MultiplicativeEstimate,
     UserEstimateModel,
     round_up_to_limit,
 )
+from repro.workload.job import Workload
+from repro.workload.table import JobTable
+from repro.workload.transforms import apply_estimates
 
-from tests.conftest import make_job
+from tests.conftest import make_job, make_workload
 
 
 @pytest.fixture
@@ -38,9 +42,10 @@ class TestExactEstimate:
         job = make_job(1, runtime=1234.5)
         assert ExactEstimate().estimate_for(job, rng) == 1234.5
 
-    def test_apply_returns_updated_job(self, rng):
+    def test_apply_returns_updated_job(self):
         job = make_job(1, runtime=500.0, estimate=900.0)
-        assert ExactEstimate().apply(job, rng).estimate == 500.0
+        out = apply_estimates(Workload((job,), max_procs=4), ExactEstimate())
+        assert out.jobs[0].estimate == 500.0
 
 
 class TestMultiplicativeEstimate:
@@ -121,3 +126,22 @@ class TestClampedEstimate:
     def test_invalid_maximum_rejected(self):
         with pytest.raises(ConfigurationError):
             ClampedEstimate(ExactEstimate(), max_estimate=0.0)
+
+
+class _Jitter(EstimateModel):
+    """A model with only the scalar draw."""
+
+    def estimate_for(self, job, rng):
+        return job.runtime * (1.0 + rng.random())
+
+
+class TestColumnEstimatesDefault:
+    def test_loops_the_scalar_draw_in_row_order(self):
+        workload = make_workload(
+            [make_job(i, submit=10.0 * i, runtime=100.0 + i) for i in range(1, 6)]
+        )
+        got = _Jitter().column_estimates(
+            JobTable.from_workload(workload), np.random.default_rng(5)
+        )
+        rng = np.random.default_rng(5)
+        assert got.tolist() == [_Jitter().estimate_for(job, rng) for job in workload]

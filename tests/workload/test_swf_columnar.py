@@ -1,11 +1,13 @@
-"""SWF quirk parity: the vectorized reader against the row reference.
+"""SWF quirk parity: the one reader against the frozen row reference.
 
-Every real-archive quirk the row reader tolerates — missing trailing
-fields, ``-1`` placeholders, unsorted submit times, skipped failed jobs,
-over-wide jobs clamped against the machine, ``max_jobs`` truncation —
-must parse identically through ``engine="columnar"`` and
+Every real-archive quirk the line-at-a-time reader
+(``tests/oracles/row_pipeline.py:read_swf_rows``) tolerates — missing
+trailing fields, ``-1`` placeholders, unsorted submit times, skipped
+failed jobs, over-wide jobs clamped against the machine, ``max_jobs``
+truncation — must parse identically through ``read_swf`` and
 ``read_swf_table``, including skip counts, header metadata, and error
-messages on malformed lines.
+messages on malformed lines.  Non-finite fields are where the shipped
+reader deliberately parts from the reference; they are pinned by value.
 """
 
 import io
@@ -13,9 +15,9 @@ import io
 import numpy as np
 import pytest
 
-from repro.errors import SWFFormatError
-from repro.workload.job import Job, Workload
-from repro.workload.swf import read_swf, read_swf_table, write_swf
+from repro.errors import SWFFormatError, WorkloadError
+from repro.workload.job import Workload
+from repro.workload.swf import parse_swf_line, read_swf, read_swf_table, write_swf
 from repro.workload.table import JobTable
 
 from tests.oracles.row_pipeline import read_swf_rows
@@ -43,7 +45,7 @@ def _rows(text, **kw):
 
 
 def _cols(text, **kw):
-    return read_swf(io.StringIO(text), engine="columnar", name="q", **kw)
+    return read_swf(io.StringIO(text), name="q", **kw)
 
 
 def _table(text, **kw):
@@ -137,8 +139,8 @@ class TestErrorParity:
         assert str(table_err.value) == str(rows_err.value)
 
     def test_error_hidden_behind_max_jobs_cutoff(self):
-        # The row reader stops before reaching the bad line; the
-        # columnar engines must too.
+        # The row reader stops before reaching the bad line; so must
+        # the one reader, through both of its entry points.
         rows = _rows(self.NON_NUMERIC, max_jobs=1)
         _assert_same(rows, _cols(self.NON_NUMERIC, max_jobs=1))
         _assert_same(rows, _table(self.NON_NUMERIC, max_jobs=1).to_workload())
@@ -149,9 +151,48 @@ class TestErrorParity:
             with pytest.raises(SWFFormatError, match="no MaxProcs header"):
                 parse(empty)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SWFFormatError, match="unknown SWF engine"):
-            read_swf(io.StringIO(QUIRKY), engine="bogus")
+    def test_repeated_id_reported_at_first_repeat_in_submit_order(self):
+        # Ids 5 and 7 both repeat; in submit order (50, 60, 100, 200) the
+        # first repeat is 7, in file order it would be 5.
+        text = "; MaxProcs: 4\n" + "".join(
+            f"{job_id} {submit} -1 10 1 -1 -1 1 10\n"
+            for job_id, submit in ((5, 100), (7, 50), (5, 200), (7, 60))
+        )
+        for parse in (_rows, _cols, _table):
+            with pytest.raises(WorkloadError, match="^duplicate job_id 7 in workload$"):
+                parse(text)
+
+
+class TestNonFiniteFields:
+    """Any non-finite field is a malformed line, named by its number.
+
+    The frozen row reader skips a ``nan`` submit or runtime and lets
+    ``Job`` reject an ``inf`` runtime or estimate without a line number,
+    so these are pinned by value rather than by parity."""
+
+    GOOD = "1 1 -1 10 1 -1 -1 1 10 -1 1 1 1 1 1 1 -1 -1\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2 nan -1 10 1 -1 -1 1 10", "line 3: field 2 is not finite: nan"),
+            ("2 5 -1 nan 1 -1 -1 1 10", "line 3: field 4 is not finite: nan"),
+            ("2 5 -1 inf 1 -1 -1 1 10", "line 3: field 4 is not finite: inf"),
+            ("2 5 -1 10 1 -1 -1 1 inf", "line 3: field 9 is not finite: inf"),
+        ],
+        ids=["nan-submit", "nan-runtime", "inf-runtime", "inf-estimate"],
+    )
+    def test_non_finite_field_raises_with_its_line(self, line, message):
+        text = "; MaxProcs: 4\n" + self.GOOD + line + "\n"
+        for parse in (_cols, _table):
+            with pytest.raises(SWFFormatError) as err:
+                parse(text)
+            assert str(err.value) == message
+        with pytest.raises(SWFFormatError) as err:
+            parse_swf_line(line, line_number=3)
+        assert str(err.value) == message
+        # Past the max_jobs cutoff the line is never read.
+        assert len(_cols(text, max_jobs=1)) == 1
 
 
 class TestTableShape:

@@ -153,8 +153,7 @@ def base_workload_table(trace: str, n_jobs: int, seed: int) -> JobTable:
     key = (trace, n_jobs, seed)
     table = _base_table_cache.get(key)
     if table is None:
-        workload = _generator_for(trace).generate(n_jobs, seed=seed)
-        table = JobTable.from_workload(workload)
+        table = _generator_for(trace).generate_table(n_jobs, seed=seed)
         _base_table_cache[key] = table
         while len(_base_table_cache) > BASE_TABLE_CACHE_LIMIT:
             _base_table_cache.popitem(last=False)

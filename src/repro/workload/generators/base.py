@@ -30,13 +30,15 @@ error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.workload.job import Job, Workload
+from repro.workload.job import Workload
+from repro.workload.table import JobTable
 
 __all__ = [
     "CategoryMix",
@@ -241,9 +243,29 @@ class SyntheticTraceModel:
 
     # -- sampling --------------------------------------------------------------
 
+    @cached_property
+    def _category_cdf(self) -> tuple[float, ...]:
+        """The cumulative mix that ``rng.choice(4, p=mix)`` bisects.
+
+        ``Generator.choice`` with ``p`` draws one ``random()`` and
+        right-bisects it into ``cdf = p.cumsum(); cdf /= cdf[-1]``.  The
+        cdf is built here once, the same way, so every draw is the one
+        ``choice`` would make without its per-call argument handling.
+        ``choice``'s checks on ``p`` run here too: :class:`CategoryMix`
+        accepts a sum within 1e-6 of 1, numpy only within sqrt(eps), and a
+        mix numpy would reject must still raise.
+        """
+        p = np.array(self.mix.as_tuple(), dtype=np.float64)
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+            raise ValueError("probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return tuple(cdf.tolist())
+
     def sample_category(self, rng: np.random.Generator) -> str:
-        index = rng.choice(4, p=self.mix.as_tuple())
-        return _CATEGORIES[index]
+        return _CATEGORIES[bisect_right(self._category_cdf, rng.random())]
 
     def sample_job_shape(self, rng: np.random.Generator) -> tuple[float, int, str]:
         """Draw (runtime, width, category) for one job."""
@@ -273,12 +295,63 @@ class SyntheticTraceModel:
         return base / max(relative_rate, 1e-9)
 
 
+def generated_table(
+    submit: list[float],
+    runtime: list[float],
+    procs: list[int],
+    user_id: list,
+    group_id: list,
+    *,
+    max_procs: int,
+    name: str,
+    metadata: dict,
+) -> JobTable:
+    """The :class:`JobTable` of generated jobs, from their drawn columns.
+
+    Generated jobs are numbered 1..n in arrival order, carry exact
+    estimates (``estimate == runtime``) and status 1, and leave every other
+    SWF field unknown (-1).  The table validates the columns once,
+    vectorized, in place of one ``Job.__post_init__`` per row.
+    """
+    n = len(submit)
+    runtime_column = np.array(runtime, dtype=np.float64)
+    unknown_int = np.full(n, -1, dtype=np.int64)
+    unknown_float = np.full(n, -1.0, dtype=np.float64)
+    columns = {
+        "job_id": np.arange(1, n + 1, dtype=np.int64),
+        "submit_time": np.array(submit, dtype=np.float64),
+        "runtime": runtime_column,
+        "estimate": runtime_column,
+        "procs": np.array(procs, dtype=np.int64),
+        "user_id": np.array(user_id, dtype=np.int64),
+        "group_id": np.array(group_id, dtype=np.int64),
+        "executable": unknown_int,
+        "queue": unknown_int,
+        "partition": unknown_int,
+        "status": np.ones(n, dtype=np.int64),
+        "avg_cpu_time": unknown_float,
+        "used_memory": unknown_float,
+        "requested_memory": unknown_float,
+        "preceding_job": unknown_int,
+        "think_time": unknown_float,
+    }
+    return JobTable(columns, max_procs, name, metadata)
+
+
 class WorkloadGenerator(ABC):
-    """Something that produces reproducible workloads from an integer seed."""
+    """Something that produces reproducible workloads from an integer seed.
+
+    :meth:`generate_table` is the one body of a generator; the row form is
+    derived from it.
+    """
 
     @abstractmethod
+    def generate_table(self, n_jobs: int, *, seed: int = 0) -> JobTable:
+        """Generate ``n_jobs`` jobs as columns.  Equal seeds give equal tables."""
+
     def generate(self, n_jobs: int, *, seed: int = 0) -> Workload:
         """Generate ``n_jobs`` jobs.  Equal seeds give identical workloads."""
+        return self.generate_table(n_jobs, seed=seed).to_workload()
 
 
 @dataclass(frozen=True)
@@ -292,37 +365,43 @@ class ModelGenerator(WorkloadGenerator):
 
     model: SyntheticTraceModel
 
-    def generate(self, n_jobs: int, *, seed: int = 0) -> Workload:
+    def generate_table(self, n_jobs: int, *, seed: int = 0) -> JobTable:
         if n_jobs < 0:
             raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs}")
+        model = self.model
         rng = np.random.default_rng(seed)
+        sample_interarrival = model.sample_interarrival
+        sample_job_shape = model.sample_job_shape
+        integers = rng.integers
         clock = 0.0
-        jobs: list[Job] = []
+        submit: list[float] = []
+        runtime: list[float] = []
+        procs: list[int] = []
+        user_id: list = []
+        group_id: list = []
         categories: dict[str, int] = {c: 0 for c in _CATEGORIES}
-        for index in range(n_jobs):
-            clock += self.model.sample_interarrival(rng, clock)
-            runtime, width, category = self.model.sample_job_shape(rng)
+        # The draws per job, in order: gap, shape, user, group.
+        for _ in range(n_jobs):
+            clock += sample_interarrival(rng, clock)
+            job_runtime, width, category = sample_job_shape(rng)
             categories[category] += 1
-            jobs.append(
-                Job(
-                    job_id=index + 1,
-                    submit_time=clock,
-                    runtime=runtime,
-                    estimate=runtime,
-                    procs=width,
-                    user_id=int(rng.integers(1, 101)),
-                    group_id=int(rng.integers(1, 11)),
-                    status=1,
-                )
-            )
-        return Workload(
-            tuple(jobs),
-            self.model.max_procs,
-            name=self.model.name,
+            submit.append(clock)
+            runtime.append(job_runtime)
+            procs.append(width)
+            user_id.append(integers(1, 101))
+            group_id.append(integers(1, 11))
+        return generated_table(
+            submit,
+            runtime,
+            procs,
+            user_id,
+            group_id,
+            max_procs=model.max_procs,
+            name=model.name,
             metadata={
                 "generator": type(self).__name__,
                 "seed": seed,
-                "target_load": self.model.target_load,
+                "target_load": model.target_load,
                 "category_counts": categories,
             },
         )

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.workload.generators.base import WorkloadGenerator
-from repro.workload.job import Job, Workload
+from repro.workload.generators.base import WorkloadGenerator, generated_table
+from repro.workload.table import JobTable
 
 __all__ = ["LublinGenerator"]
 
@@ -117,31 +117,36 @@ class LublinGenerator(WorkloadGenerator):
 
     # -- WorkloadGenerator ----------------------------------------------------
 
-    def generate(self, n_jobs: int, *, seed: int = 0) -> Workload:
+    def generate_table(self, n_jobs: int, *, seed: int = 0) -> JobTable:
         if n_jobs < 0:
             raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs}")
         rng = np.random.default_rng(seed)
+        sample_interarrival = self._sample_interarrival
+        sample_width = self._sample_width
+        sample_runtime = self._sample_runtime
+        integers = rng.integers
         clock = 0.0
-        jobs: list[Job] = []
-        for index in range(n_jobs):
-            clock += self._sample_interarrival(rng, clock)
-            width = self._sample_width(rng)
-            runtime = self._sample_runtime(rng, width)
-            jobs.append(
-                Job(
-                    job_id=index + 1,
-                    submit_time=clock,
-                    runtime=runtime,
-                    estimate=runtime,
-                    procs=width,
-                    user_id=int(rng.integers(1, 101)),
-                    group_id=int(rng.integers(1, 11)),
-                    status=1,
-                )
-            )
-        return Workload(
-            tuple(jobs),
-            self.max_procs,
+        submit: list[float] = []
+        runtime: list[float] = []
+        procs: list[int] = []
+        user_id: list = []
+        group_id: list = []
+        # The draws per job, in order: gap, width, runtime, user, group.
+        for _ in range(n_jobs):
+            clock += sample_interarrival(rng, clock)
+            width = sample_width(rng)
+            submit.append(clock)
+            runtime.append(sample_runtime(rng, width))
+            procs.append(width)
+            user_id.append(integers(1, 101))
+            group_id.append(integers(1, 11))
+        return generated_table(
+            submit,
+            runtime,
+            procs,
+            user_id,
+            group_id,
+            max_procs=self.max_procs,
             name=self.name,
             metadata={"generator": type(self).__name__, "seed": seed},
         )

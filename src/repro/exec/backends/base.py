@@ -10,7 +10,7 @@ JSON-safe dict the original one-file-per-cell layout persisted::
         "cell": <dict>,              # Cell.to_payload() of the owning cell
         "events_processed": <int>,
         "sim_seconds": <float>,
-        "metrics": <dict>,           # metrics_to_payload() output
+        "metrics": <dict>,           # metrics_to_columns() output
     }
 
 The backend stores and returns payloads verbatim; all *semantic*

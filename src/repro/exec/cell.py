@@ -24,7 +24,7 @@ __all__ = ["Cell", "CACHE_SCHEMA_VERSION"]
 #: invalidates every persisted result (the hash changes and old files are
 #: rejected on read), so bump whenever the simulation semantics or the
 #: serialized layout change incompatibly.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Option values must be plain JSON-safe scalars so the content hash is
 #: stable across processes and Python versions.

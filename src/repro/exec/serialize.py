@@ -1,28 +1,54 @@
-"""JSON serialization of :class:`~repro.metrics.collector.RunMetrics`.
+"""Serialization of :class:`~repro.metrics.collector.RunMetrics`.
 
-The persisted form stores only the irreducible facts of a run — the
-completed-job records (with their full job descriptions), utilization and
-makespan — and rebuilds every aggregate through
-:func:`repro.metrics.collector.summarize` on load.  Because ``summarize``
-is a pure function of the records, a metrics object reconstructed from
-disk is float-for-float identical to the one produced live, which is what
-makes warm-cache reruns byte-identical to cold runs.
+A run has two serialized forms:
 
-Floats round-trip exactly: Python's ``json`` emits ``repr``-style
-shortest representations and parses them back to the same IEEE-754
-values (NaN included, via the non-strict ``allow_nan`` default).
+* the **row form** (:func:`metrics_to_payload`): one JSON list per
+  completed job.  It is what :func:`metrics_digest` hashes, so its bytes
+  are pinned by every golden digest.  Nothing reads it back.
+* the **stored form** (:func:`metrics_to_columns`), which the result
+  store persists: the completed-job records as typed little-endian
+  columns — one int64 buffer holding the nine integer ``Job`` fields and
+  one float64 buffer holding start, finish and the seven float ``Job``
+  fields, field-major, each base64-encoded — plus ``n``, utilization and
+  makespan.  :func:`metrics_from_payload` is its one decoder.
+
+Both persist only the irreducible facts of a run and rebuild every
+aggregate through :func:`repro.metrics.collector.summarize` on load.
+Because ``summarize`` is a pure function of the records, a metrics
+object reconstructed from disk is float-for-float identical to the one
+produced live, which is what makes warm-cache reruns byte-identical to
+cold runs.  The stored form is exact by construction: the buffers hold
+the very IEEE-754 doubles and 64-bit integers of the records, with no
+text round trip in between.
+
+Decoding validates once, in columns: every check ``Job.__post_init__``
+and ``CompletedJob.__post_init__`` make, vectorized with the same
+tolerances, plus the buffers' lengths.  Only then are the records built,
+through the trusted constructors.  Any failure raises, which the store
+treats as a corrupt entry (drop and re-simulate).
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+from operator import attrgetter
 
-from repro.metrics.collector import CompletedJob, RunMetrics, summarize
+import numpy as np
+
+from repro.metrics.collector import (
+    CompletedJob,
+    RunMetrics,
+    check_record_columns,
+    summarize,
+)
 from repro.workload.job import Job
+from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS, check_job_columns
 
 __all__ = [
     "metrics_to_payload",
+    "metrics_to_columns",
     "metrics_from_payload",
     "canonical_json",
     "metrics_digest",
@@ -49,9 +75,18 @@ _JOB_FIELDS = (
     "think_time",
 )
 
+#: Rows of the stored float buffer: the record's times, then the Job's.
+_FLOAT_ROWS = ("start_time", "finish_time", *FLOAT_COLUMNS)
+
+_INT_DTYPE = np.dtype("<i8")
+_FLOAT_DTYPE = np.dtype("<f8")
+
+_job_ints = attrgetter(*INT_COLUMNS)
+_job_floats = attrgetter(*FLOAT_COLUMNS)
+
 
 def metrics_to_payload(metrics: RunMetrics) -> dict:
-    """Reduce a :class:`RunMetrics` to a JSON-safe dict."""
+    """Reduce a :class:`RunMetrics` to the JSON-safe row form."""
     rows = [
         [record.start_time, record.finish_time]
         + [getattr(record.job, name) for name in _JOB_FIELDS]
@@ -65,26 +100,72 @@ def metrics_to_payload(metrics: RunMetrics) -> dict:
     }
 
 
-def metrics_from_payload(payload: dict) -> RunMetrics:
-    """Rebuild a :class:`RunMetrics` from :func:`metrics_to_payload` output.
+def _encode(rows: list, dtype: np.dtype, width: int) -> str:
+    """Field-major little-endian bytes of ``rows`` (n tuples), base64."""
+    array = np.array(rows, dtype=dtype).reshape(len(rows), width)
+    return base64.b64encode(array.T.tobytes()).decode("ascii")
 
-    Raises ``KeyError``/``TypeError``/``repro.errors.ReproError`` on
-    malformed payloads; callers treat any failure as a corrupt cache
+
+def _decode(text: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
+    """The ``width`` x ``n`` array :func:`_encode` wrote; raises on any
+    length mismatch."""
+    array = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+    if array.size != width * n:
+        raise ValueError(f"buffer holds {array.size} values, expected {width} x {n}")
+    return array.reshape(width, n)
+
+
+def metrics_to_columns(metrics: RunMetrics) -> dict:
+    """The stored form of a :class:`RunMetrics` (see the module docstring)."""
+    records = metrics.records
+    ints = [_job_ints(record.job) for record in records]
+    floats = [
+        (record.start_time, record.finish_time, *_job_floats(record.job))
+        for record in records
+    ]
+    return {
+        "n": len(records),
+        "utilization": metrics.utilization,
+        "makespan": metrics.makespan,
+        "ints": _encode(ints, _INT_DTYPE, len(INT_COLUMNS)),
+        "floats": _encode(floats, _FLOAT_DTYPE, len(_FLOAT_ROWS)),
+    }
+
+
+def metrics_from_payload(payload: dict) -> RunMetrics:
+    """Rebuild a :class:`RunMetrics` from :func:`metrics_to_columns` output.
+
+    Validates the columns before building any record and raises
+    (``KeyError``/``TypeError``/``ValueError``/``repro.errors.ReproError``)
+    on malformed payloads; callers treat any failure as a corrupt cache
     entry.
     """
-    expected_columns = ["start_time", "finish_time", *_JOB_FIELDS]
-    if payload["columns"] != expected_columns:
-        raise ValueError(
-            f"unexpected record columns {payload['columns']!r}"
+    n = payload["n"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"record count must be an int >= 0, got {n!r}")
+    ints = _decode(payload["ints"], _INT_DTYPE, n, len(INT_COLUMNS))
+    floats = _decode(payload["floats"], _FLOAT_DTYPE, n, len(_FLOAT_ROWS))
+    columns = dict(zip(INT_COLUMNS, ints))
+    columns.update(zip(_FLOAT_ROWS, floats))
+    check_job_columns(columns)
+    check_record_columns(
+        columns["job_id"],
+        columns["submit_time"],
+        np.minimum(columns["runtime"], columns["estimate"]),
+        columns["start_time"],
+        columns["finish_time"],
+    )
+    jobs = Job._from_trusted_columns(
+        [columns[name].tolist() for name in _JOB_FIELDS]
+    )
+    records = tuple(
+        map(
+            CompletedJob._trusted,
+            jobs,
+            columns["start_time"].tolist(),
+            columns["finish_time"].tolist(),
         )
-    records = [
-        CompletedJob(
-            job=Job(**dict(zip(_JOB_FIELDS, row[2:], strict=True))),
-            start_time=row[0],
-            finish_time=row[1],
-        )
-        for row in payload["records"]
-    ]
+    )
     return summarize(
         records,
         utilization=payload["utilization"],
@@ -98,7 +179,7 @@ def canonical_json(payload: dict) -> str:
 
 
 def metrics_digest(metrics: RunMetrics) -> str:
-    """sha256 of the canonical serialized form of a metrics object.
+    """sha256 of the canonical row form of a metrics object.
 
     Two metrics objects with identical observable content have identical
     digests even when they contain NaN fields (which defeat ``==``), so

@@ -46,7 +46,7 @@ from repro.exec.backends import (
     refuse_legacy_layout,
 )
 from repro.exec.cell import CACHE_SCHEMA_VERSION, Cell
-from repro.exec.serialize import metrics_from_payload, metrics_to_payload
+from repro.exec.serialize import metrics_from_payload, metrics_to_columns
 from repro.metrics.collector import RunMetrics
 
 __all__ = [
@@ -87,7 +87,7 @@ def stored_payload(cell: Cell, stored: StoredResult) -> dict:
         "cell": cell.to_payload(),
         "events_processed": stored.events_processed,
         "sim_seconds": stored.sim_seconds,
-        "metrics": metrics_to_payload(stored.metrics),
+        "metrics": metrics_to_columns(stored.metrics),
     }
 
 

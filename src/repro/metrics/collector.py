@@ -40,10 +40,24 @@ from repro.workload.job import Job
 
 __all__ = [
     "CompletedJob",
+    "check_record_columns",
     "MetricSummary",
     "RunMetrics",
     "summarize",
 ]
+
+
+#: Tolerances of the completed-record checks.  They are metric-side float
+#: tolerances on recorded times, not scheduling rules (those are in
+#: ``repro.sched.tol``).  :meth:`CompletedJob.__post_init__` and its
+#: column form :func:`check_record_columns` both read these names, so
+#: the row check and the column check cannot drift apart.
+#:
+#: A start may precede its job's submission by this much.
+START_TOL = 1e-9
+#: ``math.isclose`` tolerances of a finish against start + effective runtime.
+FINISH_REL_TOL = 1e-9
+FINISH_ABS_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,13 +69,18 @@ class CompletedJob:
     finish_time: float
 
     def __post_init__(self) -> None:
-        if self.start_time < self.job.submit_time - 1e-9:
+        if self.start_time < self.job.submit_time - START_TOL:
             raise SimulationError(
                 f"job {self.job.job_id} started at {self.start_time} before "
                 f"its submission at {self.job.submit_time}"
             )
         expected_finish = self.start_time + self.job.effective_runtime
-        if not math.isclose(self.finish_time, expected_finish, rel_tol=1e-9, abs_tol=1e-6):
+        if not math.isclose(
+            self.finish_time,
+            expected_finish,
+            rel_tol=FINISH_REL_TOL,
+            abs_tol=FINISH_ABS_TOL,
+        ):
             raise SimulationError(
                 f"job {self.job.job_id} ran {self.finish_time - self.start_time}s, "
                 f"expected {self.job.effective_runtime}s"
@@ -127,6 +146,48 @@ CompletedJob._trusted.__func__.__defaults__ = (
     CompletedJob.__dict__["start_time"].__set__,
     CompletedJob.__dict__["finish_time"].__set__,
 )
+
+
+def check_record_columns(
+    job_id: np.ndarray,
+    submit: np.ndarray,
+    effective_runtime: np.ndarray,
+    start: np.ndarray,
+    finish: np.ndarray,
+) -> None:
+    """Every :meth:`CompletedJob.__post_init__` check, vectorized.
+
+    Raises the row check's :class:`~repro.errors.SimulationError` for the
+    first offending record.  ``math.isclose`` is spelled out elementwise
+    as CPython computes it (equal values are close, an infinite value is
+    close only to itself, NaN to nothing), because ``np.isclose`` is an
+    asymmetric test with other tolerances.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        early = start < submit - START_TOL
+        expected = start + effective_runtime
+        diff = np.abs(expected - finish)
+        close = (finish == expected) | (
+            np.isfinite(finish)
+            & np.isfinite(expected)
+            & (
+                (diff <= np.abs(FINISH_REL_TOL * expected))
+                | (diff <= np.abs(FINISH_REL_TOL * finish))
+                | (diff <= FINISH_ABS_TOL)
+            )
+        )
+    bad = early | ~close
+    if bad.any():
+        i = int(np.argmax(bad))
+        if early[i]:
+            raise SimulationError(
+                f"job {job_id[i]} started at {start[i]} before "
+                f"its submission at {submit[i]}"
+            )
+        raise SimulationError(
+            f"job {job_id[i]} ran {finish[i] - start[i]}s, "
+            f"expected {effective_runtime[i]}s"
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.job import Job, Workload
 
-__all__ = ["JobTable", "INT_COLUMNS", "FLOAT_COLUMNS"]
+__all__ = ["JobTable", "INT_COLUMNS", "FLOAT_COLUMNS", "check_job_columns"]
 
 #: Integer-valued Job fields, in Job declaration order.
 INT_COLUMNS = (
@@ -86,6 +86,50 @@ _JOB_FIELD_ORDER = (
 assert _JOB_FIELD_ORDER == tuple(f.name for f in fields(Job))
 
 
+def check_job_columns(columns: dict[str, np.ndarray]) -> None:
+    """Every ``Job.__post_init__`` check, vectorized over columns.
+
+    Raises the row constructor's :class:`~repro.errors.WorkloadError`
+    for the first offending row, with its message.  Shared by
+    :class:`JobTable` and the result store's record decoder
+    (:func:`repro.exec.serialize.metrics_from_payload`), the two places
+    that hand columns to :meth:`Job._from_trusted_columns`.
+    """
+    if len(columns["job_id"]) == 0:
+        return
+    ids = columns["job_id"]
+    submit = columns["submit_time"]
+    runtime = columns["runtime"]
+    estimate = columns["estimate"]
+    procs = columns["procs"]
+    bad_id = ids < 0
+    bad_submit = ~np.isfinite(submit) | (submit < 0)
+    bad_runtime = ~np.isfinite(runtime) | (runtime <= 0)
+    bad_estimate = ~np.isfinite(estimate) | (estimate <= 0)
+    bad_procs = procs <= 0
+    bad = bad_id | bad_submit | bad_runtime | bad_estimate | bad_procs
+    if bad.any():
+        i = int(np.argmax(bad))
+        # Same per-field priority as Job.__post_init__.
+        if bad_id[i]:
+            raise WorkloadError(f"job_id must be non-negative, got {ids[i]}")
+        if bad_submit[i]:
+            raise WorkloadError(
+                f"job {ids[i]}: submit_time must be finite and >= 0, "
+                f"got {submit[i]}"
+            )
+        if bad_runtime[i]:
+            raise WorkloadError(
+                f"job {ids[i]}: runtime must be finite and > 0, got {runtime[i]}"
+            )
+        if bad_estimate[i]:
+            raise WorkloadError(
+                f"job {ids[i]}: estimate must be finite and > 0, "
+                f"got {estimate[i]}"
+            )
+        raise WorkloadError(f"job {ids[i]}: procs must be > 0, got {procs[i]}")
+
+
 @dataclass(frozen=True)
 class JobTable:
     """Struct-of-arrays form of a workload: one numpy column per Job field.
@@ -126,40 +170,12 @@ class JobTable:
         offending row in row order.
         """
         cols = self.columns
+        check_job_columns(cols)
         n = len(cols["job_id"])
         if n == 0:
             return
         ids = cols["job_id"]
-        submit = cols["submit_time"]
-        runtime = cols["runtime"]
-        estimate = cols["estimate"]
         procs = cols["procs"]
-        bad_id = ids < 0
-        bad_submit = ~np.isfinite(submit) | (submit < 0)
-        bad_runtime = ~np.isfinite(runtime) | (runtime <= 0)
-        bad_estimate = ~np.isfinite(estimate) | (estimate <= 0)
-        bad_procs = procs <= 0
-        bad = bad_id | bad_submit | bad_runtime | bad_estimate | bad_procs
-        if bad.any():
-            i = int(np.argmax(bad))
-            # Same per-field priority as Job.__post_init__.
-            if bad_id[i]:
-                raise WorkloadError(f"job_id must be non-negative, got {ids[i]}")
-            if bad_submit[i]:
-                raise WorkloadError(
-                    f"job {ids[i]}: submit_time must be finite and >= 0, "
-                    f"got {submit[i]}"
-                )
-            if bad_runtime[i]:
-                raise WorkloadError(
-                    f"job {ids[i]}: runtime must be finite and > 0, got {runtime[i]}"
-                )
-            if bad_estimate[i]:
-                raise WorkloadError(
-                    f"job {ids[i]}: estimate must be finite and > 0, "
-                    f"got {estimate[i]}"
-                )
-            raise WorkloadError(f"job {ids[i]}: procs must be > 0, got {procs[i]}")
         _, first_index, inverse = np.unique(
             ids, return_index=True, return_inverse=True
         )

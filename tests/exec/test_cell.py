@@ -64,7 +64,7 @@ class TestHashing:
         cell = Cell.make(SPEC, "easy", "SJF")
         assert cell.content_hash() == cell.content_hash()
         assert len(cell.content_hash()) == 64
-        assert CACHE_SCHEMA_VERSION == 1
+        assert CACHE_SCHEMA_VERSION == 2
 
     def test_distinct_cells_distinct_hashes(self):
         base = Cell.make(SPEC, "easy", "SJF")

@@ -84,14 +84,19 @@ class SlackScheduler(PlanningScheduler):
 
     # -- the scheduling pass ------------------------------------------------------
 
-    def _schedule_pass(self, now: float) -> list[Job]:
+    def _schedule_pass(
+        self, now: float, plan: dict[int, float] | None = None
+    ) -> list[Job]:
+        """One pass; ``plan`` is the queue's current plan if the caller
+        already made it (an arrival plans the queue for its guarantee)."""
         if not self._queue:
             return []
         started: list[Job] = []
         committed = 0  # processors of ``started``, kept as it grows
 
         # Phase 1: start everything the plan schedules for right now.
-        plan = self._plan(now, self._queue)
+        if plan is None:
+            plan = self._plan(now, self._queue)
         progressed = True
         while progressed:
             progressed = False
@@ -131,11 +136,12 @@ class SlackScheduler(PlanningScheduler):
         return self._schedule_pass(now)
 
     def on_arrival(self, job: Job, now: float) -> list[Job]:
-        # The arrival-time guarantee anchors the job's deadline.
-        guarantee = self._plan(now, self._queue + [job])[job.job_id]
-        self._deadline[job.job_id] = guarantee + self.slack_factor * job.estimate
+        # The arrival-time guarantee anchors the job's deadline.  The plan
+        # is the one of the queue the job joins, so the pass reuses it.
+        plan = self._plan(now, self._queue + [job])
+        self._deadline[job.job_id] = plan[job.job_id] + self.slack_factor * job.estimate
         self._enqueue(job)
-        return self._schedule_pass(now)
+        return self._schedule_pass(now, plan)
 
     def on_finish(self, job: Job, now: float) -> list[Job]:
         return self._schedule_pass(now)

@@ -91,6 +91,11 @@ from repro.preempt import PreemptiveSimulator, SelectiveSuspensionScheduler
 from repro.metrics.categories import Category, EstimateQuality, categorize, estimate_quality
 from repro.metrics.collector import CompletedJob, RunMetrics, summarize
 from repro.metrics.streaming import StreamingMetrics
+# The experiments package imports before the executor: repro.exec.cell
+# needs only the experiments.config submodule, which the experiments
+# package loads first, while the experiments registry needs names from
+# the repro.exec package itself.
+from repro.experiments.config import WorkloadSpec
 from repro.exec import (
     Cell,
     CellExecutor,
@@ -100,7 +105,6 @@ from repro.exec import (
     run_cells,
     set_default_executor,
 )
-from repro.experiments.config import WorkloadSpec
 from repro.serve import AsyncSession, Session, WhatIfReport
 
 __all__ = [

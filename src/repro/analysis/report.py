@@ -18,9 +18,12 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.experiments.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
 
 __all__ = ["slugify", "write_report", "write_index", "ReportWriter"]
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.table import Table
 from repro.errors import WorkloadError
 from repro.metrics.categories import (
     Category,
@@ -31,6 +31,9 @@ from repro.metrics.categories import (
     estimate_quality,
 )
 from repro.workload.job import Workload
+
+if TYPE_CHECKING:
+    from repro.analysis.table import Table
 
 __all__ = [
     "characterize",
@@ -126,6 +129,11 @@ def hourly_arrival_profile(workload: Workload) -> list[int]:
 
 def characterization_table(workload: Workload) -> Table:
     """The characterization as a renderable two-column table."""
+    # Imported here: the workload layer sits below analysis, and a
+    # module-level import would pull analysis (and through its report
+    # writer the experiments and the simulator) into ``repro.workload``.
+    from repro.analysis.table import Table
+
     info = characterize(workload)
     table = Table(["property", "value"])
     table.append("name", info["name"])

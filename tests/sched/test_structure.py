@@ -1,13 +1,15 @@
 """Structure gates: one implementation per idea in the package.
 
-Source-level assertions (plain ``pathlib`` + ``re``, nothing executed)
-that keep the reservation family on its one replanning core, the EASY
-pass free of its retired memo and copies, the float tolerances in their
-one module, the workload layer on one SWF reader and one body per
-transform, and the streaming metrics sink without modes — source greps
+Source-level assertions (plain ``pathlib``, ``re`` and ``ast``, nothing
+executed) that keep the reservation family on its one replanning core,
+the EASY pass free of its retired memo and copies, the float tolerances
+named once, the workload layer on one SWF reader and one body per
+transform, the streaming metrics sink without modes, and the lower
+layers free of module-level imports from the upper ones — source greps
 kept as tests, where they cannot rot.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -16,6 +18,7 @@ SCHED = SRC / "sched"
 BACKFILL = SCHED / "backfill"
 KERNEL = SCHED / "profile.py"
 WORKLOAD = SRC / "workload"
+METRICS = SRC / "metrics"
 
 
 def _sources(root: Path) -> dict[Path, str]:
@@ -85,6 +88,70 @@ def test_tolerances_are_defined_only_in_tol():
     ]
     assert offenders == []
     assert len(literal.findall((SCHED / "tol.py").read_text())) == 2
+
+
+def test_record_check_tolerances_are_named_once():
+    # metrics/collector.py's record checks (ROADMAP item 1(e)): the row
+    # check in CompletedJob.__post_init__ and its column form, which the
+    # result store's decoder runs, read the same three names.
+    collector = (METRICS / "collector.py").read_text()
+    defined = dict(re.findall(r"^(\w+_TOL) = (\S+)$", collector, re.MULTILINE))
+    assert defined == {
+        "START_TOL": "1e-9",
+        "FINISH_REL_TOL": "1e-9",
+        "FINISH_ABS_TOL": "1e-6",
+    }
+    cls = collector[collector.index("class CompletedJob"):]
+    row_check = cls[: cls.index("    @classmethod")]
+    column_check = collector[collector.index("def check_record_columns"):]
+    column_check = column_check[: column_check.index("\n\n\n")]
+    for body in (row_check, column_check):
+        assert not re.search(r"\d(e-|\.\d)", body), body
+        for name in defined:
+            assert name in body
+    serialize = (SRC / "exec" / "serialize.py").read_text()
+    assert "check_record_columns(" in serialize
+    assert not re.search(r"\de-\d", serialize)
+
+
+#: Layers below the experiment harness, and the packages above them.
+LOWER_LAYERS = ("workload", "sim", "sched", "metrics", "cluster")
+UPPER_LAYERS = ("analysis", "experiments", "exec", "serve", "cli")
+
+
+def _module_level_imports(tree: ast.Module):
+    """Imports that run when the module does: the module body, and the
+    ``if``/``try`` blocks in it, except ``if TYPE_CHECKING:``."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                pending.extend(node.body)
+            pending.extend(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                pending.extend(block)
+            for handler in node.handlers:
+                pending.extend(handler.body)
+
+
+def test_lower_layers_import_no_upper_layer_at_module_level():
+    upper = tuple(f"repro.{name}" for name in UPPER_LAYERS)
+    offenders = []
+    for layer in LOWER_LAYERS:
+        for path, text in _sources(SRC / layer).items():
+            for node in _module_level_imports(ast.parse(text)):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    names = [alias.name for alias in node.names]
+                for name in names:
+                    if name in upper or name.startswith(tuple(f"{u}." for u in upper)):
+                        offenders.append(f"{path.relative_to(SRC)}: {name}")
+    assert offenders == []
 
 
 def test_workload_layer_has_one_reader_and_one_body_per_transform():

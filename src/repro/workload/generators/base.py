@@ -257,9 +257,9 @@ class SyntheticTraceModel:
         """
         p = np.array(self.mix.as_tuple(), dtype=np.float64)
         if (p < 0).any():
-            raise ValueError("probabilities are not non-negative")
+            raise ValueError("Probabilities are not non-negative")
         if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
-            raise ValueError("probabilities do not sum to 1")
+            raise ValueError("Probabilities do not sum to 1")
         cdf = p.cumsum()
         cdf /= cdf[-1]
         return tuple(cdf.tolist())

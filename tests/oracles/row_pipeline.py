@@ -40,6 +40,8 @@ from repro.workload.estimates import EstimateModel, ExactEstimate
 from repro.workload.job import Job, Workload
 from repro.workload.swf import SWFHeader
 
+from tests.oracles.row_builders import generate_rows
+
 __all__ = [
     "read_swf_rows", "scale_load_rows", "apply_estimates_rows", "truncate_rows",
     "make_workload_rows", "summarize_rows",
@@ -246,9 +248,12 @@ def truncate_rows(
 def make_workload_rows(spec: WorkloadSpec) -> Workload:
     """Row-at-a-time :func:`make_workload` (the reference implementation).
 
-    Rebuilds ``Job`` objects per transform instead of deriving columns.
+    Generates with the frozen row generator and rebuilds ``Job`` objects
+    per transform instead of deriving columns.
     """
-    workload = _generator_for(spec.trace).generate(spec.n_jobs, seed=spec.seed)
+    workload = generate_rows(
+        _generator_for(spec.trace), spec.n_jobs, seed=spec.seed
+    )
     if spec.load_scale != 1.0:
         workload = scale_load_rows(workload, spec.load_scale)
     model = make_estimate_model(spec)

@@ -8,15 +8,29 @@ statements the connection executes (``sqlite3.Connection.set_trace_callback``),
 so they are asserted exactly — a lost optimization (resolution quietly
 joining ``payloads``, a commit per row) changes a count, not a wall-clock
 ratio a noisy runner can flip.
+
+A warm read decodes each entry's typed columns with one vectorized
+validation, so it builds no validated object: zero ``Job.__post_init__``
+and zero ``CompletedJob.__post_init__`` calls, where the row-JSON
+decoder made one of each per record.  Validation still happens — an
+entry with one corrupted column value is dropped as corrupt and its cell
+re-simulated.
 """
 
+import base64
+import json
 import math
+import sqlite3
 
+import numpy as np
 import pytest
 
-from repro.exec import Cell, ResultStore, simulate_cell
+from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest, simulate_cell
 from repro.exec.backends.sqlite import _SELECT_CHUNK
 from repro.experiments.config import WorkloadSpec
+from repro.metrics.collector import CompletedJob
+from repro.workload.job import Job
+from repro.workload.table import INT_COLUMNS
 
 N_CELLS = 3_000
 
@@ -68,3 +82,66 @@ def test_put_many_batch_is_one_transaction(tmp_path, cells, stored):
     assert verbs.count("BEGIN") == verbs.count("COMMIT") == 1
     assert set(verbs[1:-1]) == {"INSERT"}
     assert store.entry_count() == 500
+
+
+def small_grid() -> list[Cell]:
+    return [
+        Cell(WorkloadSpec(trace, 60, seed, 0.75, "user"), kind, "FCFS")
+        for trace in ("CTC", "SDSC")
+        for seed in (1, 2)
+        for kind in ("easy", "cons")
+    ]
+
+
+@pytest.mark.perf
+def test_warm_get_many_validates_no_row(tmp_path, monkeypatch):
+    cells = small_grid()
+    cold = CellExecutor(store=ResultStore(tmp_path)).execute(cells)
+
+    calls = {Job: 0, CompletedJob: 0}
+    for cls in calls:
+        post_init = cls.__post_init__
+
+        def counting(self, _post_init=post_init, _cls=cls):
+            calls[_cls] += 1
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    warm = ResultStore(tmp_path)
+    resolved = warm.get_many(cells)
+    monkeypatch.undo()
+
+    assert warm.stats.disk_hits == len(cells) and warm.stats.corrupt_dropped == 0
+    assert calls == {Job: 0, CompletedJob: 0}
+    assert [metrics_digest(resolved[cell].metrics) for cell in cells] == [
+        metrics_digest(metrics) for metrics in cold
+    ]
+
+
+@pytest.mark.perf
+def test_one_corrupted_column_value_is_dropped_and_resimulated(tmp_path):
+    cells = small_grid()[:2]
+    cold = CellExecutor(store=ResultStore(tmp_path)).execute(cells)
+    victim = cells[0].content_hash()
+
+    with sqlite3.connect(tmp_path / "results.sqlite") as conn:
+        (text,) = conn.execute(
+            "SELECT metrics FROM payloads WHERE key = ?", (victim,)
+        ).fetchone()
+        metrics = json.loads(text)
+        ints = np.frombuffer(base64.b64decode(metrics["ints"]), "<i8").copy()
+        ints.reshape(len(INT_COLUMNS), metrics["n"])[INT_COLUMNS.index("procs"), 7] = -4
+        metrics["ints"] = base64.b64encode(ints.tobytes()).decode("ascii")
+        conn.execute(
+            "UPDATE payloads SET metrics = ? WHERE key = ?",
+            (json.dumps(metrics), victim),
+        )
+
+    executor = CellExecutor(store=ResultStore(tmp_path))
+    warm = executor.execute(cells)
+    stats = executor.store.stats
+    assert stats.corrupt_dropped == 1 and stats.disk_hits == 1 and stats.misses == 1
+    assert [metrics_digest(m) for m in warm] == [metrics_digest(m) for m in cold]
+    # The re-simulated result replaced the damaged row.
+    fresh = ResultStore(tmp_path)
+    assert len(fresh.get_many(cells)) == 2 and fresh.stats.corrupt_dropped == 0

@@ -1,4 +1,4 @@
-"""Perf smoke test: a row ``Workload`` re-validates no ``Job`` per step.
+"""Perf smoke test: the workload layer re-validates no ``Job`` per step.
 
 On one CTC cell (2,000 jobs, seed 1) this counts ``Job.__post_init__``
 calls — the per-job validation a row body pays each time it rebuilds a
@@ -7,9 +7,12 @@ a row ``Workload`` takes: ``read_swf`` of the cell written out as SWF,
 and ``scale_load`` and ``apply_estimates`` on the row workload.  Each
 made 2,000 while it had a row body of its own; through ``JobTable`` it
 makes none, because the table validates its columns once, vectorized,
-and materializes jobs through the trusted constructor.  Wall-clock
-belongs to ``benchmarks/e2e`` (``swf_replay``, ``extension_engines``);
-this runs on every push (``-m perf``).
+and materializes jobs through the trusted constructor.  Generation is
+pinned the same way: ``base_workload_table`` draws each trace straight
+into columns, where it built and validated one ``Job`` per draw (2,000
+here).  Wall-clock belongs to ``benchmarks/e2e`` (``swf_replay``,
+``extension_engines``, ``cached_sweep``); this runs on every push
+(``-m perf``).
 """
 
 import io
@@ -17,13 +20,26 @@ import io
 import pytest
 
 from repro.experiments.config import WorkloadSpec
-from repro.experiments.runner import make_workload
+from repro.experiments.runner import base_workload_table, clear_cache, make_workload
 from repro.workload.estimates import UserEstimateModel
 from repro.workload.job import Job
 from repro.workload.swf import read_swf, write_swf
 from repro.workload.transforms import apply_estimates, scale_load
 
 JOBS = 2_000
+
+
+def counting_post_init(monkeypatch, cls) -> dict:
+    """Patch ``cls.__post_init__`` with a wrapper counting its calls."""
+    counts = {"calls": 0}
+    post_init = cls.__post_init__
+
+    def counting(self):
+        counts["calls"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
 
 
 @pytest.mark.perf
@@ -38,17 +54,21 @@ def test_row_paths_validate_no_job(monkeypatch, path):
         "apply_estimates": lambda: apply_estimates(workload, UserEstimateModel(), seed=1),
     }[path]
 
-    calls = 0
-    post_init = Job.__post_init__
-
-    def counting_post_init(self):
-        nonlocal calls
-        calls += 1
-        post_init(self)
-
-    monkeypatch.setattr(Job, "__post_init__", counting_post_init)
+    counts = counting_post_init(monkeypatch, Job)
     result = run()
     monkeypatch.undo()
 
     assert len(result) == JOBS
-    assert calls == 0
+    assert counts["calls"] == 0
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("trace", ["CTC", "SDSC", "LUBLIN"])
+def test_generation_validates_no_job(monkeypatch, trace):
+    clear_cache()
+    counts = counting_post_init(monkeypatch, Job)
+    table = base_workload_table(trace, JOBS, 1)
+    monkeypatch.undo()
+
+    assert len(table) == JOBS
+    assert counts["calls"] == 0

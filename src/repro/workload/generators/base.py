@@ -25,6 +25,17 @@ The model self-calibrates its arrival rate: given a ``target_load`` it
 computes the mean inter-arrival time from the analytic expected job area, so
 generated traces land near the requested offered load without trial and
 error.
+
+Every generator has one body, :meth:`WorkloadGenerator.generate_table`: it
+draws each job's values in turn and collects them into the columns of a
+:class:`~repro.workload.table.JobTable`, which validates them once,
+vectorized (:func:`generated_table`).  No ``Job`` is built or validated per
+draw; :meth:`WorkloadGenerator.generate` is
+``generate_table(...).to_workload()``.  The RNG stream is the one the
+row-at-a-time generators consumed, draw for draw (pinned against them by
+``tests/properties/test_prop_generator_columns.py``): the category draw is
+the ``random()`` plus right-bisect that ``Generator.choice(4, p=mix)``
+performs, over the same cdf, built once per model.
 """
 
 from __future__ import annotations

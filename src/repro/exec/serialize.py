@@ -2,28 +2,25 @@
 
 A run has two serialized forms:
 
-* the **row form** (:func:`metrics_to_payload`): one JSON list per
-  completed job.  It is what :func:`metrics_digest` hashes, so its bytes
-  are pinned by every golden digest.  Nothing reads it back.
+* the **row form** (:func:`metrics_to_payload`), one JSON list per
+  completed job: what :func:`metrics_digest` hashes, so every golden
+  digest pins its bytes.  Nothing reads it back.
 * the **stored form** (:func:`metrics_to_columns`), which the result
-  store persists: the completed-job records as typed little-endian
-  columns — one int64 buffer holding the nine integer ``Job`` fields and
-  one float64 buffer holding start, finish and the seven float ``Job``
-  fields, field-major, each base64-encoded — plus ``n``, utilization and
-  makespan.  :func:`metrics_from_payload` is its one decoder.
+  store persists: ``n``, utilization, makespan, and the records as two
+  base64 buffers of little-endian columns, field-major — int64 for the
+  nine integer ``Job`` fields, float64 for start, finish and the seven
+  float ``Job`` fields.  :func:`metrics_from_payload` is its one decoder.
 
-Both persist only the irreducible facts of a run and rebuild every
-aggregate through :func:`repro.metrics.collector.summarize` on load.
-Because ``summarize`` is a pure function of the records, a metrics
-object reconstructed from disk is float-for-float identical to the one
-produced live, which is what makes warm-cache reruns byte-identical to
-cold runs.  The stored form is exact by construction: the buffers hold
-the very IEEE-754 doubles and 64-bit integers of the records, with no
-text round trip in between.
+Only the irreducible facts of a run are stored; every aggregate is
+rebuilt by :func:`repro.metrics.collector.summarize`, a pure function of
+the records, so a run decoded from disk is float-for-float the one
+produced live and warm reruns are byte-identical to cold ones.  The
+stored form is exact by construction: the buffers are the records' own
+IEEE-754 doubles and 64-bit integers, with no text round trip.
 
-Decoding validates once, in columns: every check ``Job.__post_init__``
+Decoding validates once, in columns — every check ``Job.__post_init__``
 and ``CompletedJob.__post_init__`` make, vectorized with the same
-tolerances, plus the buffers' lengths.  Only then are the records built,
+tolerances, plus the buffer lengths — and only then builds the records,
 through the trusted constructors.  Any failure raises, which the store
 treats as a corrupt entry (drop and re-simulate).
 """

@@ -383,9 +383,9 @@ class ResultStore:
                 sim_seconds=float(payload["sim_seconds"]),
             )
         except Exception:
-            # Any malformed content — truncated records, values that
-            # Job/CompletedJob validation rejects, a row serving the
-            # wrong cell — is corruption: drop and re-simulate.
+            # Any malformed content — a truncated buffer, a value the
+            # decoder's Job/CompletedJob column checks reject, a row
+            # serving the wrong cell — is corruption: drop and re-simulate.
             self.stats.corrupt_dropped += 1
             doomed.append(key)
             return None

@@ -29,7 +29,7 @@ error.
 Every generator has one body, :meth:`WorkloadGenerator.generate_table`: it
 draws each job's values in turn and collects them into the columns of a
 :class:`~repro.workload.table.JobTable`, which validates them once,
-vectorized (:func:`generated_table`).  No ``Job`` is built or validated per
+vectorized (:func:`draw_table`).  No ``Job`` is built or validated per
 draw; :meth:`WorkloadGenerator.generate` is
 ``generate_table(...).to_workload()``.  The RNG stream is the one the
 row-at-a-time generators consumed, draw for draw (pinned against them by
@@ -41,10 +41,11 @@ performs, over the same cdf, built once per model.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkloadError
@@ -306,30 +307,48 @@ class SyntheticTraceModel:
         return base / max(relative_rate, 1e-9)
 
 
-def generated_table(
-    submit: list[float],
-    runtime: list[float],
-    procs: list[int],
-    user_id: list,
-    group_id: list,
+def draw_table(
+    n_jobs: int,
+    seed: int,
+    draw_job: Callable[[np.random.Generator, float], tuple[float, float, int]],
     *,
     max_procs: int,
     name: str,
     metadata: dict,
 ) -> JobTable:
-    """The :class:`JobTable` of generated jobs, from their drawn columns.
+    """Draw ``n_jobs`` jobs into a :class:`JobTable`: the loop every
+    generator shares.
 
-    Generated jobs are numbered 1..n in arrival order, carry exact
-    estimates (``estimate == runtime``) and status 1, and leave every other
-    SWF field unknown (-1).  The table validates the columns once,
-    vectorized, in place of one ``Job.__post_init__`` per row.
+    ``draw_job(rng, clock)`` makes a generator's own draws for one job and
+    returns its ``(submit, runtime, procs)``; the user and group draws
+    follow it, in that order, which is the stream every generator has
+    always consumed.  Jobs are numbered 1..n in arrival order, carry exact
+    estimates (``estimate == runtime``) and status 1, and leave every
+    other SWF field unknown (-1).  The table validates the columns once,
+    vectorized, in place of one ``Job.__post_init__`` per draw.
     """
-    n = len(submit)
+    if n_jobs < 0:
+        raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs}")
+    rng = np.random.default_rng(seed)
+    integers = rng.integers
+    clock = 0.0
+    submit: list[float] = []
+    runtime: list[float] = []
+    procs: list[int] = []
+    user_id: list = []
+    group_id: list = []
+    for _ in range(n_jobs):
+        clock, job_runtime, width = draw_job(rng, clock)
+        submit.append(clock)
+        runtime.append(job_runtime)
+        procs.append(width)
+        user_id.append(integers(1, 101))
+        group_id.append(integers(1, 11))
     runtime_column = np.array(runtime, dtype=np.float64)
-    unknown_int = np.full(n, -1, dtype=np.int64)
-    unknown_float = np.full(n, -1.0, dtype=np.float64)
+    unknown_int = np.full(n_jobs, -1, dtype=np.int64)
+    unknown_float = np.full(n_jobs, -1.0, dtype=np.float64)
     columns = {
-        "job_id": np.arange(1, n + 1, dtype=np.int64),
+        "job_id": np.arange(1, n_jobs + 1, dtype=np.int64),
         "submit_time": np.array(submit, dtype=np.float64),
         "runtime": runtime_column,
         "estimate": runtime_column,
@@ -339,7 +358,7 @@ def generated_table(
         "executable": unknown_int,
         "queue": unknown_int,
         "partition": unknown_int,
-        "status": np.ones(n, dtype=np.int64),
+        "status": np.ones(n_jobs, dtype=np.int64),
         "avg_cpu_time": unknown_float,
         "used_memory": unknown_float,
         "requested_memory": unknown_float,
@@ -377,36 +396,21 @@ class ModelGenerator(WorkloadGenerator):
     model: SyntheticTraceModel
 
     def generate_table(self, n_jobs: int, *, seed: int = 0) -> JobTable:
-        if n_jobs < 0:
-            raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs}")
         model = self.model
-        rng = np.random.default_rng(seed)
         sample_interarrival = model.sample_interarrival
         sample_job_shape = model.sample_job_shape
-        integers = rng.integers
-        clock = 0.0
-        submit: list[float] = []
-        runtime: list[float] = []
-        procs: list[int] = []
-        user_id: list = []
-        group_id: list = []
         categories: dict[str, int] = {c: 0 for c in _CATEGORIES}
-        # The draws per job, in order: gap, shape, user, group.
-        for _ in range(n_jobs):
+
+        def draw_job(rng: np.random.Generator, clock: float):
             clock += sample_interarrival(rng, clock)
-            job_runtime, width, category = sample_job_shape(rng)
+            runtime, width, category = sample_job_shape(rng)
             categories[category] += 1
-            submit.append(clock)
-            runtime.append(job_runtime)
-            procs.append(width)
-            user_id.append(integers(1, 101))
-            group_id.append(integers(1, 11))
-        return generated_table(
-            submit,
-            runtime,
-            procs,
-            user_id,
-            group_id,
+            return clock, runtime, width
+
+        return draw_table(
+            n_jobs,
+            seed,
+            draw_job,
             max_procs=model.max_procs,
             name=model.name,
             metadata={

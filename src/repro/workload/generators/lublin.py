@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, WorkloadError
-from repro.workload.generators.base import WorkloadGenerator, generated_table
+from repro.errors import ConfigurationError
+from repro.workload.generators.base import WorkloadGenerator, draw_table
 from repro.workload.table import JobTable
 
 __all__ = ["LublinGenerator"]
@@ -118,34 +118,15 @@ class LublinGenerator(WorkloadGenerator):
     # -- WorkloadGenerator ----------------------------------------------------
 
     def generate_table(self, n_jobs: int, *, seed: int = 0) -> JobTable:
-        if n_jobs < 0:
-            raise WorkloadError(f"n_jobs must be >= 0, got {n_jobs}")
-        rng = np.random.default_rng(seed)
-        sample_interarrival = self._sample_interarrival
-        sample_width = self._sample_width
-        sample_runtime = self._sample_runtime
-        integers = rng.integers
-        clock = 0.0
-        submit: list[float] = []
-        runtime: list[float] = []
-        procs: list[int] = []
-        user_id: list = []
-        group_id: list = []
-        # The draws per job, in order: gap, width, runtime, user, group.
-        for _ in range(n_jobs):
-            clock += sample_interarrival(rng, clock)
-            width = sample_width(rng)
-            submit.append(clock)
-            runtime.append(sample_runtime(rng, width))
-            procs.append(width)
-            user_id.append(integers(1, 101))
-            group_id.append(integers(1, 11))
-        return generated_table(
-            submit,
-            runtime,
-            procs,
-            user_id,
-            group_id,
+        def draw_job(rng: np.random.Generator, clock: float):
+            clock += self._sample_interarrival(rng, clock)
+            width = self._sample_width(rng)
+            return clock, self._sample_runtime(rng, width), width
+
+        return draw_table(
+            n_jobs,
+            seed,
+            draw_job,
             max_procs=self.max_procs,
             name=self.name,
             metadata={"generator": type(self).__name__, "seed": seed},

@@ -26,7 +26,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exec import Cell, metrics_digest, simulate_cell
@@ -198,12 +198,12 @@ def test_non_finite_or_non_positive_time_parity(base_metrics, row, field, value)
     _assert_parity(base_metrics, field, row, lambda r: value)
 
 
-#: Offsets straddling the tolerances, plus arbitrary ones.
+#: Offsets straddling the tolerances, plus arbitrary ones; the exact
+#: boundaries are pinned by test_the_time_checks_are_decided_by_the_tolerances.
 offsets = st.one_of(
     st.sampled_from(
         [0.0, START_TOL, 2 * START_TOL, START_TOL / 2, FINISH_ABS_TOL,
-         FINISH_ABS_TOL * (1 + 1e-9), FINISH_ABS_TOL * 1.5, 1.0, math.nan,
-         math.inf]
+         FINISH_ABS_TOL * 1.5, 1.0, math.nan, math.inf]
     ),
     st.floats(-1e-3, 1e-3),
     st.floats(allow_nan=False),
@@ -212,8 +212,6 @@ offsets = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(row=st.integers(0, 10**6), offset=offsets)
-@example(row=3, offset=2 * START_TOL)
-@example(row=3, offset=START_TOL / 2)
 def test_start_before_submission_parity(base_metrics, row, offset):
     _assert_parity(
         base_metrics, "start_time", row, lambda r: r.job.submit_time - offset
@@ -222,8 +220,6 @@ def test_start_before_submission_parity(base_metrics, row, offset):
 
 @settings(max_examples=80, deadline=None)
 @given(row=st.integers(0, 10**6), offset=offsets, sign=st.sampled_from([1.0, -1.0]))
-@example(row=3, offset=FINISH_ABS_TOL * 1.5, sign=1.0)
-@example(row=3, offset=FINISH_ABS_TOL / 2, sign=-1.0)
 def test_finish_off_expected_parity(base_metrics, row, offset, sign):
     _assert_parity(
         base_metrics,
@@ -272,8 +268,7 @@ def test_a_wrong_count_is_rejected_like_an_overlong_row(base_metrics, n):
     # The row form carries no count; its equivalent of a count that
     # disagrees with the data is a record longer than the column list.
     payload = _through_json(metrics_to_columns(base_metrics))
-    if n == payload["n"] and type(n) is int:
-        return
+    assume(not (n == payload["n"] and type(n) is int))
     payload["n"] = n
     rows = _through_json(metrics_to_payload(base_metrics))
     rows["records"][0] = rows["records"][0] + [0]

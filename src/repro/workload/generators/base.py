@@ -28,8 +28,8 @@ error.
 
 Every generator has one body, :meth:`WorkloadGenerator.generate_table`: it
 draws each job's values in turn and collects them into the columns of a
-:class:`~repro.workload.table.JobTable`, which validates them once,
-vectorized (:func:`draw_table`).  No ``Job`` is built or validated per
+:class:`~repro.workload.table.JobTable` (:func:`draw_table`), which
+validates them once, vectorized.  No ``Job`` is built or validated per
 draw; :meth:`WorkloadGenerator.generate` is
 ``generate_table(...).to_workload()``.  The RNG stream is the one the
 row-at-a-time generators consumed, draw for draw (pinned against them by

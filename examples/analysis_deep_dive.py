@@ -2,10 +2,10 @@
 """Analysis deep dive: everything beyond the averages.
 
 The paper's methodological point is that overall averages hide structure.
-This example runs one schedule and inspects it with the library's full
-analysis stack: trace characterization, a performance heatmap over
-(runtime x width) space, queue-depth and utilization time series, fairness
-against the no-backfill reference, and a written report directory.
+This example runs one schedule and inspects it with the library's
+analysis stack: trace characterization, slowdown per job category,
+fairness against the no-backfill reference, and a written report
+directory.
 
 Run:  python examples/analysis_deep_dive.py [output_dir]
 """
@@ -23,10 +23,8 @@ from repro import (
     scale_load,
     simulate,
 )
-from repro.analysis import render_heatmap, slowdown_heatmap, utilization_strip
+from repro.analysis import bar_chart
 from repro.metrics.fairness import fairness_report
-from repro.sim.series import busy_procs_series, queue_depth_series, sparkline, time_weighted_mean
-from repro.sim.trace import EventTrace
 from repro.workload.stats import characterization_table
 
 
@@ -40,26 +38,23 @@ def main() -> None:
 
     print(characterization_table(workload).render(title="1. The workload"))
 
-    trace = EventTrace()
-    result = simulate(workload, EasyScheduler(), trace=trace)
+    result = simulate(workload, EasyScheduler())
     overall = result.metrics.overall
     print(f"\n2. The run: EASY-FCFS, mean bounded slowdown "
           f"{overall.mean_bounded_slowdown:.1f}, utilization "
           f"{result.metrics.utilization:.3f}")
 
-    print("\n3. Where the slowdown lives (runtime x width heatmap):")
-    cells, max_rt, max_w = slowdown_heatmap(result.completed)
-    print(render_heatmap(cells, max_rt, max_w))
+    print("\n3. Where the slowdown lives (short/long x narrow/wide):")
+    by_category = bar_chart(
+        {
+            category.value: summary.mean_bounded_slowdown
+            for category, summary in result.metrics.by_category.items()
+        },
+        title="mean bounded slowdown",
+    )
+    print(by_category)
 
-    print("\n4. The run as time series:")
-    queue = queue_depth_series(trace)
-    busy = busy_procs_series(trace, workload.max_procs)
-    print(f"   queue depth  {sparkline(queue)}  "
-          f"(time-weighted mean {time_weighted_mean(queue):.1f})")
-    print(f"   busy procs   {sparkline(busy)}")
-    print(f"   utilization  {utilization_strip(result.completed, workload.max_procs, width=60)}")
-
-    print("\n5. Who pays for the average (vs the no-overtaking baseline):")
+    print("\n4. Who pays for the average (vs the no-overtaking baseline):")
     reference = simulate(workload, FCFSScheduler())
     report = fairness_report(result, reference)
     print(f"   {report.advanced_count} jobs served earlier "
@@ -80,11 +75,11 @@ def main() -> None:
         experiment_id="deep-dive",
         title="EASY-FCFS on a CTC-like workload",
         tables={"summary": summary},
-        charts={"slowdown heatmap": render_heatmap(cells, max_rt, max_w)},
+        charts={"slowdown by category": by_category},
         findings={"run completed": True},
     )
     path = write_report(artifact, out_dir)
-    print(f"\n6. Report written to {path}/report.md")
+    print(f"\n5. Report written to {path}/report.md")
 
 
 if __name__ == "__main__":

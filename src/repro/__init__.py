@@ -105,7 +105,7 @@ from repro.exec import (
     run_cells,
     set_default_executor,
 )
-from repro.serve import AsyncSession, Session, WhatIfReport
+from repro.serve import Session, WhatIfReport
 
 __all__ = [
     "__version__",
@@ -206,6 +206,5 @@ __all__ = [
     "WorkloadSpec",
     # serve (live sessions)
     "Session",
-    "AsyncSession",
     "WhatIfReport",
 ]

@@ -9,34 +9,21 @@ renders the paper's bar-chart figures as text.
 from repro.analysis.table import Table
 from repro.analysis.stats import (
     mean,
-    geometric_mean,
     percentile,
     confidence_interval,
     relative_change_percent,
 )
 from repro.analysis.ascii_chart import bar_chart, grouped_bar_chart
-from repro.analysis.gantt import gantt, utilization_strip
-from repro.analysis.heatmap import (
-    job_count_heatmap,
-    render_heatmap,
-    slowdown_heatmap,
-)
 from repro.analysis.report import ReportWriter, write_index, write_report
 
 __all__ = [
     "Table",
     "mean",
-    "geometric_mean",
     "percentile",
     "confidence_interval",
     "relative_change_percent",
     "bar_chart",
     "grouped_bar_chart",
-    "gantt",
-    "utilization_strip",
-    "job_count_heatmap",
-    "slowdown_heatmap",
-    "render_heatmap",
     "ReportWriter",
     "write_report",
     "write_index",

@@ -17,7 +17,6 @@ from repro.errors import ReproError
 
 __all__ = [
     "mean",
-    "geometric_mean",
     "percentile",
     "confidence_interval",
     "relative_change_percent",
@@ -36,19 +35,6 @@ def _clean(values: Sequence[float]) -> np.ndarray:
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean."""
     return float(_clean(values).mean())
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (all values must be > 0).
-
-    Slowdowns are ratio metrics, so the geometric mean is the right way to
-    average them across heterogeneous workloads; provided for robustness
-    checks alongside the paper's arithmetic means.
-    """
-    array = _clean(values)
-    if np.any(array <= 0):
-        raise ReproError("geometric mean needs strictly positive values")
-    return float(np.exp(np.log(array).mean()))
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -10,10 +10,11 @@ Subcommands:
 * ``report`` — run experiments and write a Markdown/CSV results directory.
 * ``characterize`` — print a workload's characterization statistics.
 * ``store`` — inspect and maintain a persistent result cache
-  (``stats``, ``gc``, ``migrate``).
-* ``sweep`` — pre-simulate experiment grids into a result store, either
-  locally or (``--dist``) through the work-stealing queue that any
-  number of ``repro worker`` processes drain.
+  (``stats``, ``gc``).
+* ``sweep`` — pre-simulate experiment grids into a result store; with
+  ``--parallel N --cache-dir DIR`` (N >= 2) the misses go through DIR's
+  work-stealing queue, which any number of ``repro worker`` processes
+  pointed at DIR drain alongside the N local ones.
 * ``worker`` — one queue-draining worker loop: claim chain-group
   leases, simulate, commit (see :mod:`repro.exec.dist`).
 * ``queue`` — inspect and maintain a distributed sweep's queue table
@@ -98,7 +99,7 @@ def _grid_parent() -> argparse.ArgumentParser:
 
 def _execution_parent() -> argparse.ArgumentParser:
     """Parent parser: the execution-layer flags shared by ``experiment``,
-    ``report``, and ``simulate``."""
+    ``report``, ``simulate``, and ``sweep``."""
     parent = argparse.ArgumentParser(add_help=False)
     _add_execution_flags(parent)
     return parent
@@ -144,29 +145,6 @@ def _configure_execution(args: argparse.Namespace):
     )
 
 
-def _lease_parent() -> argparse.ArgumentParser:
-    """Parent parser: the queue lease knobs ``sweep --dist`` and
-    ``worker`` must agree on."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=DEFAULT_LEASE_SECONDS,
-        metavar="S",
-        help="how long a claimed chain group stays owned before other "
-        f"workers may steal it (default: {DEFAULT_LEASE_SECONDS:.0f})",
-    )
-    parent.add_argument(
-        "--max-attempts",
-        type=int,
-        default=DEFAULT_MAX_ATTEMPTS,
-        metavar="N",
-        help="lease grants per group before it is poisoned "
-        f"(default: {DEFAULT_MAX_ATTEMPTS})",
-    )
-    return parent
-
-
 def _progress_printer():
     def emit(report: ExecutionReport) -> None:
         sys.stderr.write(f"\r[exec] {report.render()}\x1b[K")
@@ -209,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate_parent = _estimate_parent()
     grid_parent = _grid_parent()
     execution_parent = _execution_parent()
-    lease_parent = _lease_parent()
 
     exp = sub.add_parser(
         "experiment",
@@ -319,49 +296,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="report what would be removed without deleting anything",
     )
 
-    migrate = store_sub.add_parser(
-        "migrate", help="import a legacy JSON-per-file cache directory"
-    )
-    migrate.add_argument("source", help="legacy cache directory to read")
-    migrate.add_argument(
-        "dest", help="cache directory to write (may be new, or the source itself)"
-    )
-
     sweep = sub.add_parser(
         "sweep",
         help="pre-simulate experiment grids into a result store",
-        parents=[grid_parent, execution_parent, lease_parent],
+        parents=[grid_parent, execution_parent],
     )
     sweep.add_argument(
         "ids", nargs="*", default=[], help="experiment ids (default: all)"
     )
-    sweep.add_argument(
-        "--dist",
-        action="store_true",
-        help="execute through the work-stealing queue in --cache-dir: "
-        "misses are enqueued as chain-group leases and drained by this "
-        "process and/or any 'repro worker --queue' processes pointed at "
-        "the same directory",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --dist: spawn N local worker processes (default: 0, "
-        "drain inline alongside any external workers)",
-    )
 
     worker = sub.add_parser(
-        "worker",
-        help="drain a distributed sweep's queue until empty",
-        parents=[lease_parent],
+        "worker", help="drain a distributed sweep's queue until empty"
     )
     worker.add_argument(
         "--queue",
         required=True,
         metavar="DIR",
-        help="the queue directory a 'repro sweep --dist' run enqueues into",
+        help="the queue directory: the --cache-dir of a "
+        "'repro sweep --parallel N' run (N >= 2)",
+    )
+    worker.add_argument(
+        "--lease-seconds",
+        type=float,
+        default=DEFAULT_LEASE_SECONDS,
+        metavar="S",
+        help="how long a claimed chain group stays owned before other "
+        f"workers may steal it (default: {DEFAULT_LEASE_SECONDS:.0f})",
+    )
+    worker.add_argument(
+        "--max-attempts",
+        type=int,
+        default=DEFAULT_MAX_ATTEMPTS,
+        metavar="N",
+        help="lease grants per group before it is poisoned "
+        f"(default: {DEFAULT_MAX_ATTEMPTS})",
     )
     worker.add_argument(
         "--owner",
@@ -583,10 +551,10 @@ def _human_bytes(n: int) -> str:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.exec import ResultStore, migrate_store
+    from repro.exec import ResultStore
 
+    store = ResultStore(cache_dir=args.cache_dir)
     if args.store_command == "stats":
-        store = ResultStore(cache_dir=args.cache_dir)
         print(f"entries : {store.entry_count()}")
         print(f"size    : {_human_bytes(store.size_bytes())}")
         if store.backend.queue_exists():
@@ -594,28 +562,23 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
             print(CellQueue(args.cache_dir).stats().render())
         return 0
-    if args.store_command == "gc":
-        store = ResultStore(cache_dir=args.cache_dir)
-        report = store.gc(dry_run=args.dry_run)
-        verb = "would remove" if args.dry_run else "removed"
-        print(
-            f"kept {report.kept}, {verb} {report.stale_removed} stale "
-            f"+ {report.corrupt_removed} corrupt"
-        )
-        backend = store.backend
-        if backend.queue_exists():
-            # Done leases are pure debris once their results are in the
-            # result tables; pending/leased/poisoned rows are live state
-            # and stay.
-            if args.dry_run:
-                done = backend.queue_counts().get("done", (0, 0))[0]
-                print(f"queue: would clear {done} done lease row(s)")
-            else:
-                cleared = backend.queue_clear_done()
-                print(f"queue: cleared {cleared} done lease row(s)")
-        return 0
-    copied = migrate_store(args.source, args.dest)
-    print(f"migrated {copied} entries (json -> sqlite)")
+    report = store.gc(dry_run=args.dry_run)
+    verb = "would remove" if args.dry_run else "removed"
+    print(
+        f"kept {report.kept}, {verb} {report.stale_removed} stale "
+        f"+ {report.corrupt_removed} corrupt"
+    )
+    backend = store.backend
+    if backend.queue_exists():
+        # Done leases are pure debris once their results are in the
+        # result tables; pending/leased/poisoned rows are live state
+        # and stay.
+        if args.dry_run:
+            done = backend.queue_counts().get("done", (0, 0))[0]
+            print(f"queue: would clear {done} done lease row(s)")
+        else:
+            cleared = backend.queue_clear_done()
+            print(f"queue: cleared {cleared} done lease row(s)")
     return 0
 
 
@@ -628,29 +591,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     ids = args.ids or list(EXPERIMENTS)
     cells = collect_cells(ids, params)
-    if args.dist:
-        from repro.exec.dist import DistExecutor
-
-        cache_dir = None if args.no_cache else args.cache_dir
-        if not cache_dir:
-            raise ReproError(
-                "sweep --dist needs --cache-dir: the queue and its results "
-                "live in that directory's SQLite database"
-            )
-        if args.workers < 0:
-            raise ReproError(f"--workers must be >= 0, got {args.workers}")
-        progress = _progress_printer() if sys.stderr.isatty() else None
-        executor = set_default_executor(
-            DistExecutor(
-                cache_dir,
-                workers=args.workers,
-                lease_seconds=args.lease_seconds,
-                max_attempts=args.max_attempts,
-                progress=progress,
-            )
-        )
-    else:
-        executor = _configure_execution(args)
+    executor = _configure_execution(args)
     run_cells(cells)
     print(f"swept {len(cells)} cells across {len(ids)} experiment(s)")
     _finish_execution(executor)

@@ -53,7 +53,6 @@ from repro.exec.store import (
     ResultStore,
     StoredResult,
     StoreStats,
-    migrate_store,
 )
 from repro.metrics.collector import RunMetrics
 
@@ -76,7 +75,6 @@ __all__ = [
     "StoreStats",
     "WorkerReport",
     "chain_key",
-    "migrate_store",
     "plan_chains",
     "run_chain",
     "run_worker",

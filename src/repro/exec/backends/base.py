@@ -2,8 +2,8 @@
 
 The *backend* is the physical layer under :class:`repro.exec.store.ResultStore`
 (:class:`~repro.exec.backends.sqlite.SqliteBackend`, the only one): it
-maps string keys (cell content hashes) to *entry payloads* — the same
-JSON-safe dict the original one-file-per-cell layout persisted::
+maps string keys (cell content hashes) to *entry payloads*, one
+JSON-safe dict per cell::
 
     {
         "schema": <int>,             # CACHE_SCHEMA_VERSION at write time
@@ -15,8 +15,7 @@ JSON-safe dict the original one-file-per-cell layout persisted::
 
 The backend stores and returns payloads verbatim; all *semantic*
 judgment — schema staleness, cell-identity verification, metrics
-decoding — lives in the store front, which is why an imported legacy
-cache behaves exactly like a native one (``tests/exec/test_backends.py``).
+decoding — lives in the store front (``tests/exec/test_backends.py``).
 
 The contract is **batch-native**: the primitive operations are
 ``resolve_many`` (cheap membership + bookkeeping facts, *without*

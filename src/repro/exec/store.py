@@ -16,8 +16,7 @@ backend calls, which is what keeps warm-path resolution cheap at
 production sweep scale; the single-cell :meth:`~ResultStore.get` /
 :meth:`~ResultStore.put` are thin wrappers over them.
 
-Semantic judgment lives here, so an entry imported from a legacy JSON
-cache is judged exactly like a native one:
+Semantic judgment lives here, not in the backend:
 
 * an entry whose ``schema`` stamp differs from the current
   :data:`~repro.exec.cell.CACHE_SCHEMA_VERSION` is **stale** — dropped
@@ -35,16 +34,10 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.errors import ConfigurationError
-from repro.exec.backends import (
-    SqliteBackend,
-    iter_legacy_entries,
-    refuse_legacy_layout,
-)
+from repro.exec.backends import SqliteBackend
 from repro.exec.cell import CACHE_SCHEMA_VERSION, Cell
 from repro.exec.serialize import metrics_from_payload, metrics_to_columns
 from repro.metrics.collector import RunMetrics
@@ -54,7 +47,6 @@ __all__ = [
     "StoreStats",
     "ResultStore",
     "GcReport",
-    "migrate_store",
     "stored_payload",
     "DEFAULT_MEMORY_LIMIT",
 ]
@@ -140,11 +132,9 @@ class ResultStore:
 
     ``cache_dir=None`` (the default) keeps the store memory-only;
     passing a directory enables persistence across processes and
-    invocations in that directory's ``results.sqlite``.  A directory
-    holding a retired layout (JSON-per-file entries, npz shards) and no
-    database raises :class:`~repro.errors.ConfigurationError` rather
-    than being shadowed by a fresh, empty database.  ``memory_limit``
-    caps the in-process layer (``None`` = unbounded).
+    invocations in that directory's ``results.sqlite``; any other file
+    in the directory is ignored.  ``memory_limit`` caps the in-process
+    layer (``None`` = unbounded).
     """
 
     def __init__(
@@ -158,7 +148,6 @@ class ResultStore:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend: SqliteBackend | None = None
         if self.cache_dir is not None:
-            refuse_legacy_layout(self.cache_dir)
             self.backend = SqliteBackend(self.cache_dir)
         self.memory_limit = memory_limit
         self._memory: OrderedDict[str, StoredResult] = OrderedDict()
@@ -390,29 +379,3 @@ class ResultStore:
             doomed.append(key)
             return None
 
-
-def migrate_store(
-    source_dir: str | os.PathLike, dest_dir: str | os.PathLike, *, batch: int = 2048
-) -> int:
-    """Import a legacy JSON-per-file cache into ``dest_dir``'s database.
-
-    Payloads travel verbatim — schema stamps, bookkeeping facts, and
-    metrics included — so a migrated cache answers exactly what the
-    original did (pinned by ``tests/exec/test_backends.py``).  Returns
-    the number of entries copied; unreadable source files are skipped
-    (they would never have served anyway).  ``dest_dir`` may be
-    ``source_dir`` itself: the database then sits beside the JSON files,
-    which are left in place and no longer consulted.
-    """
-    if not Path(source_dir).is_dir():
-        raise ConfigurationError(f"no cache directory at {source_dir}")
-    dest = SqliteBackend(dest_dir)
-    entries = iter_legacy_entries(source_dir)
-    copied = 0
-    try:
-        while items := list(islice(entries, batch)):
-            dest.put_many(items)
-            copied += len(items)
-    finally:
-        dest.close()
-    return copied

@@ -15,7 +15,6 @@ from repro.grid.dispatch import (
     LeastLoadedDispatch,
     RandomDispatch,
     RoundRobinDispatch,
-    dispatch_by_name,
 )
 from repro.grid.engine import GridSimulator, GridResult
 
@@ -25,7 +24,6 @@ __all__ = [
     "LeastLoadedDispatch",
     "RandomDispatch",
     "RoundRobinDispatch",
-    "dispatch_by_name",
     "GridSimulator",
     "GridResult",
 ]

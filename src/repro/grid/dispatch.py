@@ -29,7 +29,6 @@ __all__ = [
     "LeastLoadedDispatch",
     "RandomDispatch",
     "RoundRobinDispatch",
-    "dispatch_by_name",
 ]
 
 
@@ -104,21 +103,3 @@ class RoundRobinDispatch(DispatchPolicy):
         ]
         self._cursor = (self._cursor + 1) % len(feasible)
         return chosen
-
-
-_POLICIES = {
-    "least-loaded": LeastLoadedDispatch,
-    "random": RandomDispatch,
-    "round-robin": RoundRobinDispatch,
-}
-
-
-def dispatch_by_name(name: str, replication: int = 1, **kwargs) -> DispatchPolicy:
-    """Build a dispatch policy by name."""
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown dispatch policy {name!r}; known: {sorted(_POLICIES)}"
-        ) from None
-    return cls(replication, **kwargs)

@@ -273,36 +273,6 @@ class RunMetrics:
             raise KeyError(f"no completed record for job {job_id}") from None
 
 
-def trim_warmup(
-    records: list[CompletedJob] | tuple[CompletedJob, ...],
-    *,
-    warmup_fraction: float = 0.1,
-    cooldown_fraction: float = 0.0,
-) -> list[CompletedJob]:
-    """Drop the first/last fractions of records by submission order.
-
-    Standard steady-state methodology: the simulated machine starts empty
-    (early jobs see an unrealistically idle system) and drains at the end
-    (late jobs see an emptying queue).  Trimming by *submission order*
-    keeps the job population unbiased within the retained window.
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise SimulationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    if not 0.0 <= cooldown_fraction < 1.0:
-        raise SimulationError(
-            f"cooldown_fraction must be in [0, 1), got {cooldown_fraction}"
-        )
-    if warmup_fraction + cooldown_fraction >= 1.0:
-        raise SimulationError("warmup + cooldown fractions must leave some jobs")
-    ordered = sorted(records, key=lambda r: (r.job.submit_time, r.job.job_id))
-    n = len(ordered)
-    lo = int(n * warmup_fraction)
-    hi = n - int(n * cooldown_fraction)
-    return ordered[lo:hi]
-
-
 def summarize(
     records: list[CompletedJob] | tuple[CompletedJob, ...],
     *,

@@ -1,15 +1,13 @@
-"""Scheduler-as-a-service: live sessions, forked what-ifs, three front-ends.
+"""Scheduler-as-a-service: live sessions, forked what-ifs, two front-ends.
 
 The paper answers "how would this queue fare under conservative vs
 EASY?" offline; this package answers it *live*.  A
 :class:`~repro.serve.session.Session` holds one authoritative simulator
 per policy, accepts streaming submissions, and serves what-if /
 forecast queries by snapshot-forking the paused state — queries never
-perturb the live trajectory.  Three ways in:
+perturb the live trajectory.  Two ways in:
 
 * **Python** — ``from repro.serve import Session``;
-* **asyncio** — :class:`~repro.serve.async_api.AsyncSession`
-  multiplexes many in-flight queries over one state;
 * **HTTP/JSON** — ``repro serve`` (see :mod:`repro.serve.http`).
 
 See DESIGN.md §11 for the architecture and
@@ -17,7 +15,6 @@ See DESIGN.md §11 for the architecture and
 simulators feed.
 """
 
-from repro.serve.async_api import AsyncSession
 from repro.serve.http import make_server, serve_forever
 from repro.serve.session import (
     JobForecast,
@@ -39,7 +36,6 @@ __all__ = [
     "QueueForecast",
     "JobForecast",
     "RunningJob",
-    "AsyncSession",
     "make_server",
     "serve_forever",
 ]

@@ -1,10 +1,9 @@
 """Thin HTTP/JSON skin over a live session (the ``repro serve`` CLI).
 
 Stdlib-only (:class:`http.server.ThreadingHTTPServer`): one process, one
-authoritative :class:`~repro.serve.session.Session`, JSON in/out.  The
-threading model mirrors :mod:`repro.serve.async_api`: every handler
-thread takes the session lock only to mutate or fork, and drains query
-branches outside it, so slow what-ifs never block submissions.
+authoritative :class:`~repro.serve.session.Session`, JSON in/out.  Every
+handler thread takes the session lock only to mutate or fork, and drains
+query branches outside it, so slow what-ifs never block submissions.
 
 Endpoints (all JSON bodies; errors come back as
 ``{"error": "..."}`` with a 4xx status):

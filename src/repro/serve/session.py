@@ -10,7 +10,7 @@ every query takes a :meth:`~repro.sim.engine.Simulator.snapshot` of the
 paused simulator, plays the branch forward in isolation, and leaves the
 authoritative state untouched.  Forks are cheap (PR 5's checkpoint
 machinery), so many queries can run against one state — concurrently,
-via :class:`repro.serve.async_api.AsyncSession` or the HTTP layer.
+via the HTTP layer's handler threads.
 
 The state machine: the live simulators are always paused at a *batch
 boundary* at watermark ``now`` (:meth:`Session.clock`).  Mutations —

@@ -28,7 +28,6 @@ from repro.workload.transforms import (
     shake,
     assign_users,
 )
-from repro.workload.cleaning import Flurry, find_flurries, remove_flurries
 from repro.workload.stats import characterize, characterization_table
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "merge",
     "shake",
     "assign_users",
-    "Flurry",
-    "find_flurries",
-    "remove_flurries",
     "characterize",
     "characterization_table",
 ]

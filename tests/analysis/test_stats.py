@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.stats import (
     confidence_interval,
-    geometric_mean,
     mean,
     percentile,
     relative_change_percent,
@@ -25,21 +24,6 @@ class TestMean:
     def test_nan_rejected(self):
         with pytest.raises(ReproError):
             mean([1.0, math.nan])
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_scale_invariance(self):
-        values = [2.0, 8.0, 32.0]
-        assert geometric_mean([v * 10 for v in values]) == pytest.approx(
-            10 * geometric_mean(values)
-        )
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ReproError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestPercentile:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import settings
 
@@ -49,19 +47,6 @@ def make_job(
 
 def make_workload(jobs, max_procs: int = 10, name: str = "test") -> Workload:
     return Workload.from_jobs(jobs, max_procs=max_procs, name=name)
-
-
-def write_legacy_json(cache_dir, pairs) -> None:
-    """Write ``(cell, stored)`` pairs the way the retired JSON-per-file
-    store backend did: ``<cache_dir>/<content hash>.json``, one entry
-    payload each.  Nothing in the package writes this layout any more;
-    the suites that check it is imported or refused build it here."""
-    from repro.exec.store import stored_payload
-
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    for cell, stored in pairs:
-        path = cache_dir / f"{cell.content_hash()}.json"
-        path.write_text(json.dumps(stored_payload(cell, stored)))
 
 
 #: The batch trap: simultaneous arrivals and many finishes

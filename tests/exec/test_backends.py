@@ -1,32 +1,31 @@
-"""Store differential suite: a cache serves the same whatever its history.
+"""Store differential suite: a cache serves what was put into it.
 
-There is one disk layout (SQLite), but two ways a cache directory comes
-to hold entries: written natively, or imported from a legacy
-JSON-per-file directory by ``migrate_store``.  The store front owns all
-semantic judgment (schema staleness, cell verification, metrics
-decoding), so both histories must be interchangeable: same hits, same
-digests, same stale/corrupt classification.  Retired layouts that were
-*not* imported must be refused by name, never shadowed by a fresh empty
-database.  These tests drive the public :class:`ResultStore` API plus
-targeted backend-level corruption.
+There is one disk layout, a SQLite database per cache directory.  The
+store front owns all semantic judgment (schema staleness, cell
+verification, metrics decoding): same hits, same digests, same
+stale/corrupt classification.  Files of the retired layouts
+(JSON-per-file entries, npz shards) are ignored: such a directory opens
+as an empty store and its cells are re-simulated, which is what their
+stale schema stamps would cause anyway.  These tests drive the public
+:class:`ResultStore` API plus targeted backend-level corruption.
 """
+
+import json
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.exec import (
     Cell,
     CellExecutor,
     DistExecutor,
     ResultStore,
     metrics_digest,
-    migrate_store,
     plan_chains,
+    run_cells,
     simulate_cell,
 )
+from repro.exec.store import stored_payload
 from repro.experiments.config import WorkloadSpec
-
-from tests.conftest import write_legacy_json
 
 CELLS = [
     Cell(WorkloadSpec("CTC", 60, seed=2, load_scale=0.75), "easy", "FCFS"),
@@ -35,7 +34,7 @@ CELLS = [
 ]
 
 #: How a cache directory under test got its entries.
-HISTORIES = ["json", "sqlite"]
+HISTORIES = ["sqlite"]
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +45,7 @@ def results():
 def fill(tmp_path, history, results):
     """A store over ``tmp_path / history`` holding ``results``."""
     cache_dir = tmp_path / history
-    if history == "json":
-        write_legacy_json(tmp_path / "legacy", results.items())
-        assert migrate_store(tmp_path / "legacy", cache_dir) == len(results)
-    else:
-        ResultStore(cache_dir).put_many(results.items())
+    ResultStore(cache_dir).put_many(results.items())
     return ResultStore(cache_dir)
 
 
@@ -135,67 +130,31 @@ class TestEachBackend:
         assert fresh.entry_count() == len(CELLS) - 1
 
 
-class TestCrossBackendEquivalence:
-    def test_all_backends_serve_identical_digests(self, tmp_path, results):
-        digests = {}
-        for history in HISTORIES:
-            fresh = fill(tmp_path, history, results)
-            digests[history] = {
-                cell.content_hash(): metrics_digest(stored.metrics)
-                for cell, stored in fresh.get_many(CELLS).items()
-            }
-        assert digests["json"] == digests["sqlite"]
-
-    def test_migrate_preserves_every_entry(self, tmp_path, results):
-        """README's first example once wrote JSON under ``--cache-dir D``;
-        ``sweep --dist --cache-dir D`` must not shadow it.  In place:
-        refused un-migrated, then every entry a hit through the queue
-        executor, digests identical to the JSON originals."""
-        legacy = tmp_path / "D"
-        write_legacy_json(legacy, results.items())
-        with pytest.raises(ConfigurationError, match="repro store migrate"):
-            DistExecutor(legacy)
-        assert migrate_store(legacy, legacy) == len(CELLS)
-        dist = DistExecutor(legacy)
-        metrics = dist.execute(CELLS)
-        assert dist.last_report.cache_hits == len(CELLS)
-        assert dist.last_report.simulated == 0
-        assert dist.store.stats.stale_dropped == dist.store.stats.corrupt_dropped == 0
-        for cell, got in zip(CELLS, metrics):
-            assert metrics_digest(got) == metrics_digest(results[cell].metrics)
-        dist.close()
-        assert len(list(legacy.glob("*.json"))) == len(CELLS)  # left in place
-
-    def test_migrate_skips_unreadable_files(self, tmp_path, results):
-        legacy = tmp_path / "legacy"
-        write_legacy_json(legacy, results.items())
-        (legacy / ("0" * 64 + ".json")).write_text("not json at all {{{")
-        (legacy / ("1" * 64 + ".json")).write_text('{"schema": 1}')
-        assert migrate_store(legacy, tmp_path / "dest") == len(CELLS)
-        assert ResultStore(tmp_path / "dest").entry_count() == len(CELLS)
-
-    def test_migrate_requires_disk_stores(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no cache directory"):
-            migrate_store(tmp_path / "absent", tmp_path / "dest")
-        assert not (tmp_path / "dest").exists()
-
-
 class TestBackendSelection:
-    def test_existing_layouts_are_sniffed(self, tmp_path, results):
-        # Current layout: opens and serves.
-        fill(tmp_path, "sqlite", results)
-        assert len(ResultStore(tmp_path / "sqlite").get_many(CELLS)) == len(CELLS)
-        # Legacy JSON with no database: refused, naming the way out.
-        write_legacy_json(tmp_path / "old", results.items())
-        with pytest.raises(ConfigurationError, match="repro store migrate"):
-            ResultStore(tmp_path / "old")
-        # Retired shards: refused, and told there is nothing to import.
-        (tmp_path / "shards_dir" / "shards").mkdir(parents=True)
-        with pytest.raises(ConfigurationError, match="retired.*reproducible"):
-            ResultStore(tmp_path / "shards_dir")
-        # Neither refusal left a database behind to mask the next attempt.
-        assert not (tmp_path / "old" / "results.sqlite").exists()
-        assert not (tmp_path / "shards_dir" / "results.sqlite").exists()
+    def test_retired_layouts_open_empty_and_resimulate(self, tmp_path, results):
+        """``<hash>.json`` entries and a ``shards/`` directory are left
+        alone: the queue executor simulates every cell, writes the
+        database beside them, and serves a fresh directory's digests."""
+        old = tmp_path / "D"
+        (old / "shards").mkdir(parents=True)
+        (old / "shards" / "000.npz").write_bytes(b"retired shard")
+        for cell, stored in results.items():
+            payload = {**stored_payload(cell, stored), "schema": 1}
+            (old / f"{cell.content_hash()}.json").write_text(json.dumps(payload))
+        before = {p: p.read_bytes() for p in old.rglob("*") if p.is_file()}
+
+        assert ResultStore(old).entry_count() == 0
+        digests = {}
+        for name in ("D", "fresh"):
+            dist = DistExecutor(tmp_path / name)
+            metrics = run_cells(CELLS, executor=dist)
+            assert dist.last_report.simulated == len(CELLS)
+            assert dist.last_report.cache_hits == 0
+            dist.close()
+            digests[name] = [metrics_digest(m) for m in metrics]
+        assert digests["D"] == digests["fresh"]
+        assert (old / "results.sqlite").exists()
+        assert {p: p.read_bytes() for p in before} == before
 
     def test_fresh_and_absent_directories_open_empty(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -7,7 +7,6 @@ from repro.grid.dispatch import (
     LeastLoadedDispatch,
     RandomDispatch,
     RoundRobinDispatch,
-    dispatch_by_name,
 )
 from repro.grid.engine import GridSimulator
 from repro.grid.site import GridSite
@@ -77,11 +76,6 @@ class TestDispatch:
         sites = make_sites(2)
         chosen = LeastLoadedDispatch(5).choose(sites, make_job(1))
         assert len(chosen) == 2
-
-    def test_lookup_by_name(self):
-        assert dispatch_by_name("round-robin", 2).replication == 2
-        with pytest.raises(ConfigurationError):
-            dispatch_by_name("teleport")
 
 
 class TestGridEngine:

@@ -1,10 +1,8 @@
-"""Property tests: validators and renderers accept every real schedule."""
+"""Property tests: the validators accept every real schedule."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis.gantt import gantt, utilization_strip
-from repro.analysis.heatmap import job_count_heatmap, render_heatmap, slowdown_heatmap
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
 from repro.sched.backfill.lookahead import LookaheadScheduler
@@ -59,23 +57,3 @@ def test_nobf_output_passes_order_validation(wl):
     result = simulate(wl, FCFSScheduler())
     assert validate_no_backfill(result.completed) == []
 
-
-@given(workloads())
-@settings(max_examples=20, deadline=None)
-def test_gantt_renders_every_real_schedule(wl):
-    result = simulate(wl, EasyScheduler())
-    chart = gantt(result.completed, wl.max_procs, width=24)
-    assert chart.count("\n") == wl.max_procs  # one row per proc + legend
-    strip = utilization_strip(result.completed, wl.max_procs, width=24)
-    assert len(strip) == 24
-
-
-@given(workloads())
-@settings(max_examples=20, deadline=None)
-def test_heatmaps_cover_every_record(wl):
-    result = simulate(wl, EasyScheduler())
-    cells, max_rt, max_w = job_count_heatmap(result.completed)
-    assert sum(cells.values()) == len(wl)
-    sld_cells, _, _ = slowdown_heatmap(result.completed)
-    assert set(sld_cells) == set(cells)
-    assert render_heatmap(cells, max_rt, max_w)  # renders without error

@@ -29,7 +29,6 @@ def test_top_level_all_is_complete_and_importable():
 def test_readme_taught_names_exist():
     taught = [
         "Session",
-        "AsyncSession",
         "WhatIfReport",
         "StreamingMetrics",
         "ExecConfig",
@@ -112,7 +111,6 @@ def test_serve_surface_is_pinned():
         "QueueForecast",
         "JobForecast",
         "RunningJob",
-        "AsyncSession",
         "make_server",
         "serve_forever",
     }

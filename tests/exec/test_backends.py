@@ -130,30 +130,55 @@ class TestEachBackend:
         assert fresh.entry_count() == len(CELLS) - 1
 
 
-class TestBackendSelection:
-    def test_retired_layouts_open_empty_and_resimulate(self, tmp_path, results):
-        """``<hash>.json`` entries and a ``shards/`` directory are left
-        alone: the queue executor simulates every cell, writes the
-        database beside them, and serves a fresh directory's digests."""
-        old = tmp_path / "D"
-        (old / "shards").mkdir(parents=True)
-        (old / "shards" / "000.npz").write_bytes(b"retired shard")
-        for cell, stored in results.items():
-            payload = {**stored_payload(cell, stored), "schema": 1}
-            (old / f"{cell.content_hash()}.json").write_text(json.dumps(payload))
-        before = {p: p.read_bytes() for p in old.rglob("*") if p.is_file()}
+def write_retired_layouts(cache_dir, results):
+    """Fill ``cache_dir`` with schema-1 ``<hash>.json`` entries and a
+    ``shards/`` directory; return every file's bytes."""
+    (cache_dir / "shards").mkdir(parents=True)
+    (cache_dir / "shards" / "000.npz").write_bytes(b"retired shard")
+    for cell, stored in results.items():
+        payload = {**stored_payload(cell, stored), "schema": 1}
+        (cache_dir / f"{cell.content_hash()}.json").write_text(json.dumps(payload))
+    return {p: p.read_bytes() for p in cache_dir.rglob("*") if p.is_file()}
 
-        assert ResultStore(old).entry_count() == 0
-        digests = {}
+
+class TestCrossBackendEquivalence:
+    def test_all_backends_serve_identical_digests(self, tmp_path, results):
+        """A memory-only store, a native database, and the queue executor
+        over a retired-layout directory and over a fresh one all serve
+        the digests of a direct simulation."""
+        expected = [metrics_digest(results[cell].metrics) for cell in CELLS]
+        memory = ResultStore()
+        memory.put_many(results.items())
+        native = fill(tmp_path, "sqlite", results)
+        for store in (memory, native):
+            loaded = store.get_many(CELLS)
+            assert [metrics_digest(loaded[cell].metrics) for cell in CELLS] == expected
+
+        write_retired_layouts(tmp_path / "D", results)
         for name in ("D", "fresh"):
             dist = DistExecutor(tmp_path / name)
             metrics = run_cells(CELLS, executor=dist)
             assert dist.last_report.simulated == len(CELLS)
             assert dist.last_report.cache_hits == 0
             dist.close()
-            digests[name] = [metrics_digest(m) for m in metrics]
-        assert digests["D"] == digests["fresh"]
-        assert (old / "results.sqlite").exists()
+            assert [metrics_digest(m) for m in metrics] == expected
+        assert (tmp_path / "D" / "results.sqlite").exists()
+
+
+class TestBackendSelection:
+    def test_existing_layouts_are_sniffed(self, tmp_path, results):
+        """Only ``results.sqlite`` is read: ``<hash>.json`` entries and a
+        ``shards/`` directory are left alone and the store opens empty."""
+        # Current layout: opens and serves.
+        fill(tmp_path, "sqlite", results)
+        assert len(ResultStore(tmp_path / "sqlite").get_many(CELLS)) == len(CELLS)
+        # Retired layouts: not refused, not imported, not touched.
+        old = tmp_path / "D"
+        before = write_retired_layouts(old, results)
+        store = ResultStore(old)
+        assert store.entry_count() == 0
+        assert store.get_many(CELLS) == {}
+        assert store.stats.stale_dropped == store.stats.corrupt_dropped == 0
         assert {p: p.read_bytes() for p in before} == before
 
     def test_fresh_and_absent_directories_open_empty(self, tmp_path):

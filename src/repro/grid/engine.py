@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.grid.dispatch import DispatchPolicy, LeastLoadedDispatch
 from repro.grid.site import GridSite
 from repro.metrics.collector import CompletedJob, RunMetrics, summarize
+from repro.sched.tol import EPS_SNAP
 from repro.sim.events import EventKind
 from repro.workload.job import Job, Workload
 
@@ -179,7 +180,7 @@ class GridSimulator:
 
         while self._heap:
             batch_time = self._heap[0][0][0]
-            if batch_time < self.clock - 1e-9:
+            if batch_time < self.clock - EPS_SNAP:
                 raise SimulationError(
                     f"time went backwards: {self.clock} -> {batch_time}"
                 )

@@ -11,6 +11,13 @@ Differences from :class:`repro.sim.engine.Simulator`:
   :class:`~repro.preempt.scheduler.SuspendDecision` (starts + suspends)
   from a global view of the waiting and running sets.
 
+Each start or resume builds the job's one
+:class:`~repro.preempt.scheduler.RunningView` (the job, the instant and the
+work of its earlier runs), so a decision round rebuilds and re-sums nothing.
+A suspension adds ``clock - started`` to that total in the order a sum over
+the intervals would, so every pseudo-release is the same float.  The
+waiting pool and the running set are dicts keyed by job id, in pool order.
+
 Per batch of same-timestamp events the engine releases all completions,
 admits all arrivals, then runs the decision loop until the policy has
 nothing more to do (bounded by an iteration cap — a correct policy
@@ -92,10 +99,10 @@ class PreemptiveSimulator:
         self.clock = 0.0
         self._heap: list[tuple[tuple[float, int, int], Job | None, int]] = []
         self._counter = itertools.count()
-        self._waiting: list[Job] = []
-        self._running: dict[int, Job] = {}
+        self._waiting: dict[int, Job] = {}
+        self._running: dict[int, RunningView] = {}
         self._remaining: dict[int, float] = {}
-        self._last_start: dict[int, float] = {}
+        self._executed: dict[int, float] = {}  # work of the finished runs
         self._epoch: dict[int, int] = {}
         self._intervals: dict[int, list[tuple[float, float]]] = {}
         self._records: list[PreemptedJob] = []
@@ -109,15 +116,14 @@ class PreemptiveSimulator:
 
     def _start(self, job: Job) -> None:
         """Start or resume a waiting job."""
-        try:
-            self._waiting.remove(job)
-        except ValueError:
+        if self._waiting.pop(job.job_id, None) is None:
             raise SchedulingError(
                 f"policy started job {job.job_id} which is not waiting"
-            ) from None
+            )
         self.machine.allocate(job, self.clock)
-        self._running[job.job_id] = job
-        self._last_start[job.job_id] = self.clock
+        self._running[job.job_id] = RunningView(
+            job, self.clock, self._executed.get(job.job_id, 0.0)
+        )
         epoch = self._epoch.get(job.job_id, 0) + 1
         self._epoch[job.job_id] = epoch
         remaining = self._remaining.setdefault(job.job_id, job.effective_runtime)
@@ -125,39 +131,31 @@ class PreemptiveSimulator:
 
     def _suspend(self, job: Job) -> None:
         """Suspend a running job back into the waiting pool."""
-        if self._running.pop(job.job_id, None) is None:
+        view = self._running.pop(job.job_id, None)
+        if view is None:
             raise SchedulingError(
                 f"policy suspended job {job.job_id} which is not running"
             )
         self.machine.release(job, self.clock)
-        started = self._last_start[job.job_id]
+        started = view.started
         if self.clock <= started:
             raise SchedulingError(
                 f"job {job.job_id} suspended the instant it started — "
                 "the policy is thrashing"
             )
         self._intervals.setdefault(job.job_id, []).append((started, self.clock))
+        self._executed[job.job_id] = view.executed_before + (self.clock - started)
         # The suspension's save/restore cost is charged to the victim's
         # remaining execution time.
         self._remaining[job.job_id] -= self.clock - started
         self._remaining[job.job_id] += self.suspension_overhead
         self._epoch[job.job_id] += 1  # invalidate the pending finish event
-        self._waiting.append(job)
+        self._waiting[job.job_id] = job
         self._suspensions += 1
-
-    def _executed(self, job: Job) -> float:
-        """Wall-clock work done so far (past intervals + the current run)."""
-        past = sum(
-            end - start for start, end in self._intervals.get(job.job_id, [])
-        )
-        if job.job_id in self._running:
-            past += self.clock - self._last_start[job.job_id]
-        return past
 
     def _finish(self, job: Job) -> None:
         self.machine.release(job, self.clock)
-        del self._running[job.job_id]
-        started = self._last_start[job.job_id]
+        started = self._running.pop(job.job_id).started
         self._intervals.setdefault(job.job_id, []).append((started, self.clock))
         self._remaining[job.job_id] = 0.0
         self._records.append(
@@ -172,23 +170,10 @@ class PreemptiveSimulator:
 
     def _run_decisions(self) -> None:
         for _ in range(self.MAX_DECISION_ROUNDS):
-            # Jobs started at this very instant are marked unsuspendable:
-            # suspending a zero-elapsed job would thrash (and record an
-            # empty interval).  They still appear in the view because the
-            # backfilling shadow must account for their processors.
-            running_view = [
-                RunningView(
-                    job=job,
-                    estimated_finish=self.clock
-                    + max(job.estimate - self._executed(job), 1e-9),
-                    suspendable=self._last_start[job.job_id] < self.clock,
-                )
-                for job in self._running.values()
-            ]
             decision = self.scheduler.decide(
                 self.clock,
-                list(self._waiting),
-                running_view,
+                list(self._waiting.values()),
+                self._running.values(),
                 self.machine.free_procs,
             )
             if not decision.starts and not decision.suspends:
@@ -231,7 +216,7 @@ class PreemptiveSimulator:
             for kind, job, _epoch in batch:
                 if kind == _ARRIVAL:
                     assert job is not None
-                    self._waiting.append(job)
+                    self._waiting[job.job_id] = job
                 elif kind == _TICK:
                     self._tick_pending = False
             self._run_decisions()
@@ -242,10 +227,9 @@ class PreemptiveSimulator:
                 )
 
         if len(self._records) != len(self.workload):
-            stuck = [j.job_id for j in self._waiting]
             raise SchedulingError(
                 f"preemptive run completed {len(self._records)} of "
-                f"{len(self.workload)} jobs (waiting: {stuck[:10]})"
+                f"{len(self.workload)} jobs (waiting: {list(self._waiting)[:10]})"
             )
         metrics = summarize_preemptive(
             self._records, utilization=self.machine.utilization()

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.metrics.categories import Category, categorize
-from repro.metrics.collector import MetricSummary, RunMetrics
+from repro.metrics.collector import (
+    FINISH_ABS_TOL,
+    FINISH_REL_TOL,
+    MetricSummary,
+    RunMetrics,
+)
 from repro.metrics.defs import BOUNDED_SLOWDOWN_THRESHOLD
+from repro.sched.tol import EPS_SNAP
 from repro.workload.job import Job
 
 __all__ = ["PreemptedJob", "summarize_preemptive"]
@@ -51,7 +57,7 @@ class PreemptedJob:
                     f"job {self.job.job_id}: overlapping intervals at {start}"
                 )
             previous_end = end
-        if self.intervals[0][0] < self.job.submit_time - 1e-9:
+        if self.intervals[0][0] < self.job.submit_time - EPS_SNAP:
             raise SimulationError(
                 f"job {self.job.job_id}: started before submission"
             )
@@ -60,7 +66,9 @@ class PreemptedJob:
             self.job.effective_runtime
             + self.n_suspensions * self.overhead_per_suspension
         )
-        if not math.isclose(executed, expected, rel_tol=1e-9, abs_tol=1e-6):
+        if not math.isclose(
+            executed, expected, rel_tol=FINISH_REL_TOL, abs_tol=FINISH_ABS_TOL
+        ):
             raise SimulationError(
                 f"job {self.job.job_id}: executed {executed}s, expected "
                 f"{expected}s"

@@ -15,6 +15,13 @@ the same rule that suspended them — a job can only be preempted by one
 with at least ``suspension_factor`` times its expansion factor, and that
 relation is antisymmetric).
 
+A :class:`RunningView` is fixed from a (re)start to the next suspension;
+``decide`` derives each pseudo-release and suspendability from it and
+``now``.  Phase 3 filters before it sorts: eligibility is monotone in the
+victim's expansion factor (IEEE multiplication by the positive factor is
+monotone), so the eligible victims are a prefix of the xfactor order, and a
+stable sort of them alone picks the same victims in the same order.
+
 Simplifications relative to the full ICPP 2002 system (documented in
 DESIGN.md): a single suspension decision per event (the blocked head
 only), and no checkpoint/migration costs (suspension is instantaneous, as
@@ -23,7 +30,9 @@ in the paper's "suspension in place" variant).
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sched.priority.policies import FCFSPriority, PriorityPolicy, xfactor
@@ -33,13 +42,12 @@ from repro.workload.job import Job
 __all__ = ["RunningView", "SuspendDecision", "SelectiveSuspensionScheduler"]
 
 
-@dataclass(frozen=True)
-class RunningView:
-    """What the policy may know about one running job."""
+class RunningView(NamedTuple):
+    """What the policy may know about one running job, fixed until it stops."""
 
     job: Job
-    estimated_finish: float  # now + max(estimate - executed, eps)
-    suspendable: bool  # False for jobs started at this very instant
+    started: float  # the instant of this start or resume
+    executed_before: float  # wall-clock work of the job's earlier runs
 
 
 @dataclass
@@ -96,29 +104,34 @@ class SelectiveSuspensionScheduler:
         self,
         now: float,
         waiting: list[Job],
-        running: list[RunningView],
+        running: Collection[RunningView],
         free_procs: int,
     ) -> SuspendDecision:
         decision = SuspendDecision()
         queue = self.priority.sort(waiting, now)
         free = free_procs
-        pseudo_releases = [
-            (max(view.estimated_finish, now), view.job.procs) for view in running
-        ]
+        # Estimated finishes; an overrun estimate leaves ``_EPS`` of work.
+        pseudo_releases = []
+        for job, started, executed_before in running:
+            left = job.estimate - (executed_before + (now - started))
+            finish = now + (left if left >= _EPS else _EPS)
+            pseudo_releases.append((finish if finish >= now else now, job.procs))
 
         # Phase 1: start in priority order while the head fits.
-        while queue and queue[0].procs <= free:
-            job = queue.pop(0)
+        index = 0
+        while index < len(queue) and queue[index].procs <= free:
+            job = queue[index]
+            index += 1
             decision.starts.append(job)
             free -= job.procs
             pseudo_releases.append((now + job.estimate, job.procs))
-        if not queue:
+        if index == len(queue):
             return decision
 
         # Phase 2: EASY backfilling behind the blocked head.
-        head = queue[0]
+        head = queue[index]
         shadow, extra = self._shadow(head, now, free, pseudo_releases)
-        for job in queue[1:]:
+        for job in queue[index + 1:]:
             if job.procs > free:
                 continue
             by_shadow = now + job.estimate <= shadow + _EPS
@@ -128,23 +141,26 @@ class SelectiveSuspensionScheduler:
                 if not by_shadow:
                     extra -= job.procs
 
-        # Phase 3: selective suspension for the (still blocked) head.
+        # Phase 3: selective suspension for the (still blocked) head.  A job
+        # started at this very instant is not suspendable: it would thrash.
         if now - head.submit_time < self.min_wait:
             return decision
         head_xf = xfactor(head, now)
-        victims_pool = sorted(
-            (view.job for view in running if view.suspendable),
-            key=lambda r: xfactor(r, now),
-        )
-        chosen: list[Job] = []
-        freed = free
-        for victim in victims_pool:
-            if freed >= head.procs:
+        eligible = []
+        reachable = free
+        for job, started, _ in running:
+            if started < now:
+                xf = xfactor(job, now)
+                if head_xf >= self.suspension_factor * xf:
+                    eligible.append((xf, job))
+                    reachable += job.procs
+        if reachable < head.procs:
+            return decision
+        eligible.sort(key=lambda pair: pair[0])
+        for _, victim in eligible:
+            decision.suspends.append(victim)
+            free += victim.procs
+            if free >= head.procs:
                 break
-            if head_xf >= self.suspension_factor * xfactor(victim, now):
-                chosen.append(victim)
-                freed += victim.procs
-        if freed >= head.procs:
-            decision.suspends.extend(chosen)
-            decision.starts.append(head)
+        decision.starts.append(head)
         return decision

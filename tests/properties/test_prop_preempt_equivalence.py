@@ -7,10 +7,16 @@ victims before it sorts them, walks phase 1 by index, and the waiting
 pool is keyed by job id.  None of that may change a schedule, so
 ``tests/oracles/preempt.py`` freezes the previous engine and policy, and
 every shipped run must reproduce its frozen original exactly — per-job
-intervals, ``total_suspensions`` and the ``metrics_digest`` of the
-``RunMetrics`` — under FCFS, SJF and XF, suspension factors 1, 2 and 4,
-with and without a suspension overhead, at a short and a long decision
-interval, and with ``min_wait`` zero and positive.
+intervals, ``total_suspensions``, the ``metrics_digest`` of the
+``RunMetrics`` and, round by round, the waiting and running job ids the
+policy was handed, in order — under FCFS, SJF and XF, suspension factors
+1, 2 and 4, with and without a suspension overhead, at a short and a long
+decision interval, and with ``min_wait`` zero and positive.
+
+With an overhead, two jobs can suspend each other faster than either
+progresses, and the run never ends (``MANY_RESUMES`` under FCFS, factor 1
+and ``min_wait`` 20 does).  Both sides are cut after ``MAX_ROUNDS``
+decision rounds, and the rounds up to the cut must match.
 """
 
 import hypothesis.strategies as st
@@ -27,38 +33,70 @@ from tests.properties.test_prop_grid_preempt import SITE_PROCS, workloads
 
 PRIORITIES = {"FCFS": FCFSPriority, "SJF": SJFPriority, "XF": XFactorPriority}
 FACTORS = (1.0, 2.0, 4.0)
+MAX_ROUNDS = 2_000
 
-#: Job 1 takes the whole machine and is suspended and resumed several
-#: times under a low factor, so each pseudo-release after a later resume
-#: needs the executed time of every earlier run.
-TWICE_SUSPENDED = Workload(
-    tuple(
-        Job(job_id=job_id, submit_time=submit, runtime=runtime,
-            estimate=estimate, procs=procs)
-        for job_id, submit, runtime, estimate, procs in (
-            (1, 0.0, 150.0, 150.0, 10),
-            (2, 5.0, 20.0, 20.0, 6),
-            (3, 60.0, 10.0, 10.0, 6),
-            (4, 61.0, 40.0, 40.0, 4),
-            (5, 62.0, 70.0, 90.0, 8),
-        )
+#: Jobs 1 and 2 arrive together and, under XF with factor 1, suspend each
+#: other every decision round; by job 3's arrival each has run several
+#: times, so the pseudo-releases that place job 3 need the work of every
+#: earlier run, not only the latest.
+MANY_RESUMES = Workload(
+    (
+        Job(job_id=1, submit_time=0.0, runtime=92.0, estimate=92.0, procs=6),
+        Job(job_id=2, submit_time=0.0, runtime=46.0, estimate=92.0, procs=10),
+        Job(job_id=3, submit_time=58.0, runtime=31.0, estimate=62.0, procs=3),
     ),
     max_procs=SITE_PROCS,
-    name="twice-suspended",
+    name="many-resumes",
+)
+
+#: Jobs 1 and 2 share submit time and estimate, so their expansion factors
+#: are equal floats: under factor 1 the waiting one may suspend the running
+#: one, which then frees exactly the processors the head needs.
+TIED = Workload(
+    tuple(
+        Job(job_id=job_id, submit_time=0.0, runtime=100.0, estimate=100.0,
+            procs=SITE_PROCS)
+        for job_id in (1, 2)
+    ),
+    max_procs=SITE_PROCS,
+    name="tied-xfactor",
 )
 
 
+class _Livelock(Exception):
+    pass
+
+
 def _outcome(module, wl, priority, factor, overhead, interval, min_wait):
-    result = module.PreemptiveSimulator(
+    rounds = []
+
+    class Recording(module.SelectiveSuspensionScheduler):
+        def decide(self, now, waiting, running, free_procs):
+            if len(rounds) == MAX_ROUNDS:
+                raise _Livelock
+            rounds.append((
+                now,
+                [job.job_id for job in waiting],
+                [view.job.job_id for view in running],
+                free_procs,
+            ))
+            return super().decide(now, waiting, running, free_procs)
+
+    simulator = module.PreemptiveSimulator(
         wl,
-        module.SelectiveSuspensionScheduler(
+        Recording(
             PRIORITIES[priority](), suspension_factor=factor, min_wait=min_wait
         ),
         decision_interval=interval,
         suspension_overhead=overhead,
-    ).run()
+    )
+    try:
+        result = simulator.run()
+    except _Livelock:
+        return None, rounds
     intervals = {r.job.job_id: r.intervals for r in result.records}
-    return intervals, result.total_suspensions, metrics_digest(result.metrics)
+    summary = (intervals, result.total_suspensions, metrics_digest(result.metrics))
+    return summary, rounds
 
 
 @pytest.mark.parametrize("factor", FACTORS)
@@ -69,8 +107,9 @@ def _outcome(module, wl, priority, factor, overhead, interval, min_wait):
     interval=st.sampled_from([15.0, 300.0]),
     min_wait=st.sampled_from([0.0, 20.0]),
 )
-@example(wl=TWICE_SUSPENDED, overhead=0.0, interval=15.0, min_wait=0.0)
-@example(wl=TWICE_SUSPENDED, overhead=7.5, interval=300.0, min_wait=20.0)
+@example(wl=MANY_RESUMES, overhead=0.0, interval=15.0, min_wait=0.0)
+@example(wl=MANY_RESUMES, overhead=7.5, interval=15.0, min_wait=20.0)
+@example(wl=TIED, overhead=0.0, interval=15.0, min_wait=0.0)
 @settings(max_examples=60, deadline=None)
 def test_shipped_engine_equals_frozen(
     priority, factor, wl, overhead, interval, min_wait

@@ -3,10 +3,10 @@
 Source-level assertions (plain ``pathlib``, ``re`` and ``ast``, nothing
 executed) that keep the reservation family on its one replanning core,
 the EASY pass free of its retired memo and copies, the float tolerances
-named once, the workload layer on one SWF reader and one body per
-transform, the streaming metrics sink without modes, and the lower
-layers free of module-level imports from the upper ones — source greps
-kept as tests, where they cannot rot.
+named once and read by name in the extension engines, the workload layer
+on one SWF reader and one body per transform, the streaming metrics sink
+without modes, and the lower layers free of module-level imports from
+the upper ones — source greps kept as tests, where they cannot rot.
 """
 
 import ast
@@ -113,6 +113,19 @@ def test_record_check_tolerances_are_named_once():
     assert "check_record_columns(" in serialize
     assert not re.search(r"\de-\d", serialize)
 
+
+
+def test_extension_engines_compare_times_through_named_tolerances():
+    # ROADMAP item 1(e): the preemptive package and the grid engine read
+    # EPS_SNAP and collector.py's finish tolerances by name.
+    paths = sorted((SRC / "preempt").glob("*.py")) + [SRC / "grid" / "engine.py"]
+    assert len(paths) > 1
+    offenders = [
+        f"{path.relative_to(SRC)}: {literal}"
+        for path in paths
+        for literal in re.findall(r"\de-\d", path.read_text())
+    ]
+    assert offenders == []
 
 #: Layers below the experiment harness, and the packages above them.
 LOWER_LAYERS = ("workload", "sim", "sched", "metrics", "cluster")

@@ -102,7 +102,7 @@ class PreemptiveSimulator:
         self._waiting: dict[int, Job] = {}
         self._running: dict[int, RunningView] = {}
         self._remaining: dict[int, float] = {}
-        self._executed: dict[int, float] = {}  # work of the finished runs
+        self._done: dict[int, float] = {}  # work of the earlier runs, per job
         self._epoch: dict[int, int] = {}
         self._intervals: dict[int, list[tuple[float, float]]] = {}
         self._records: list[PreemptedJob] = []
@@ -122,7 +122,7 @@ class PreemptiveSimulator:
             )
         self.machine.allocate(job, self.clock)
         self._running[job.job_id] = RunningView(
-            job, self.clock, self._executed.get(job.job_id, 0.0)
+            job, self.clock, self._done.get(job.job_id, 0.0)
         )
         epoch = self._epoch.get(job.job_id, 0) + 1
         self._epoch[job.job_id] = epoch
@@ -144,7 +144,7 @@ class PreemptiveSimulator:
                 "the policy is thrashing"
             )
         self._intervals.setdefault(job.job_id, []).append((started, self.clock))
-        self._executed[job.job_id] = view.executed_before + (self.clock - started)
+        self._done[job.job_id] = view.executed_before + (self.clock - started)
         # The suspension's save/restore cost is charged to the victim's
         # remaining execution time.
         self._remaining[job.job_id] -= self.clock - started

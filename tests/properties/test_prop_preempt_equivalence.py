@@ -36,7 +36,7 @@ FACTORS = (1.0, 2.0, 4.0)
 MAX_ROUNDS = 2_000
 
 #: Jobs 1 and 2 arrive together and, under XF with factor 1, suspend each
-#: other every decision round; by job 3's arrival each has run several
+#: other round after round; by job 3's arrival each has run several
 #: times, so the pseudo-releases that place job 3 need the work of every
 #: earlier run, not only the latest.
 MANY_RESUMES = Workload(

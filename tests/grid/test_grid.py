@@ -78,6 +78,10 @@ class TestDispatch:
         assert len(chosen) == 2
 
 
+def start_finish(result):
+    return {r.job.job_id: (r.start_time, r.finish_time) for r in result.completed}
+
+
 class TestGridEngine:
     def test_single_site_matches_local_simulation(self):
         from repro.sim.engine import simulate
@@ -87,11 +91,31 @@ class TestGridEngine:
             for i in range(1, 40)
         ]
         workload = wl(list(jobs))
-        local = simulate(workload, EasyScheduler()).start_times()
-        grid = GridSimulator(
-            workload, make_sites(1), dispatch=LeastLoadedDispatch(1)
+        for scheduler in (EasyScheduler, ConservativeScheduler, FCFSScheduler):
+            local = simulate(workload, scheduler())
+            grid = GridSimulator(
+                workload, make_sites(1, scheduler=scheduler), dispatch=LeastLoadedDispatch(1)
+            ).run()
+            assert start_finish(grid) == start_finish(local), scheduler.name
+
+    def test_exp_grid_configuration_pinned(self):
+        # exp_grid's own run: SDSC, 600 jobs, seed 1, four 128-proc EASY
+        # sites, least-loaded dispatch with K = 2.
+        from repro.experiments.exp_grid import _grid_workload
+
+        sites = [GridSite(f"site{i}", 128, EasyScheduler()) for i in range(4)]
+        result = GridSimulator(
+            _grid_workload(600, 1), sites, dispatch=LeastLoadedDispatch(2)
         ).run()
-        assert grid.start_times() == local
+        assert [(s.name, s.jobs_run, s.cancelled_replicas) for s in result.sites] == [
+            ("site0", 147, 77),
+            ("site1", 194, 39),
+            ("site2", 149, 127),
+            ("site3", 110, 103),
+        ]
+        overall = result.metrics.overall
+        assert repr(overall.mean_bounded_slowdown) == "104.82632228862099"
+        assert repr(overall.max_turnaround) == "403615.18811337725"
 
     def test_all_jobs_complete_once(self):
         workload = wl(

@@ -10,6 +10,7 @@ from repro.preempt.engine import PreemptiveSimulator
 from repro.preempt.scheduler import SelectiveSuspensionScheduler
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
+from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sim.engine import simulate
 from repro.workload.job import Job, Workload
 
@@ -52,14 +53,21 @@ class TestGridProperties:
         ]
         assert sum(site.jobs_run for site in result.sites) == len(wl)
 
-    @given(workloads())
-    @settings(max_examples=25, deadline=None)
-    def test_single_site_grid_equals_local_run(self, wl):
+    @given(
+        workloads(),
+        st.sampled_from([EasyScheduler, ConservativeScheduler, FCFSScheduler]),
+    )
+    @settings(max_examples=75, deadline=None)
+    def test_single_site_grid_equals_local_run(self, wl, scheduler):
         grid = GridSimulator(
-            wl, _sites(1), dispatch=RoundRobinDispatch(1)
+            wl, _sites(1, scheduler), dispatch=RoundRobinDispatch(1)
         ).run()
-        local = simulate(wl, EasyScheduler())
-        assert grid.start_times() == local.start_times()
+        local = simulate(wl, scheduler())
+
+        def start_finish(result):
+            return {r.job.job_id: (r.start_time, r.finish_time) for r in result.completed}
+
+        assert start_finish(grid) == start_finish(local)
 
     @given(workloads(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)

@@ -6,25 +6,26 @@ dispatch policy; the first site to *start* the job wins and the other
 replicas are cancelled immediately (the multiple-simultaneous-requests
 scheme of the paper's reference [12]).
 
-Event handling mirrors the single-site engine, including the
-same-timestamp discipline: at each instant, all completions (across all
-sites) release their processors first, then scheduler reactions run, then
-timers, then arrivals — so a decision at any site observes every
-simultaneous completion.
+A grid is a scheduler: :class:`_Metascheduler` implements the hooks
+:class:`~repro.sim.engine.Simulator` calls and fans them out to the
+sites, so a grid run is the one ``Simulator`` loop on the workload
+re-wrapped to the sum of the sites' processors (the engine's machine is
+the sum of the site machines).  It inherits that loop's same-timestamp
+discipline: at each instant all completions, across all sites, release
+their processors first, then scheduler reactions run, then timers, then
+arrivals — so a decision at any site observes every simultaneous completion.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.grid.dispatch import DispatchPolicy, LeastLoadedDispatch
 from repro.grid.site import GridSite
-from repro.metrics.collector import CompletedJob, RunMetrics, summarize
-from repro.sched.tol import EPS_SNAP
-from repro.sim.events import EventKind
+from repro.metrics.collector import CompletedJob, RunMetrics
+from repro.sim.engine import Simulator
 from repro.workload.job import Job, Workload
 
 __all__ = ["GridSimulator", "GridResult", "SiteStats"]
@@ -64,6 +65,152 @@ class GridResult:
         return dict(self.site_assignments)
 
 
+class _Metascheduler:
+    """The scheduler hooks of a grid: dispatch, replicas and per-site timers.
+
+    Each site's TIMER requests are deduplicated per site and fired in
+    request order.  ``Simulator`` keeps one TIMER event per instant; a
+    request made at the current instant while that instant's event is
+    still in the batch being processed (a finish at one site, a pending
+    timer at another) is held back to a fresh event, because a site's
+    own event would have landed in the next batch.
+    """
+
+    def __init__(self, sites: list[GridSite], dispatch: DispatchPolicy) -> None:
+        self.sites = sites
+        self.dispatch = dispatch
+        self.site_of: dict[int, int] = {}  # job_id -> winning site index
+        self.cancelled = [0] * len(sites)
+        self._pending_sites: dict[int, set[int]] = {}  # job_id -> site indices
+        self._clock = 0.0
+        self._site_timers: list[set[float]] = [set() for _ in sites]
+        self._timers: dict[float, list[int]] = {}  # time -> sites, request order
+        self._early: set[float] = set()  # instants armed before they came
+        self._held: list[int] = []
+        self._request_wakeup = None
+
+    def describe(self) -> str:
+        return f"grid({self.dispatch.name}, K={self.dispatch.replication})"
+
+    @property
+    def queued_jobs(self) -> tuple[Job, ...]:
+        return tuple(job for site in self.sites for job in site.scheduler.queued_jobs)
+
+    def bind(self, machine, request_wakeup) -> None:
+        self._request_wakeup = request_wakeup
+        for index, site in enumerate(self.sites):
+            site.bind(self._wakeup_for(index))
+
+    def _wakeup_for(self, index: int):
+        armed = self._site_timers[index]
+
+        def request(time: float) -> None:
+            when = max(time, self._clock)
+            if when in armed:
+                return
+            armed.add(when)
+            if when == self._clock and when in self._early:
+                self._held.append(index)
+            elif when in self._timers:
+                self._timers[when].append(index)
+            else:
+                self._timers[when] = [index]
+                if when > self._clock:
+                    self._early.add(when)
+                self._request_wakeup(when)
+
+        return request
+
+    # -- job lifecycle ------------------------------------------------------------
+
+    def _handle_starts(self, site_index: int, jobs: list[Job]) -> list[Job]:
+        """Commit starts and propagate replica cancellations, race-free.
+
+        Ordering is what makes this correct: before ANY cancellation-freed
+        scheduling pass (`poke`) runs at a loser site, every job committed
+        so far has had its replicas withdrawn from every other site — so a
+        poke can never hand out a job that already started elsewhere.
+        Pokes run one at a time and their freed starts re-enter the commit
+        queue, so cascades of arbitrary depth stay consistent.  Returns the
+        committed jobs in commit order, the order the engine pushes their
+        finishes in.
+        """
+        now = self._clock
+        started: list[Job] = []
+        work: list[tuple[int, Job]] = [(site_index, job) for job in jobs]
+        pokes: list[int] = []
+        while work or pokes:
+            if work:
+                where, job = work.pop(0)
+                if job.job_id in self.site_of:
+                    raise SimulationError(
+                        f"job {job.job_id} started at two sites — cancellation raced"
+                    )
+                site = self.sites[where]
+                site.machine.allocate(job, now)
+                site.scheduler.notify_started(job, now)
+                self.site_of[job.job_id] = where
+                started.append(job)
+                losers = self._pending_sites.pop(job.job_id, set()) - {where}
+                for loser in losers:
+                    self.cancelled[loser] += 1
+                    self.sites[loser].scheduler.cancel(job, now)
+                    pokes.append(loser)
+            else:
+                loser = pokes.pop(0)
+                freed = self.sites[loser].scheduler.poke(now)
+                work.extend((loser, job) for job in freed)
+        return started
+
+    # -- the hooks Simulator calls ---------------------------------------------------
+
+    def on_arrival(self, job: Job, now: float) -> list[Job]:
+        self._clock = now
+        started: list[Job] = []
+        # Membership is added as each site actually receives the replica,
+        # so a start during this loop only cancels replicas that exist.
+        pending = self._pending_sites[job.job_id] = set()
+        for site in self.dispatch.choose(self.sites, job):
+            if job.job_id in self.site_of:
+                break  # an earlier replica in this loop already started it
+            site_index = self.sites.index(site)
+            pending.add(site_index)
+            started += self._handle_starts(site_index, site.scheduler.on_arrival(job, now))
+        return started
+
+    def on_finish(self, job: Job, now: float) -> list[Job]:
+        self._clock = now
+        where = self.site_of[job.job_id]
+        return self._handle_starts(where, self.sites[where].scheduler.on_finish(job, now))
+
+    def on_wakeup(self, now: float) -> list[Job]:
+        self._clock = now
+        self._early.discard(now)
+        due = self._timers.pop(now, [])
+        if self._held:
+            self._timers[now], self._held = self._held, []
+            self._request_wakeup(now)
+        started: list[Job] = []
+        for site_index in due:
+            self._site_timers[site_index].discard(now)
+            started += self._handle_starts(
+                site_index, self.sites[site_index].scheduler.on_wakeup(now)
+            )
+        return started
+
+    def poke(self, now: float) -> list[Job]:
+        """Nothing to do: the engine pokes only for advance reservations."""
+        return []
+
+    def notify_started(self, job: Job, now: float) -> None:
+        """Nothing to do: :meth:`_handle_starts` committed at the site."""
+
+    def notify_finished(self, job: Job, now: float) -> None:
+        site = self.sites[self.site_of[job.job_id]]
+        site.machine.release(job, now)
+        site.scheduler.notify_finished(job, now)
+
+
 class GridSimulator:
     """Drives a workload through a metascheduler over several sites.
 
@@ -92,138 +239,24 @@ class GridSimulator:
             raise ConfigurationError(
                 f"workload contains a {widest}-proc job no site can fit"
             )
-        self.clock = 0.0
-        self._heap: list[tuple[tuple[float, int, int], int, Job | None]] = []
-        self._counter = itertools.count()
-        self._pending_sites: dict[int, set[int]] = {}  # job_id -> site indices
-        self._started_at: dict[int, tuple[int, float]] = {}  # job_id -> (site, t)
-        self._completed: list[CompletedJob] = []
-        self._site_of_job: dict[int, str] = {}
-        self._cancelled_at_site: dict[int, int] = {i: 0 for i in range(len(sites))}
-        self._jobs_run_at_site: dict[int, int] = {i: 0 for i in range(len(sites))}
-        self._timer_times: dict[int, set[float]] = {i: set() for i in range(len(sites))}
         self._ran = False
-
-    # -- event plumbing ---------------------------------------------------------
-
-    def _push(self, time: float, kind: EventKind, site: int, job: Job | None) -> None:
-        heapq.heappush(
-            self._heap, ((time, int(kind), next(self._counter)), site, job)
-        )
-
-    def _request_wakeup_for(self, site_index: int):
-        def request(time: float) -> None:
-            when = max(time, self.clock)
-            if when not in self._timer_times[site_index]:
-                self._timer_times[site_index].add(when)
-                self._push(when, EventKind.TIMER, site_index, None)
-
-        return request
-
-    # -- job lifecycle ------------------------------------------------------------
-
-    def _commit_start(self, site_index: int, job: Job) -> None:
-        """Allocate and record a start the local scheduler decided on."""
-        if job.job_id in self._started_at:
-            raise SimulationError(
-                f"job {job.job_id} started at two sites — cancellation raced"
-            )
-        site = self.sites[site_index]
-        site.machine.allocate(job, self.clock)
-        site.scheduler.notify_started(job, self.clock)
-        self._started_at[job.job_id] = (site_index, self.clock)
-        self._jobs_run_at_site[site_index] += 1
-        self._site_of_job[job.job_id] = site.name
-        self._push(
-            self.clock + job.effective_runtime, EventKind.JOB_FINISH, site_index, job
-        )
-
-    def _handle_starts(self, site_index: int, jobs: list[Job]) -> None:
-        """Commit starts and propagate replica cancellations, race-free.
-
-        Ordering is what makes this correct: before ANY cancellation-freed
-        scheduling pass (`poke`) runs at a loser site, every job committed
-        so far has had its replicas withdrawn from every other site — so a
-        poke can never hand out a job that already started elsewhere.
-        Pokes run one at a time and their freed starts re-enter the commit
-        queue, so cascades of arbitrary depth stay consistent.
-        """
-        work: list[tuple[int, Job]] = [(site_index, job) for job in jobs]
-        pokes: list[int] = []
-        while work or pokes:
-            if work:
-                where, job = work.pop(0)
-                self._commit_start(where, job)
-                losers = self._pending_sites.pop(job.job_id, set()) - {where}
-                for loser in losers:
-                    self._cancelled_at_site[loser] += 1
-                    self.sites[loser].scheduler.cancel(job, self.clock)
-                    pokes.append(loser)
-            else:
-                loser = pokes.pop(0)
-                freed = self.sites[loser].scheduler.poke(self.clock)
-                work.extend((loser, job) for job in freed)
-
-    # -- main loop -----------------------------------------------------------------
 
     def run(self) -> GridResult:
         if self._ran:
             raise SimulationError("a GridSimulator instance can only run once")
         self._ran = True
-
-        for index, site in enumerate(self.sites):
-            site.bind(self._request_wakeup_for(index))
-        for job in self.workload:
-            # Site -1 marks a metascheduler arrival (dispatch happens then).
-            self._push(job.submit_time, EventKind.JOB_ARRIVAL, -1, job)
-        expected = len(self.workload)
-
-        while self._heap:
-            batch_time = self._heap[0][0][0]
-            if batch_time < self.clock - EPS_SNAP:
-                raise SimulationError(
-                    f"time went backwards: {self.clock} -> {batch_time}"
-                )
-            self.clock = max(self.clock, batch_time)
-            batch: list[tuple[int, EventKind, int, Job | None]] = []
-            while self._heap and self._heap[0][0][0] == batch_time:
-                key, site, job = heapq.heappop(self._heap)
-                batch.append((key[1], EventKind(key[1]), site, job))
-
-            finishes = [
-                (site, job)
-                for _, kind, site, job in batch
-                if kind is EventKind.JOB_FINISH
-            ]
-            for site_index, job in finishes:
-                assert job is not None
-                self._release_finished(site_index, job)
-            for site_index, job in finishes:
-                assert job is not None
-                started = self.sites[site_index].scheduler.on_finish(job, self.clock)
-                self._handle_starts(site_index, started)
-            for _, kind, site_index, job in batch:
-                if kind is EventKind.TIMER:
-                    self._timer_times[site_index].discard(self.clock)
-                    started = self.sites[site_index].scheduler.on_wakeup(self.clock)
-                    self._handle_starts(site_index, started)
-                elif kind is EventKind.JOB_ARRIVAL:
-                    assert job is not None
-                    self._dispatch_arrival(job)
-
-        if len(self._completed) != expected:
-            raise SchedulingError(
-                f"grid run completed {len(self._completed)} of {expected} jobs"
-            )
-
-        metrics = summarize(self._completed)
+        meta = _Metascheduler(self.sites, self.dispatch)
+        total_procs = sum(site.procs for site in self.sites)
+        simulator = Simulator(replace(self.workload, max_procs=total_procs), meta)
+        result = simulator.run()
+        jobs_run = Counter(meta.site_of.values())
         site_stats = tuple(
             SiteStats(
                 name=site.name,
                 procs=site.procs,
-                jobs_run=self._jobs_run_at_site[index],
-                utilization=site.machine.utilization(until=self.clock),
-                cancelled_replicas=self._cancelled_at_site[index],
+                jobs_run=jobs_run[index],
+                utilization=site.machine.utilization(until=simulator.clock),
+                cancelled_replicas=meta.cancelled[index],
             )
             for index, site in enumerate(self.sites)
         )
@@ -231,32 +264,9 @@ class GridSimulator:
             workload_name=self.workload.name,
             dispatch_name=self.dispatch.name,
             replication=self.dispatch.replication,
-            metrics=metrics,
+            metrics=result.metrics,
             sites=site_stats,
-            site_assignments=dict(self._site_of_job),
+            site_assignments={
+                job_id: self.sites[index].name for job_id, index in meta.site_of.items()
+            },
         )
-
-    def _dispatch_arrival(self, job: Job) -> None:
-        chosen = self.dispatch.choose(self.sites, job)
-        indices = [self.sites.index(site) for site in chosen]
-        # Membership is added as each site actually receives the replica,
-        # so a start during this loop only cancels replicas that exist.
-        self._pending_sites[job.job_id] = set()
-        for site_index in indices:
-            if job.job_id in self._started_at:
-                break  # an earlier replica in this loop already started it
-            self._pending_sites.setdefault(job.job_id, set()).add(site_index)
-            started = self.sites[site_index].scheduler.on_arrival(job, self.clock)
-            self._handle_starts(site_index, started)
-
-    def _release_finished(self, site_index: int, job: Job) -> None:
-        site = self.sites[site_index]
-        started = self._started_at.get(job.job_id)
-        if started is None or started[0] != site_index:
-            raise SimulationError(
-                f"finish event for job {job.job_id} at site {site.name} "
-                "which never started there"
-            )
-        site.machine.release(job, self.clock)
-        site.scheduler.notify_finished(job, self.clock)
-        self._completed.append(CompletedJob(job, started[1], self.clock))

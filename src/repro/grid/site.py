@@ -12,8 +12,9 @@ __all__ = ["GridSite"]
 class GridSite:
     """One cluster participating in the grid.
 
-    The site owns its machine and local scheduler; the grid engine binds
-    them and routes events.  ``name`` appears in per-site reports.
+    The site owns its machine and local scheduler; the grid's
+    metascheduler binds them and routes the simulator's hooks to them.
+    ``name`` appears in per-site reports.
     """
 
     def __init__(self, name: str, procs: int, scheduler: Scheduler) -> None:
@@ -25,7 +26,7 @@ class GridSite:
         self.machine = Machine(procs)
 
     def bind(self, request_wakeup) -> None:
-        """Attach scheduler to machine; the engine supplies per-site wakeups."""
+        """Attach scheduler to machine; the metascheduler supplies per-site wakeups."""
         self.scheduler.bind(self.machine, request_wakeup)
 
     @property

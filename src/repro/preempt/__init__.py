@@ -6,10 +6,13 @@ strategies for parallel job scheduling* (ICPP 2002): a waiting job whose
 expansion factor has grown far beyond that of some running jobs may
 *suspend* them, take their processors, and let them resume later.
 
-The subpackage has its own engine because preemption breaks the
-run-to-completion assumption of :mod:`repro.sim`: jobs execute in
-intervals, finish events can be invalidated by a suspension, and the
-metric records carry the suspension history.
+The subpackage keeps its own event loop, on the shared
+:class:`~repro.sim.events.EventQueue`, because preemption breaks the
+run-to-completion assumption of :mod:`repro.sim`: the policy decides once
+per batch of same-instant events, over the whole waiting and running
+sets, rather than per hook; jobs execute in intervals, so a suspension
+invalidates a finish already pushed; and the metric records carry the
+suspension history.
 """
 
 from repro.preempt.records import PreemptedJob, summarize_preemptive

@@ -4,9 +4,10 @@ Differences from :class:`repro.sim.engine.Simulator`:
 
 * a running job can be *suspended*: its processors are released, its
   remaining work is recorded, and it goes back to the waiting pool;
-* finish events carry an *epoch* so a suspension invalidates the finish
-  event scheduled at the job's previous resume (the event queue does not
-  support removal — stale epochs are simply ignored);
+* each running job has one *live* finish event, the one its latest start
+  or resume pushed; a suspension drops it, so the finish still queued
+  from that run is stale (the event queue does not support removal — a
+  finish that is not its job's live event is simply ignored);
 * the scheduler is a policy object returning a
   :class:`~repro.preempt.scheduler.SuspendDecision` (starts + suspends)
   from a global view of the waiting and running sets.
@@ -18,16 +19,16 @@ A suspension adds ``clock - started`` to that total in the order a sum over
 the intervals would, so every pseudo-release is the same float.  The
 waiting pool and the running set are dicts keyed by job id, in pool order.
 
-Per batch of same-timestamp events the engine releases all completions,
-admits all arrivals, then runs the decision loop until the policy has
-nothing more to do (bounded by an iteration cap — a correct policy
-converges because preemption criteria are monotone).
+Events live on the shared :class:`~repro.sim.events.EventQueue`, with
+``TIMER`` events for the periodic decision ticks.  Per batch of
+same-timestamp events the engine releases all completions, admits all
+arrivals, then runs the decision loop until the policy has nothing more
+to do (bounded by an iteration cap — a correct policy converges because
+preemption criteria are monotone).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 from repro.cluster.machine import Machine
@@ -35,13 +36,10 @@ from repro.errors import SchedulingError, SimulationError
 from repro.preempt.records import PreemptedJob, summarize_preemptive
 from repro.preempt.scheduler import RunningView, SelectiveSuspensionScheduler
 from repro.metrics.collector import RunMetrics
+from repro.sim.events import Event, EventKind, EventQueue
 from repro.workload.job import Job, Workload
 
 __all__ = ["PreemptiveSimulator", "PreemptiveResult"]
-
-_FINISH = 0
-_ARRIVAL = 1
-_TICK = 2
 
 
 @dataclass(frozen=True)
@@ -97,20 +95,16 @@ class PreemptiveSimulator:
         self._tick_pending = False
         self.machine = Machine(workload.max_procs)
         self.clock = 0.0
-        self._heap: list[tuple[tuple[float, int, int], Job | None, int]] = []
-        self._counter = itertools.count()
+        self._events = EventQueue()
         self._waiting: dict[int, Job] = {}
         self._running: dict[int, RunningView] = {}
         self._remaining: dict[int, float] = {}
         self._done: dict[int, float] = {}  # work of the earlier runs, per job
-        self._epoch: dict[int, int] = {}
+        self._live_finish: dict[int, Event] = {}
         self._intervals: dict[int, list[tuple[float, float]]] = {}
         self._records: list[PreemptedJob] = []
         self._suspensions = 0
         self._ran = False
-
-    def _push(self, time: float, kind: int, job: Job | None, epoch: int) -> None:
-        heapq.heappush(self._heap, ((time, kind, next(self._counter)), job, epoch))
 
     # -- state transitions ------------------------------------------------------
 
@@ -124,10 +118,10 @@ class PreemptiveSimulator:
         self._running[job.job_id] = RunningView(
             job, self.clock, self._done.get(job.job_id, 0.0)
         )
-        epoch = self._epoch.get(job.job_id, 0) + 1
-        self._epoch[job.job_id] = epoch
         remaining = self._remaining.setdefault(job.job_id, job.effective_runtime)
-        self._push(self.clock + remaining, _FINISH, job, epoch)
+        self._live_finish[job.job_id] = self._events.push_finish(
+            self.clock + remaining, job
+        )
 
     def _suspend(self, job: Job) -> None:
         """Suspend a running job back into the waiting pool."""
@@ -149,11 +143,12 @@ class PreemptiveSimulator:
         # remaining execution time.
         self._remaining[job.job_id] -= self.clock - started
         self._remaining[job.job_id] += self.suspension_overhead
-        self._epoch[job.job_id] += 1  # invalidate the pending finish event
+        del self._live_finish[job.job_id]  # the pending finish is stale
         self._waiting[job.job_id] = job
         self._suspensions += 1
 
     def _finish(self, job: Job) -> None:
+        del self._live_finish[job.job_id]
         self.machine.release(job, self.clock)
         started = self._running.pop(job.job_id).started
         self._intervals.setdefault(job.job_id, []).append((started, self.clock))
@@ -194,36 +189,29 @@ class PreemptiveSimulator:
             raise SimulationError("a PreemptiveSimulator instance can only run once")
         self._ran = True
 
+        events = self._events
         for job in self.workload:
-            self._push(job.submit_time, _ARRIVAL, job, 0)
+            events.push(Event(job.submit_time, EventKind.JOB_ARRIVAL, job))
 
-        while self._heap:
-            batch_time = self._heap[0][0][0]
+        while events:
+            batch_time = events.next_time
             self.clock = max(self.clock, batch_time)
-            batch = []
-            while self._heap and self._heap[0][0][0] == batch_time:
-                key, job, epoch = heapq.heappop(self._heap)
-                batch.append((key[1], job, epoch))
-
-            for kind, job, epoch in batch:
-                if kind == _FINISH:
-                    assert job is not None
-                    if self._epoch.get(job.job_id) != epoch:
-                        continue  # stale: the job was suspended meanwhile
-                    if job.job_id not in self._running:
-                        continue
-                    self._finish(job)
-            for kind, job, _epoch in batch:
-                if kind == _ARRIVAL:
-                    assert job is not None
-                    self._waiting[job.job_id] = job
-                elif kind == _TICK:
+            # A batch is in kind order: every finish before any arrival.
+            for event in events.pop_batch(batch_time):
+                job = event.job
+                if event.kind is EventKind.TIMER:
                     self._tick_pending = False
+                elif event.kind is EventKind.JOB_ARRIVAL:
+                    self._waiting[job.job_id] = job
+                # A finish that is not its job's live one is stale: the
+                # job was suspended after pushing it.
+                elif self._live_finish.get(job.job_id) is event:
+                    self._finish(job)
             self._run_decisions()
             if self._waiting and not self._tick_pending:
                 self._tick_pending = True
-                self._push(
-                    self.clock + self.decision_interval, _TICK, None, 0
+                events.push(
+                    Event(self.clock + self.decision_interval, EventKind.TIMER)
                 )
 
         if len(self._records) != len(self.workload):

@@ -179,8 +179,8 @@ class Scheduler(ABC):
     def cancel(self, job: Job, now: float) -> None:
         """Withdraw a *queued* job.  Withdraw-only — NO scheduling pass.
 
-        Used by grid metaschedulers that submit a job to several sites and
-        cancel the losers once one site starts it.  Subclasses holding
+        Used by the grid metascheduler, which submits a job to several
+        sites and cancels the losers once one site starts it.  Subclasses holding
         per-job planning state (reservations, deadlines) must override and
         clean it up.  Deliberately side-effect-free beyond state cleanup:
         the caller invokes :meth:`poke` once all simultaneous withdrawals
@@ -192,8 +192,9 @@ class Scheduler(ABC):
     def poke(self, now: float) -> list[Job]:
         """Run a scheduling pass outside the normal event hooks.
 
-        Grid engines call this after a batch of :meth:`cancel`
-        withdrawals; a freed slot may let queued jobs start.  The base
+        The grid metascheduler calls this after a batch of :meth:`cancel`
+        withdrawals, and the simulator after an advance reservation ends;
+        a freed slot may let queued jobs start.  The base
         implementation starts nothing.
         """
         return []

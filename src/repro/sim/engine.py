@@ -71,6 +71,7 @@ from repro.cluster.machine import Machine
 from repro.errors import SchedulingError, SimulationError
 from repro.metrics.collector import CompletedJob, RunMetrics, summarize
 from repro.sched.base import Scheduler
+from repro.sched.tol import EPS_SNAP
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.feed import make_feed
 from repro.sim.trace import EventTrace
@@ -318,6 +319,7 @@ class Simulator:
         timer_kind = EventKind.TIMER
         finish_kind = EventKind.JOB_FINISH
         inf = math.inf
+        eps_snap = EPS_SNAP
         index = self._arrival_index
         clock = self.clock
         events_processed = self._events_processed
@@ -357,7 +359,7 @@ class Simulator:
                     batch_time = queue_time
                 if batch_time >= stop_time:
                     return
-                if batch_time < clock - 1e-9:
+                if batch_time < clock - eps_snap:
                     raise SimulationError(
                         f"time went backwards: {clock} -> {batch_time}"
                     )

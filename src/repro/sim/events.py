@@ -19,7 +19,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
 
 from repro.errors import SimulationError
 from repro.workload.job import Job
@@ -91,8 +90,8 @@ class EventQueue:
         _kind=EventKind.JOB_FINISH,
         _kind_int=int(EventKind.JOB_FINISH),
         _heappush=heapq.heappush,
-    ) -> None:
-        """Build and insert a trusted JOB_FINISH event in one call.
+    ) -> Event:
+        """Build, insert and return a trusted JOB_FINISH event in one call.
 
         Engine-internal fast path for the started-job loop: one call per
         start instead of three (construct, ``sort_key``, :meth:`push`),
@@ -101,7 +100,9 @@ class EventQueue:
         both finite by construction (the clock only ever takes values
         from validated submit times and previously pushed finite events).
         Scheduler-supplied times (timer wakeups) still go through the
-        validated ``Event`` constructor and :meth:`push`.
+        validated ``Event`` constructor and :meth:`push`.  The returned
+        event lets an engine that can invalidate a finish (preemption)
+        recognise its live one by identity.
         """
         event = _new(_cls)
         _set(event, "time", time)
@@ -110,21 +111,15 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._heap, ((time, _kind_int, seq), event))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[1]
+        return event
 
     def pop_batch(self, time: float) -> list[Event]:
         """Remove and return every event scheduled at exactly ``time``.
 
-        The returned list is in (kind, insertion) order — the same order
-        repeated :meth:`pop` calls would produce.  One direct peek at the
-        heap root per event replaces the ``next_time`` property re-read the
-        engine's drain loop used to pay per event (it is the hottest loop
-        of a simulation).
+        The returned list is in (kind, insertion) order.  One direct peek
+        at the heap root per event replaces a ``next_time`` property
+        re-read per event (the engine's drain loop is the hottest loop of
+        a simulation).
         """
         heap = self._heap
         batch: list[Event] = []
@@ -144,18 +139,7 @@ class EventQueue:
         dup._seq = self._seq
         return dup
 
-    def peek(self) -> Event:
-        """Return the earliest event without removing it."""
-        if not self._heap:
-            raise SimulationError("peek at an empty event queue")
-        return self._heap[0][1]
-
     @property
     def next_time(self) -> float:
         """Timestamp of the earliest pending event (inf when empty)."""
         return self._heap[0][1].time if self._heap else math.inf
-
-    def drain(self) -> Iterator[Event]:
-        """Yield all remaining events in order (consumes the queue)."""
-        while self._heap:
-            yield self.pop()

@@ -69,10 +69,42 @@ def grids(draw, max_jobs=24):
     return Workload(tuple(jobs), max_procs=widest, name="prop-grid"), site_procs
 
 
+def _recording(base, log, site):
+    """``base()`` with every hook call the grid makes logged, in order."""
+
+    class Recording(base):
+        def on_arrival(self, job, now):
+            log.append((site, "arrival", now, job.job_id))
+            return super().on_arrival(job, now)
+
+        def on_finish(self, job, now):
+            log.append((site, "finish", now, job.job_id))
+            return super().on_finish(job, now)
+
+        def on_wakeup(self, now):
+            log.append((site, "wakeup", now))
+            return super().on_wakeup(now)
+
+        def cancel(self, job, now):
+            log.append((site, "cancel", now, job.job_id))
+            super().cancel(job, now)
+
+        def poke(self, now):
+            log.append((site, "poke", now))
+            return super().poke(now)
+
+    return Recording()
+
+
 def _outcome(module, workload, site_procs, discipline, dispatch, k, seed=7):
+    """``discipline`` names one discipline for every site, or is a list
+    of scheduler classes, one per site."""
+    if isinstance(discipline, str):
+        discipline = [DISCIPLINES[discipline]] * len(site_procs)
+    log = []
     sites = [
-        GridSite(f"s{i}", procs, DISCIPLINES[discipline]())
-        for i, procs in enumerate(site_procs)
+        GridSite(f"s{i}", procs, _recording(base, log, i))
+        for i, (procs, base) in enumerate(zip(site_procs, discipline))
     ]
     result = module.GridSimulator(
         workload, sites, dispatch=DISPATCHES[dispatch](k, seed)
@@ -90,6 +122,7 @@ def _outcome(module, workload, site_procs, discipline, dispatch, k, seed=7):
         dict(where),
         repr((metrics.overall, metrics.by_category, metrics.by_estimate_quality)),
         (result.workload_name, result.dispatch_name, result.replication),
+        log,
     )
 
 
@@ -114,3 +147,40 @@ def test_exp_grid_configuration_equals_frozen(discipline, seed):
                         ("least-loaded", 4)):
         args = (workload, site_procs, discipline, dispatch, k, seed)
         assert _outcome(shipped, *args) == _outcome(frozen, *args), (dispatch, k)
+
+
+class _RearmOnFinish(EasyScheduler):
+    """Asks for a wakeup at the very instant a job finishes."""
+
+    def on_finish(self, job, now):
+        self.request_wakeup(now)
+        return super().on_finish(job, now)
+
+
+class _WakeAtEstimate(EasyScheduler):
+    """Asks for a wakeup at each arrival's estimated end."""
+
+    def on_arrival(self, job, now):
+        self.request_wakeup(now + job.estimate)
+        return super().on_arrival(job, now)
+
+
+def test_same_instant_wakeup_waits_for_the_next_batch():
+    # Round-robin: job 1 runs on s0 until t=10, job 2 arms s1's timer for
+    # t=10, job 3 reaches s0 at t=10.  s0's wakeup, asked for while t=10's
+    # batch is being processed, fires after that batch's arrival.
+    workload = Workload(
+        (
+            Job(job_id=1, submit_time=0.0, runtime=10.0, estimate=10.0, procs=2),
+            Job(job_id=2, submit_time=0.0, runtime=10.0, estimate=10.0, procs=2),
+            Job(job_id=3, submit_time=10.0, runtime=5.0, estimate=5.0, procs=2),
+        ),
+        max_procs=MAX_SITE_PROCS,
+        name="same-instant-wakeup",
+    )
+    args = (workload, [MAX_SITE_PROCS] * 2, [_RearmOnFinish, _WakeAtEstimate],
+            "round-robin", 1)
+    shipped_outcome = _outcome(shipped, *args)
+    assert shipped_outcome == _outcome(frozen, *args)
+    log = shipped_outcome[-1]
+    assert log.index((0, "arrival", 10.0, 3)) < log.index((0, "wakeup", 10.0))

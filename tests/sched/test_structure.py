@@ -116,9 +116,13 @@ def test_record_check_tolerances_are_named_once():
 
 
 def test_extension_engines_compare_times_through_named_tolerances():
-    # ROADMAP item 1(e): the preemptive package and the grid engine read
-    # EPS_SNAP and collector.py's finish tolerances by name.
-    paths = sorted((SRC / "preempt").glob("*.py")) + [SRC / "grid" / "engine.py"]
+    # ROADMAP item 1(e): the preemptive package, the grid engine and the
+    # simulator's backwards-clock check read EPS_SNAP and collector.py's
+    # finish tolerances by name.
+    paths = sorted((SRC / "preempt").glob("*.py")) + [
+        SRC / "grid" / "engine.py",
+        SRC / "sim" / "engine.py",
+    ]
     assert len(paths) > 1
     offenders = [
         f"{path.relative_to(SRC)}: {literal}"

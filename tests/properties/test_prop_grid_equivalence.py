@@ -6,8 +6,9 @@ its own.  That may not change a schedule, so ``tests/oracles/grid.py``
 freezes the grid's own event loop, and every shipped run must reproduce
 its frozen original exactly: per job, in completion order, the winning
 site, the start and the finish; per site, the :class:`SiteStats`; the
-site assignments; and the overall, per-category and per-estimate-quality
-metric summaries.  The matrix: EASY, conservative and no-backfill sites,
+site assignments; the overall, per-category and per-estimate-quality
+metric summaries and the makespan; and the order of every hook call the
+sites receive.  The matrix: EASY, conservative and no-backfill sites,
 one to four sites, K from 1 to 4, least-loaded, round-robin and random
 dispatch.
 
@@ -120,7 +121,8 @@ def _outcome(module, workload, site_procs, discipline, dispatch, k, seed=7):
         ],
         repr(result.sites),
         dict(where),
-        repr((metrics.overall, metrics.by_category, metrics.by_estimate_quality)),
+        repr((metrics.overall, metrics.by_category, metrics.by_estimate_quality,
+              metrics.makespan)),
         (result.workload_name, result.dispatch_name, result.replication),
         log,
     )

@@ -84,7 +84,7 @@ class _Metascheduler:
         self._site_timers: list[set[float]] = [set() for _ in sites]
         self._timers: dict[float, list[int]] = {}  # time -> sites, request order
         self._early: set[float] = set()  # instants armed before they came
-        self._held: list[int] = []
+        self._held: list[int] = []  # sites waiting for a fresh TIMER now
         self._request_wakeup = None
 
     def describe(self) -> str:
@@ -263,7 +263,7 @@ class GridSimulator:
             dispatch_name=self.dispatch.name,
             replication=self.dispatch.replication,
             # Simulator's makespan runs to its last event, which may be a
-            # cancelled replica's timer; summarize's ends at the last finish.
+            # stale reservation timer; summarize's ends at the last finish.
             metrics=summarize(result.metrics.records, utilization=result.metrics.utilization),
             sites=site_stats,
             site_assignments={

@@ -378,8 +378,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     ids = list(EXPERIMENTS) if args.id == "all" else [args.id]
     executor = _configure_execution(args)
-    # Fan the union of every requested experiment's cell plan out first so
-    # shared cells are simulated once, with maximum parallelism.
+    # Fan the union of every requested experiment's declared cells out
+    # first so shared cells are simulated once, with maximum parallelism.
     run_cells(collect_cells(ids, params))
     failures = 0
     for experiment_id in ids:

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     make_workload,
 )
 from repro.experiments.registry import (
-    CELL_PLANS,
     EXPERIMENTS,
     collect_cells,
     get_experiment,
@@ -41,7 +40,6 @@ __all__ = [
     "make_estimate_model",
     "make_scheduler",
     "make_workload",
-    "CELL_PLANS",
     "EXPERIMENTS",
     "collect_cells",
     "get_experiment",

@@ -1,23 +1,30 @@
-"""Shared helpers for the experiment modules."""
+"""Shared helpers for the experiment modules.
+
+A cell-shaped experiment names the cells it reads once, in a
+``declare(params)`` function that returns a :class:`CellGrid`.  The
+registry's :func:`~repro.experiments.registry.collect_cells` prefetches
+that declaration's cells, and the experiment's ``run()`` reads only
+through it: the first read runs every declared cell in one
+:func:`repro.exec.run_cells` batch, and a read of an undeclared key
+raises :class:`~repro.errors.ExperimentError`.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Hashable
+
 from repro.analysis.stats import mean
+from repro.errors import ExperimentError
 from repro.exec import Cell, run_cells
-from repro.experiments.config import ExperimentParams
+from repro.experiments.config import ExperimentParams, WorkloadSpec
 from repro.experiments.runner import cached_workload
 from repro.metrics.categories import Category, EstimateQuality, estimate_quality
 from repro.metrics.collector import RunMetrics
 
 __all__ = [
     "PRIORITIES",
-    "seed_cells",
-    "metrics_of",
-    "seed_mean",
-    "overall_slowdown",
-    "overall_turnaround",
-    "worst_turnaround",
-    "category_slowdown",
+    "CellGrid",
+    "tradeoff",
     "quality_ids",
     "conditional_slowdown",
 ]
@@ -26,71 +33,62 @@ __all__ = [
 PRIORITIES = ("FCFS", "SJF", "XF")
 
 
-def seed_cells(
-    params: ExperimentParams,
-    trace: str,
-    estimate: str,
-    kind: str,
-    priority: str,
-    **options,
-) -> list[Cell]:
-    """One :class:`Cell` per seed of the parameter set."""
-    return [
-        Cell.make(spec, kind, priority, **options)
-        for spec in params.specs(trace, estimate)
-    ]
+class CellGrid:
+    """The cells one experiment reads, each run declared once under a key."""
+
+    def __init__(self) -> None:
+        self._cells: dict[Hashable, list[Cell]] = {}
+        self._metrics: dict[Cell, RunMetrics] | None = None
+
+    def add(
+        self,
+        key: Hashable,
+        specs: list[WorkloadSpec],
+        kind: str,
+        priority: str = "FCFS",
+        **options,
+    ) -> None:
+        """Declare ``key`` as one cell per spec (per seed, usually)."""
+        if key in self._cells:
+            raise ExperimentError(f"cell {key!r} is declared twice")
+        self._cells[key] = [Cell.make(spec, kind, priority, **options) for spec in specs]
+
+    def cells(self) -> list[Cell]:
+        """Every declared cell once, in declaration order: the prefetch plan."""
+        return list(dict.fromkeys(c for cells in self._cells.values() for c in cells))
+
+    def runs(self, key: Hashable) -> list[RunMetrics]:
+        """Metrics of ``key``'s cells, in declaration (seed) order."""
+        if key not in self._cells:
+            raise ExperimentError(f"cell {key!r} was not declared")
+        if self._metrics is None:
+            plan = self.cells()
+            self._metrics = dict(zip(plan, run_cells(plan)))
+        return [self._metrics[cell] for cell in self._cells[key]]
+
+    def mean(
+        self,
+        key: Hashable,
+        field: str = "mean_bounded_slowdown",
+        category: Category | None = None,
+    ) -> float:
+        """Seed-mean of one overall (or one category's) summary field."""
+        return mean([
+            getattr(m.overall if category is None else m.by_category[category], field)
+            for m in self.runs(key)
+        ])
 
 
-def metrics_of(cell: Cell) -> RunMetrics:
-    """Metrics of a single cell (store-backed; prefer batching)."""
-    return run_cells([cell])[0]
+def tradeoff(grid: CellGrid, key: Hashable) -> tuple[float, float, float]:
+    """Seed-means of ``key``'s slowdown, worst-case turnaround and SW slowdown.
 
-
-def seed_mean(
-    params: ExperimentParams,
-    trace: str,
-    estimate: str,
-    kind: str,
-    priority: str,
-    metric,
-    **options,
-) -> float:
-    """Mean of ``metric(RunMetrics)`` over the parameter set's seeds."""
-    cells = seed_cells(params, trace, estimate, kind, priority, **options)
-    return mean([metric(metrics) for metrics in run_cells(cells)])
-
-
-def overall_slowdown(params, trace, estimate, kind, priority, **options) -> float:
-    """Seed-mean of the overall mean bounded slowdown for one cell."""
-    return seed_mean(
-        params, trace, estimate, kind, priority,
-        lambda m: m.overall.mean_bounded_slowdown, **options,
-    )
-
-
-def overall_turnaround(params, trace, estimate, kind, priority, **options) -> float:
-    """Seed-mean of the overall mean turnaround time for one cell."""
-    return seed_mean(
-        params, trace, estimate, kind, priority,
-        lambda m: m.overall.mean_turnaround, **options,
-    )
-
-
-def worst_turnaround(params, trace, estimate, kind, priority, **options) -> float:
-    """Seed-mean of the worst-case turnaround time for one cell."""
-    return seed_mean(
-        params, trace, estimate, kind, priority,
-        lambda m: m.overall.max_turnaround, **options,
-    )
-
-
-def category_slowdown(
-    params, trace, estimate, kind, priority, category: Category, **options
-) -> float:
-    """Seed-mean of one category's mean bounded slowdown for one cell."""
-    return seed_mean(
-        params, trace, estimate, kind, priority,
-        lambda m: m.by_category[category].mean_bounded_slowdown, **options,
+    The packing-versus-protection tradeoff the selective and depth sweeps
+    tabulate for each point between EASY and conservative.
+    """
+    return (
+        grid.mean(key),
+        grid.mean(key, "max_turnaround"),
+        grid.mean(key, category=Category.SW),
     )
 
 

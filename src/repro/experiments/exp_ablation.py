@@ -20,34 +20,25 @@ also checked here).
 
 from __future__ import annotations
 
-from repro.analysis.stats import mean
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import seed_cells
+from repro.experiments.common import CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells", "MODES"]
+__all__ = ["run", "declare", "MODES"]
 
 _TRACE = "CTC"
 MODES = ("none", "startonly", "full", "repack")
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    return [
-        cell
-        for mode in MODES
-        for estimate in ("exact", "user")
-        for cell in seed_cells(
-            params, _TRACE, estimate, "cons", "FCFS", compression=mode
-        )
-    ]
-
-
-def _mean_metric(params: ExperimentParams, estimate: str, metric, **options) -> float:
-    batch = run_cells(seed_cells(params, _TRACE, estimate, "cons", "FCFS", **options))
-    return mean([metric(metrics) for metrics in batch])
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    for mode in MODES:
+        for estimate in ("exact", "user"):
+            specs = params.specs(_TRACE, estimate)
+            grid.add((mode, estimate), specs, "cons", compression=mode)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -56,21 +47,15 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="ablation-compression",
         title="Conservative compression-variant ablation, CTC",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(
         ["compression", "slowdown_exact", "slowdown_user", "worst_turnaround_user"]
     )
     values: dict[str, tuple[float, float, float]] = {}
     for mode in MODES:
-        sld_exact = _mean_metric(
-            params, "exact", lambda m: m.overall.mean_bounded_slowdown, compression=mode
-        )
-        sld_user = _mean_metric(
-            params, "user", lambda m: m.overall.mean_bounded_slowdown, compression=mode
-        )
-        worst_user = _mean_metric(
-            params, "user", lambda m: m.overall.max_turnaround, compression=mode
-        )
+        sld_exact = grid.mean((mode, "exact"))
+        sld_user = grid.mean((mode, "user"))
+        worst_user = grid.mean((mode, "user"), "max_turnaround")
         values[mode] = (sld_exact, sld_user, worst_user)
         table.append(mode, sld_exact, sld_user, worst_user)
     result.tables["compression variants"] = table

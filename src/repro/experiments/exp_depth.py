@@ -18,28 +18,27 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.stats import mean
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import seed_cells
+from repro.experiments.common import CellGrid, tradeoff
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.categories import Category
 
-__all__ = ["run", "cells", "DEPTHS"]
+__all__ = ["run", "declare", "DEPTHS"]
 
 _TRACE = "CTC"
 _ESTIMATE = "user"
 DEPTHS = (1, 2, 4, 8, 10**6)
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan = seed_cells(params, _TRACE, _ESTIMATE, "easy", "FCFS")
-    plan += seed_cells(params, _TRACE, _ESTIMATE, "cons", "FCFS")
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    specs = params.specs(_TRACE, _ESTIMATE)
+    grid.add("easy", specs, "easy")
+    grid.add("cons", specs, "cons")
     for depth in DEPTHS:
-        plan += seed_cells(params, _TRACE, _ESTIMATE, "depth", "FCFS", depth=depth)
-    return plan
+        grid.add(depth, specs, "depth", depth=depth)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -48,29 +47,19 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="depth",
         title="Reservation-depth sweep: the EASY-conservative continuum",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(
         ["scheduler", "depth", "mean_slowdown", "worst_turnaround", "SW_slowdown"]
     )
 
-    def metrics_for(kind: str, **options):
-        batch = run_cells(
-            seed_cells(params, _TRACE, _ESTIMATE, kind, "FCFS", **options)
-        )
-        return (
-            mean([m.overall.mean_bounded_slowdown for m in batch]),
-            mean([m.overall.max_turnaround for m in batch]),
-            mean([m.by_category[Category.SW].mean_bounded_slowdown for m in batch]),
-        )
-
-    easy = metrics_for("easy")
-    cons = metrics_for("cons")
+    easy = tradeoff(grid, "easy")
+    cons = tradeoff(grid, "cons")
     table.append("EASY", math.nan, *easy)
     table.append("CONS", math.nan, *cons)
 
     sweep: dict[int, tuple[float, float, float]] = {}
     for depth in DEPTHS:
-        sweep[depth] = metrics_for("depth", depth=depth)
+        sweep[depth] = tradeoff(grid, depth)
         label = depth if depth < 10**6 else "all"
         table.append("DEPTH", label, *sweep[depth])
 

@@ -18,43 +18,29 @@ from __future__ import annotations
 from repro.analysis.ascii_chart import grouped_bar_chart
 from repro.analysis.stats import confidence_interval
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import (
-    PRIORITIES,
-    metrics_of,
-    overall_slowdown,
-    overall_turnaround,
-    seed_cells,
-)
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan: list[Cell] = []
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
     for trace in params.traces:
-        plan += seed_cells(params, trace, "exact", "cons", "FCFS")
+        specs = params.specs(trace, "exact")
+        grid.add((trace, "cons", "FCFS"), specs, "cons")
         for priority in PRIORITIES:
-            plan += seed_cells(params, trace, "exact", "easy", priority)
-        equivalence_spec = params.spec(trace, params.seeds[0], "exact")
-        plan += [Cell(equivalence_spec, "cons", p) for p in ("SJF", "XF")]
-    return plan
+            grid.add((trace, "easy", priority), specs, "easy", priority)
+        # The Section 4.1 equivalence check needs one seed only.
+        for priority in ("SJF", "XF"):
+            grid.add((trace, "cons", priority), specs[:1], "cons", priority)
+    return grid
 
 
-def _verify_priority_equivalence(params: ExperimentParams, trace: str) -> bool:
-    """Conservative schedules must be identical under all priorities (R=1)."""
-    spec = params.spec(trace, params.seeds[0], "exact")
-    baseline = metrics_of(Cell(spec, "cons", "FCFS"))
-    base_starts = {r.job.job_id: r.start_time for r in baseline.records}
-    for priority in ("SJF", "XF"):
-        other = metrics_of(Cell(spec, "cons", priority))
-        other_starts = {r.job.job_id: r.start_time for r in other.records}
-        if other_starts != base_starts:
-            return False
-    return True
+def _starts(metrics) -> dict[int, float]:
+    return {r.job.job_id: r.start_time for r in metrics.records}
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -63,23 +49,19 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="figure1",
         title="Conservative vs EASY backfilling, exact estimates (paper Figure 1)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(["trace", "scheduler", "mean_bounded_slowdown", "mean_turnaround"])
     slowdown_chart: dict[str, dict[str, float]] = {}
     turnaround_chart: dict[str, dict[str, float]] = {}
 
     for trace in params.traces:
-        bars: dict[str, tuple[float, float]] = {}
         # One conservative bar (priorities are provably equivalent at R=1).
-        bars["CONS"] = (
-            overall_slowdown(params, trace, "exact", "cons", "FCFS"),
-            overall_turnaround(params, trace, "exact", "cons", "FCFS"),
-        )
-        for priority in PRIORITIES:
-            bars[f"EASY-{priority}"] = (
-                overall_slowdown(params, trace, "exact", "easy", priority),
-                overall_turnaround(params, trace, "exact", "easy", priority),
-            )
+        keys = {"CONS": (trace, "cons", "FCFS")}
+        keys.update({f"EASY-{p}": (trace, "easy", p) for p in PRIORITIES})
+        bars = {
+            name: (grid.mean(key), grid.mean(key, "mean_turnaround"))
+            for name, key in keys.items()
+        }
         for name, (sld, tat) in bars.items():
             table.append(trace, name, sld, tat)
         slowdown_chart[trace] = {n: v[0] for n, v in bars.items()}
@@ -96,7 +78,11 @@ def run(params: ExperimentParams) -> ExperimentResult:
         )
         result.findings[
             f"{trace}: conservative schedule identical under FCFS/SJF/XF"
-        ] = _verify_priority_equivalence(params, trace)
+        ] = all(
+            _starts(grid.runs((trace, "cons", p))[0])
+            == _starts(grid.runs((trace, "cons", "FCFS"))[0])
+            for p in ("SJF", "XF")
+        )
 
     result.tables["overall metrics"] = table
 
@@ -108,10 +94,8 @@ def run(params: ExperimentParams) -> ExperimentResult:
             ("EASY-SJF", "easy", "SJF"),
         ):
             values = [
-                metrics.overall.mean_bounded_slowdown
-                for metrics in run_cells(
-                    seed_cells(params, trace, "exact", kind, priority)
-                )
+                m.overall.mean_bounded_slowdown
+                for m in grid.runs((trace, kind, priority))
             ]
             mean_value, low, high = confidence_interval(values)
             ci_table.append(trace, name, mean_value, low, high)

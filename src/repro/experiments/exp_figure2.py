@@ -21,22 +21,24 @@ from __future__ import annotations
 from repro.analysis.ascii_chart import bar_chart
 from repro.analysis.stats import relative_change_percent
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import PRIORITIES, category_slowdown, seed_cells
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 _TRACE = "CTC"
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan = seed_cells(params, _TRACE, "exact", "cons", "FCFS")
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    specs = params.specs(_TRACE, "exact")
+    # Conservative is priority-independent at R=1: one FCFS run.
+    grid.add("cons", specs, "cons")
     for priority in PRIORITIES:
-        plan += seed_cells(params, _TRACE, "exact", "easy", priority)
-    return plan
+        grid.add(priority, specs, "easy", priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -47,27 +49,21 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="figure2",
         title="Category-wise EASY vs conservative, CTC, exact estimates (paper Figure 2)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(["priority", "category", "cons_slowdown", "easy_slowdown", "pct_change"])
 
     changes: dict[str, dict[str, float]] = {}
     for priority in PRIORITIES:
         per_category: dict[str, float] = {}
         for category in Category:
-            cons = category_slowdown(
-                params, _TRACE, "exact", "cons", "FCFS", category
-            )  # conservative is priority-independent at R=1
-            easy = category_slowdown(
-                params, _TRACE, "exact", "easy", priority, category
-            )
+            cons = grid.mean("cons", category=category)
+            easy = grid.mean(priority, category=category)
             change = relative_change_percent(easy, cons)
             per_category[category.value] = change
             table.append(priority, category.value, cons, easy, change)
         # Overall row, as in the paper's figure.
-        from repro.experiments.common import overall_slowdown
-
-        cons_all = overall_slowdown(params, _TRACE, "exact", "cons", "FCFS")
-        easy_all = overall_slowdown(params, _TRACE, "exact", "easy", priority)
+        cons_all = grid.mean("cons")
+        easy_all = grid.mean(priority)
         overall_change = relative_change_percent(easy_all, cons_all)
         per_category["Overall"] = overall_change
         table.append(priority, "Overall", cons_all, easy_all, overall_change)

@@ -22,22 +22,22 @@ from __future__ import annotations
 
 from repro.analysis.ascii_chart import grouped_bar_chart
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import PRIORITIES, overall_slowdown, seed_cells
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan: list[Cell] = []
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
     for trace in params.traces:
         for kind in ("cons", "easy"):
             for priority in PRIORITIES:
-                plan += seed_cells(params, trace, "user", kind, priority)
-    return plan
+                key = (trace, kind, priority)
+                grid.add(key, params.specs(trace, "user"), kind, priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -46,14 +46,14 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="figure3",
         title="Conservative vs EASY, actual user estimates (paper Figure 3)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(["trace", "priority", "conservative", "easy"])
     chart: dict[str, dict[str, float]] = {}
     for trace in params.traces:
         series: dict[str, float] = {}
         for priority in PRIORITIES:
-            cons = overall_slowdown(params, trace, "user", "cons", priority)
-            easy = overall_slowdown(params, trace, "user", "easy", priority)
+            cons = grid.mean((trace, "cons", priority))
+            easy = grid.mean((trace, "easy", priority))
             table.append(trace, priority, cons, easy)
             series[f"CONS-{priority}"] = cons
             series[f"EASY-{priority}"] = easy

@@ -19,31 +19,30 @@ from __future__ import annotations
 
 from repro.analysis.stats import mean, relative_change_percent
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
 from repro.experiments.common import (
     PRIORITIES,
+    CellGrid,
     conditional_slowdown,
-    metrics_of,
     quality_ids,
 )
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.categories import EstimateQuality
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 _TRACE = "CTC"
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    return [
-        Cell(params.spec(_TRACE, seed, estimate), kind, priority)
-        for kind in ("cons", "easy")
-        for priority in PRIORITIES
-        for seed in params.seeds
-        for estimate in ("exact", "user")
-    ]
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    for kind in ("cons", "easy"):
+        for priority in PRIORITIES:
+            for estimate in ("exact", "user"):
+                key = (kind, priority, estimate)
+                grid.add(key, params.specs(_TRACE, estimate), kind, priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -52,7 +51,7 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="figure4",
         title="Well vs poorly estimated jobs, exact vs actual estimates, CTC (paper Figure 4)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(
         ["scheduler", "priority", "quality", "exact_slowdown", "user_slowdown", "pct_change"]
     )
@@ -62,10 +61,12 @@ def run(params: ExperimentParams) -> ExperimentResult:
             per_quality: dict[EstimateQuality, list[tuple[float, float]]] = {
                 q: [] for q in EstimateQuality
             }
-            for seed in params.seeds:
+            for seed, exact, user in zip(
+                params.seeds,
+                grid.runs((kind, priority, "exact")),
+                grid.runs((kind, priority, "user")),
+            ):
                 ids = quality_ids(params, _TRACE, seed)
-                exact = metrics_of(Cell(params.spec(_TRACE, seed, "exact"), kind, priority))
-                user = metrics_of(Cell(params.spec(_TRACE, seed, "user"), kind, priority))
                 for quality in EstimateQuality:
                     per_quality[quality].append(
                         (

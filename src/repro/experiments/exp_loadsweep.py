@@ -13,13 +13,13 @@ load — the "trends are pronounced" statement, quantified.
 
 from __future__ import annotations
 
+from repro.analysis.stats import mean
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
+from repro.experiments.common import CellGrid
 from repro.experiments.config import ExperimentParams, WorkloadSpec
 from repro.experiments.runner import ExperimentResult, cached_workload
-from repro.analysis.stats import mean
 
-__all__ = ["run", "cells", "LOAD_SCALES"]
+__all__ = ["run", "declare", "LOAD_SCALES"]
 
 _TRACE = "CTC"
 
@@ -38,14 +38,13 @@ def _specs(params: ExperimentParams, scale: float) -> list[WorkloadSpec]:
     ]
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    return [
-        Cell(spec, kind, priority)
-        for scale in LOAD_SCALES
-        for spec in _specs(params, scale)
-        for kind, priority in _KINDS
-    ]
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    for scale in LOAD_SCALES:
+        for kind, priority in _KINDS:
+            grid.add((scale, kind, priority), _specs(params, scale), kind, priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -54,7 +53,7 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="loadsweep",
         title="Normal vs high load: trends persist and sharpen (paper Section 3)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(
         ["load_scale", "offered_load", "cons", "easy_fcfs", "easy_sjf", "sjf_advantage"]
     )
@@ -62,15 +61,10 @@ def run(params: ExperimentParams) -> ExperimentResult:
     slowdown_by_scale: dict[float, dict[str, float]] = {}
     for scale in LOAD_SCALES:
         specs = _specs(params, scale)
-
-        def cell(kind: str, priority: str) -> float:
-            batch = run_cells([Cell(spec, kind, priority) for spec in specs])
-            return mean([m.overall.mean_bounded_slowdown for m in batch])
-
         offered = mean([cached_workload(spec).offered_load for spec in specs])
-        cons = cell("cons", "FCFS")
-        easy_fcfs = cell("easy", "FCFS")
-        easy_sjf = cell("easy", "SJF")
+        cons = grid.mean((scale, "cons", "FCFS"))
+        easy_fcfs = grid.mean((scale, "easy", "FCFS"))
+        easy_sjf = grid.mean((scale, "easy", "SJF"))
         advantage = cons / easy_sjf
         gap_by_scale[scale] = advantage
         slowdown_by_scale[scale] = {

@@ -12,14 +12,16 @@ worst-case turnaround, and fairness against the no-backfill reference.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.stats import mean
 from repro.analysis.table import Table
-from repro.experiments.config import ExperimentParams, WorkloadSpec
-from repro.experiments.runner import ExperimentResult, cached_workload, make_scheduler
+from repro.experiments.common import CellGrid
+from repro.experiments.config import ExperimentParams
+from repro.experiments.runner import ExperimentResult
 from repro.metrics.fairness import fairness_report
-from repro.sim.engine import simulate
 
-__all__ = ["run", "DISCIPLINES"]
+__all__ = ["run", "declare", "DISCIPLINES"]
 
 _TRACE = "CTC"
 
@@ -41,6 +43,15 @@ DISCIPLINES = (
 _MAX_JOBS = 1500
 
 
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    capped = replace(params, n_jobs=min(params.n_jobs, _MAX_JOBS))
+    grid = CellGrid()
+    for label, kind, priority, options in DISCIPLINES:
+        grid.add(label, capped.specs(_TRACE, "user"), kind, priority, **options)
+    return grid
+
+
 def run(params: ExperimentParams) -> ExperimentResult:
     """Run this experiment at the given parameters (see module docs)."""
     result = ExperimentResult(
@@ -48,6 +59,9 @@ def run(params: ExperimentParams) -> ExperimentResult:
         title="All scheduling disciplines head-to-head (CTC, actual estimates)",
     )
     n_jobs = min(params.n_jobs, _MAX_JOBS)
+    grid = declare(params)
+    # Fairness is measured against the seed's one no-backfill run.
+    references = grid.runs("NOBF-FCFS")
     table = Table(
         [
             "scheduler",
@@ -60,17 +74,13 @@ def run(params: ExperimentParams) -> ExperimentResult:
     )
 
     rows: dict[str, dict[str, float]] = {}
-    for label, kind, priority, options in DISCIPLINES:
+    for label, _, _, _ in DISCIPLINES:
         slds, worsts, utils, delayed, unfair = [], [], [], [], []
-        for seed in params.seeds:
-            spec = WorkloadSpec(_TRACE, n_jobs, seed, params.load_scale, "user")
-            workload = cached_workload(spec)
-            run_result = simulate(workload, make_scheduler(kind, priority, **options))
-            reference = simulate(workload, make_scheduler("nobf", "FCFS"))
-            report = fairness_report(run_result, reference)
-            slds.append(run_result.metrics.overall.mean_bounded_slowdown)
-            worsts.append(run_result.metrics.overall.max_turnaround)
-            utils.append(run_result.metrics.utilization)
+        for metrics, reference in zip(grid.runs(label), references):
+            report = fairness_report(metrics, reference)
+            slds.append(metrics.overall.mean_bounded_slowdown)
+            worsts.append(metrics.overall.max_turnaround)
+            utils.append(metrics.utilization)
             delayed.append(100.0 * report.delayed_fraction)
             unfair.append(report.mean_unfair_delay)
         rows[label] = {

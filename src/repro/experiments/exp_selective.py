@@ -24,38 +24,26 @@ from __future__ import annotations
 import math
 
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import seed_cells
+from repro.experiments.common import CellGrid, tradeoff
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
-from repro.analysis.stats import mean
-from repro.metrics.categories import Category
 
-__all__ = ["run", "cells", "THRESHOLDS"]
+__all__ = ["run", "declare", "THRESHOLDS"]
 
 _TRACE = "CTC"
 _ESTIMATE = "user"
 THRESHOLDS = (1.0, 1.5, 2.0, 4.0, 8.0)
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan = seed_cells(params, _TRACE, _ESTIMATE, "cons", "FCFS")
-    plan += seed_cells(params, _TRACE, _ESTIMATE, "easy", "FCFS")
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    specs = params.specs(_TRACE, _ESTIMATE)
+    grid.add("cons", specs, "cons")
+    grid.add("easy", specs, "easy")
     for threshold in THRESHOLDS:
-        plan += seed_cells(
-            params, _TRACE, _ESTIMATE, "sel", "FCFS", xfactor_threshold=threshold
-        )
-    return plan
-
-
-def _metrics_for(params: ExperimentParams, kind: str, **options):
-    batch = run_cells(seed_cells(params, _TRACE, _ESTIMATE, kind, "FCFS", **options))
-    return (
-        mean([m.overall.mean_bounded_slowdown for m in batch]),
-        mean([m.overall.max_turnaround for m in batch]),
-        mean([m.by_category[Category.SW].mean_bounded_slowdown for m in batch]),
-    )
+        grid.add(threshold, specs, "sel", xfactor_threshold=threshold)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -64,19 +52,19 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="selective",
         title="Selective backfilling threshold sweep, CTC, actual estimates (paper Section 6)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(
         ["scheduler", "xf_threshold", "mean_slowdown", "worst_turnaround", "SW_slowdown"]
     )
 
-    cons_sld, cons_worst, cons_sw = _metrics_for(params, "cons")
-    easy_sld, easy_worst, easy_sw = _metrics_for(params, "easy")
+    cons_sld, cons_worst, cons_sw = tradeoff(grid, "cons")
+    easy_sld, easy_worst, easy_sw = tradeoff(grid, "easy")
     table.append("CONS", math.nan, cons_sld, cons_worst, cons_sw)
     table.append("EASY", math.nan, easy_sld, easy_worst, easy_sw)
 
     sweep: dict[float, tuple[float, float, float]] = {}
     for threshold in THRESHOLDS:
-        sld, worst, sw = _metrics_for(params, "sel", xfactor_threshold=threshold)
+        sld, worst, sw = tradeoff(grid, threshold)
         sweep[threshold] = (sld, worst, sw)
         table.append("SEL", threshold, sld, worst, sw)
 

@@ -9,22 +9,23 @@ turnaround time for EASY than conservative under every priority policy.
 from __future__ import annotations
 
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import PRIORITIES, seed_cells, worst_turnaround
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 _TRACE = "CTC"
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan = seed_cells(params, _TRACE, "exact", "cons", "FCFS")
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
+    specs = params.specs(_TRACE, "exact")
+    grid.add("cons", specs, "cons")
     for priority in PRIORITIES:
-        plan += seed_cells(params, _TRACE, "exact", "easy", priority)
-    return plan
+        grid.add(priority, specs, "easy", priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -33,11 +34,11 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="table4",
         title="Worst-case turnaround time (s), CTC, exact estimates (paper Table 4)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(["priority", "conservative", "easy"])
-    cons = worst_turnaround(params, _TRACE, "exact", "cons", "FCFS")
+    cons = grid.mean("cons", "max_turnaround")
     for priority in PRIORITIES:
-        easy = worst_turnaround(params, _TRACE, "exact", "easy", priority)
+        easy = grid.mean(priority, "max_turnaround")
         table.append(priority, cons, easy)
         result.findings[
             f"worst-case turnaround: EASY-{priority} worse than conservative"

@@ -8,23 +8,22 @@ worse worst-case turnaround time than conservative under every priority.
 from __future__ import annotations
 
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import PRIORITIES, seed_cells, worst_turnaround
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 _TRACE = "CTC"
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan: list[Cell] = []
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
     for kind in ("cons", "easy"):
         for priority in PRIORITIES:
-            plan += seed_cells(params, _TRACE, "user", kind, priority)
-    return plan
+            grid.add((kind, priority), params.specs(_TRACE, "user"), kind, priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -33,11 +32,11 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="table7",
         title="Worst-case turnaround time (s), CTC, actual estimates (paper Table 7)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     table = Table(["priority", "conservative", "easy"])
     for priority in PRIORITIES:
-        cons = worst_turnaround(params, _TRACE, "user", "cons", priority)
-        easy = worst_turnaround(params, _TRACE, "user", "easy", priority)
+        cons = grid.mean(("cons", priority), "max_turnaround")
+        easy = grid.mean(("easy", priority), "max_turnaround")
         table.append(priority, cons, easy)
         if priority == "SJF":
             # Under SJF with inaccurate estimates, conservative's repack

@@ -16,25 +16,25 @@ Paper claims to reproduce:
 from __future__ import annotations
 
 from repro.analysis.table import Table
-from repro.exec import Cell, run_cells
-from repro.experiments.common import PRIORITIES, overall_slowdown, seed_cells
+from repro.experiments.common import PRIORITIES, CellGrid
 from repro.experiments.config import ExperimentParams
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["run", "cells"]
+__all__ = ["run", "declare"]
 
 _TRACE = "CTC"
 _REGIMES = (("R=1", "exact"), ("R=2", "r2"), ("R=4", "r4"))
 
 
-def cells(params: ExperimentParams) -> list[Cell]:
-    """Every simulation cell this experiment reads (its prefetch plan)."""
-    plan: list[Cell] = []
+def declare(params: ExperimentParams) -> CellGrid:
+    """Every simulation cell this experiment reads."""
+    grid = CellGrid()
     for kind in ("cons", "easy"):
         for priority in PRIORITIES:
-            for _, estimate in _REGIMES:
-                plan += seed_cells(params, _TRACE, estimate, kind, priority)
-    return plan
+            for label, estimate in _REGIMES:
+                specs = params.specs(_TRACE, estimate)
+                grid.add((kind, priority, label), specs, kind, priority)
+    return grid
 
 
 def run(params: ExperimentParams) -> ExperimentResult:
@@ -43,14 +43,14 @@ def run(params: ExperimentParams) -> ExperimentResult:
         experiment_id="tables56",
         title="Systematic overestimation R in {1,2,4}, CTC (paper Tables 5-6)",
     )
-    run_cells(cells(params))  # fan the whole grid out before reading it
+    grid = declare(params)
     values: dict[tuple[str, str, str], float] = {}
     for kind, table_name in (("cons", "Table 5: conservative"), ("easy", "Table 6: EASY")):
         table = Table(["priority"] + [label for label, _ in _REGIMES])
         for priority in PRIORITIES:
             row = [priority]
-            for label, estimate in _REGIMES:
-                value = overall_slowdown(params, _TRACE, estimate, kind, priority)
+            for label, _ in _REGIMES:
+                value = grid.mean((kind, priority, label))
                 values[(kind, priority, label)] = value
                 row.append(value)
             table.append(*row)

@@ -1,16 +1,16 @@
-"""Experiment registry: id -> runner, plus per-experiment cell plans.
+"""Experiment registry: id -> runner, and the cells each experiment reads.
 
-Experiments whose simulation grid is expressible as plain cells publish a
-``cells(params)`` *plan* alongside ``run(params)``.  The registry uses
-plans in two ways:
-
-* :func:`run_experiment` prefetches an experiment's plan through
-  :func:`repro.exec.run_cells` before calling its runner, so a parallel
-  default executor fans the whole grid out at once;
-* :func:`collect_cells` merges the plans of several experiments (the
-  CLI's ``experiment all --parallel N`` path) so shared cells — e.g. the
-  exact-estimate conservative baseline that Figures 1/2 and Table 4 all
-  read — are simulated exactly once, with maximum fan-out.
+Both tables derive from one list of experiment modules.
+:data:`EXPERIMENTS` maps each id to its module's ``run(params)``.  A
+module whose grid is plain cells also defines ``declare(params)``,
+returning the :class:`~repro.experiments.common.CellGrid` its ``run()``
+reads from; :func:`collect_cells` merges those declarations into one
+prefetch plan (the CLI's ``experiment all --parallel N`` path), so
+shared cells — e.g. the exact-estimate conservative baseline that
+Figures 1/2 and Table 4 all read — are simulated exactly once, with
+maximum fan-out.  The remaining experiments drive bespoke simulators
+(grid metascheduling, preemption, maintenance windows, ...) and declare
+nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import ExperimentError
-from repro.exec import Cell, run_cells
+from repro.exec import Cell
 from repro.experiments import (
     exp_ablation,
     exp_depth,
@@ -45,50 +45,37 @@ from repro.experiments.runner import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",
-    "CELL_PLANS",
     "get_experiment",
     "run_experiment",
     "collect_cells",
 ]
 
-#: All experiments, in paper order.
-EXPERIMENTS: dict[str, Callable[[ExperimentParams], ExperimentResult]] = {
-    "tables23": exp_tables_2_3.run,
-    "figure1": exp_figure1.run,
-    "figure2": exp_figure2.run,
-    "table4": exp_table4.run,
-    "tables56": exp_tables_5_6.run,
-    "figure3": exp_figure3.run,
-    "figure4": exp_figure4.run,
-    "table7": exp_table7.run,
-    "selective": exp_selective.run,
-    "ablation-compression": exp_ablation.run,
-    "loadsweep": exp_loadsweep.run,
-    "prediction": exp_prediction.run,
-    "schedulers": exp_schedulers.run,
-    "grid": exp_grid.run,
-    "preemption": exp_preemption.run,
-    "shaking": exp_shaking.run,
-    "depth": exp_depth.run,
-    "fairshare": exp_fairshare.run,
-    "maintenance": exp_maintenance.run,
+#: Every experiment's module, in paper order.
+_MODULES = {
+    "tables23": exp_tables_2_3,
+    "figure1": exp_figure1,
+    "figure2": exp_figure2,
+    "table4": exp_table4,
+    "tables56": exp_tables_5_6,
+    "figure3": exp_figure3,
+    "figure4": exp_figure4,
+    "table7": exp_table7,
+    "selective": exp_selective,
+    "ablation-compression": exp_ablation,
+    "loadsweep": exp_loadsweep,
+    "prediction": exp_prediction,
+    "schedulers": exp_schedulers,
+    "grid": exp_grid,
+    "preemption": exp_preemption,
+    "shaking": exp_shaking,
+    "depth": exp_depth,
+    "fairshare": exp_fairshare,
+    "maintenance": exp_maintenance,
 }
 
-#: Cell plans for the experiments whose grids are plain cells.  The
-#: remaining experiments drive bespoke simulators (grid metascheduling,
-#: preemption, maintenance windows, ...) that are not cell-shaped.
-CELL_PLANS: dict[str, Callable[[ExperimentParams], list[Cell]]] = {
-    "figure1": exp_figure1.cells,
-    "figure2": exp_figure2.cells,
-    "table4": exp_table4.cells,
-    "tables56": exp_tables_5_6.cells,
-    "figure3": exp_figure3.cells,
-    "figure4": exp_figure4.cells,
-    "table7": exp_table7.cells,
-    "selective": exp_selective.cells,
-    "ablation-compression": exp_ablation.cells,
-    "loadsweep": exp_loadsweep.cells,
-    "depth": exp_depth.cells,
+#: All experiments, in paper order.
+EXPERIMENTS: dict[str, Callable[[ExperimentParams], ExperimentResult]] = {
+    experiment_id: module.run for experiment_id, module in _MODULES.items()
 }
 
 
@@ -107,19 +94,19 @@ def collect_cells(
     experiment_ids: list[str] | tuple[str, ...],
     params: ExperimentParams | None = None,
 ) -> list[Cell]:
-    """The deduplicated union of the given experiments' cell plans.
+    """The deduplicated union of the given experiments' declared cells.
 
-    Unknown ids raise; experiments without a plan contribute nothing.
-    First-appearance order is preserved so execution order (and thus
-    progress reporting) is deterministic.
+    Unknown ids raise; experiments without a declaration contribute
+    nothing.  First-appearance order is preserved so execution order
+    (and thus progress reporting) is deterministic.
     """
     params = params or DEFAULT_PARAMS
     union: dict[Cell, None] = {}
     for experiment_id in experiment_ids:
         get_experiment(experiment_id)  # validate the id
-        plan = CELL_PLANS.get(experiment_id)
-        if plan is not None:
-            union.update(dict.fromkeys(plan(params)))
+        declare = getattr(_MODULES[experiment_id], "declare", None)
+        if declare is not None:
+            union.update(dict.fromkeys(declare(params).cells()))
     return list(union)
 
 
@@ -128,14 +115,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id with the given (or default) parameters.
 
-    If the experiment publishes a cell plan, the whole grid is submitted
-    through :func:`repro.exec.run_cells` first — one batch, maximally
-    parallel under a ``--parallel`` executor — before the runner reads
-    the (then warm) results.
+    An experiment with a declaration runs its whole grid in one
+    :func:`repro.exec.run_cells` batch on its first read — maximally
+    parallel under a ``--parallel`` executor.
     """
-    runner = get_experiment(experiment_id)
-    params = params or DEFAULT_PARAMS
-    plan = CELL_PLANS.get(experiment_id)
-    if plan is not None:
-        run_cells(plan(params))
-    return runner(params)
+    return get_experiment(experiment_id)(params or DEFAULT_PARAMS)

@@ -22,23 +22,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.metrics.collector import RunMetrics
 from repro.sim.engine import SimulationResult
 
 __all__ = ["FairnessReport", "start_time_deviations", "fairness_report"]
 
+#: A schedule as a simulation result or as the metrics of one (a cell's).
+Schedule = SimulationResult | RunMetrics
+
+
+def _start_times(schedule: Schedule) -> dict[int, float]:
+    if isinstance(schedule, RunMetrics):
+        return {r.job.job_id: r.start_time for r in schedule.records}
+    return schedule.start_times()
+
 
 def start_time_deviations(
-    schedule: SimulationResult,
-    reference: SimulationResult,
+    schedule: Schedule,
+    reference: Schedule,
 ) -> dict[int, float]:
     """Per-job ``start(schedule) - start(reference)`` in seconds.
 
     Positive values mean the job started *later* than under the reference
     policy (it was effectively overtaken); negative values mean it
-    benefited.  Both results must cover the same job ids.
+    benefited.  Both schedules must cover the same job ids; either may
+    be a :class:`SimulationResult` or its :class:`RunMetrics`.
     """
-    mine = schedule.start_times()
-    theirs = reference.start_times()
+    mine = _start_times(schedule)
+    theirs = _start_times(reference)
     if set(mine) != set(theirs):
         missing = set(mine).symmetric_difference(theirs)
         raise ReproError(
@@ -66,8 +77,8 @@ class FairnessReport:
 
 
 def fairness_report(
-    schedule: SimulationResult,
-    reference: SimulationResult,
+    schedule: Schedule,
+    reference: Schedule,
     *,
     tolerance: float = 1e-6,
 ) -> FairnessReport:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.exec import (
     Cell,
     CellExecutor,
@@ -16,6 +16,8 @@ from repro.exec import (
     set_default_executor,
     simulate_cell,
 )
+from repro.experiments import registry
+from repro.experiments.common import CellGrid
 from repro.experiments.config import WorkloadSpec
 
 
@@ -144,27 +146,60 @@ class TestDefaultExecutor:
         assert executor.session.completed == 2
 
 
-class TestPlanCompleteness:
-    """Each cell plan must cover every cell its experiment actually runs."""
+#: The experiments whose ``run()`` reads a declared cell grid.
+_DECLARED = [
+    experiment_id
+    for experiment_id, module in registry._MODULES.items()
+    if hasattr(module, "declare")
+]
 
-    @pytest.mark.parametrize("experiment_id", ["figure1", "selective", "depth"])
-    def test_prefetched_plan_leaves_no_misses(self, experiment_id):
+
+class TestPlanCompleteness:
+    """Each declaration is the whole grid its experiment reads, and only it."""
+
+    def test_every_cell_shaped_experiment_declares(self):
+        assert len(_DECLARED) == 12
+        assert {"figure1", "selective", "depth", "schedulers"} <= set(_DECLARED)
+
+    @pytest.mark.parametrize("experiment_id", _DECLARED)
+    def test_prefetched_plan_leaves_no_misses(self, experiment_id, monkeypatch):
         from repro.experiments.config import ExperimentParams
-        from repro.experiments.registry import CELL_PLANS, EXPERIMENTS
 
         params = ExperimentParams(
             n_jobs=150, seeds=(1, 2), load_scale=0.75, traces=("CTC",)
         )
+        read = []
+        real_runs = CellGrid.runs
+
+        def recording_runs(grid, key):
+            read.append(key)
+            return real_runs(grid, key)
+
+        monkeypatch.setattr(CellGrid, "runs", recording_runs)
         executor = set_default_executor(ExecConfig(parallel=1))
         try:
-            run_cells(CELL_PLANS[experiment_id](params))
+            run_cells(registry.collect_cells([experiment_id], params))
             simulated_before = executor.session.simulated
-            EXPERIMENTS[experiment_id](params)
+            batches = []
+            real_execute = executor.execute
+
+            def counting_execute(cells):
+                batches.append(list(cells))
+                return real_execute(batches[-1])
+
+            monkeypatch.setattr(executor, "execute", counting_execute)
+            registry.run_experiment(experiment_id, params)
             assert executor.session.simulated == simulated_before, (
-                f"{experiment_id} simulated cells its plan did not declare"
+                f"{experiment_id} simulated cells its declaration does not name"
             )
         finally:
             set_default_executor(None)
+        declared = registry._MODULES[experiment_id].declare(params)
+        assert len(batches) == 1, f"{experiment_id} made {len(batches)} batches"
+        assert batches[0] == declared.cells()
+        assert set(read) == set(declared._cells), "a declared key is never read"
+        with pytest.raises(ExperimentError, match="not declared"):
+            declared.runs(("undeclared",))
 
 
 class TestReportTiming:

@@ -2,15 +2,12 @@
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.common import (
     PRIORITIES,
-    category_slowdown,
+    CellGrid,
     conditional_slowdown,
-    overall_slowdown,
-    overall_turnaround,
     quality_ids,
-    seed_mean,
-    worst_turnaround,
 )
 from repro.exec import Cell, run_cells
 from repro.experiments.config import ExperimentParams
@@ -27,6 +24,12 @@ def fresh_cache():
     clear_cache()
 
 
+def _easy_grid() -> CellGrid:
+    grid = CellGrid()
+    grid.add("easy", PARAMS.specs("CTC", "exact"), "easy")
+    return grid
+
+
 class TestSeedMean:
     def test_matches_manual_mean(self):
         metrics = run_cells(
@@ -34,28 +37,36 @@ class TestSeedMean:
         )
         values = [m.overall.mean_bounded_slowdown for m in metrics]
         expected = sum(values) / len(values)
-        assert overall_slowdown(PARAMS, "CTC", "exact", "easy", "FCFS") == pytest.approx(
-            expected
-        )
+        assert _easy_grid().mean("easy") == pytest.approx(expected)
 
     def test_custom_metric_callable(self):
-        value = seed_mean(
-            PARAMS, "CTC", "exact", "easy", "FCFS", lambda m: float(m.overall.count)
-        )
-        assert value == 200.0
+        # Any MetricSummary field reads, not only the slowdowns.
+        assert _easy_grid().mean("easy", "count") == 200.0
 
     def test_turnaround_and_worst_are_consistent(self):
-        mean_tat = overall_turnaround(PARAMS, "CTC", "exact", "easy", "FCFS")
-        worst = worst_turnaround(PARAMS, "CTC", "exact", "easy", "FCFS")
-        assert worst >= mean_tat
+        grid = _easy_grid()
+        assert grid.mean("easy", "max_turnaround") >= grid.mean("easy", "mean_turnaround")
 
     def test_category_slowdown_selects_category(self):
-        sn = category_slowdown(
-            PARAMS, "CTC", "exact", "easy", "FCFS", Category.SN
-        )
-        overall = overall_slowdown(PARAMS, "CTC", "exact", "easy", "FCFS")
+        grid = _easy_grid()
+        sn = grid.mean("easy", category=Category.SN)
         assert sn > 0
-        assert sn != overall  # categories genuinely differ on this workload
+        assert sn != grid.mean("easy")  # categories genuinely differ on this workload
+
+
+class TestCellGrid:
+    def test_key_declared_twice_raises(self):
+        grid = _easy_grid()
+        with pytest.raises(ExperimentError, match="declared twice"):
+            grid.add("easy", PARAMS.specs("CTC", "user"), "easy")
+
+    def test_runs_follow_declaration_order(self):
+        grid = _easy_grid()
+        grid.add("first seed", PARAMS.specs("CTC", "exact")[:1], "easy")
+        assert grid.cells() == [
+            Cell(PARAMS.spec("CTC", seed, "exact"), "easy") for seed in PARAMS.seeds
+        ]
+        assert grid.runs("first seed")[0] is grid.runs("easy")[0]
 
 
 class TestQualityHelpers:

@@ -35,6 +35,15 @@ class TestDeviations:
         deviations = start_time_deviations(easy, nobf)
         assert deviations[3] < 0  # job 3 jumped ahead under EASY
 
+    def test_metrics_read_like_their_result(self):
+        wl = make_workload(_contentious_jobs())
+        easy = simulate(wl, EasyScheduler())
+        nobf = simulate(wl, FCFSScheduler())
+        expected = start_time_deviations(easy, nobf)
+        assert start_time_deviations(easy.metrics, nobf.metrics) == expected
+        assert start_time_deviations(easy.metrics, nobf) == expected
+        assert fairness_report(easy.metrics, nobf.metrics) == fairness_report(easy, nobf)
+
     def test_mismatched_jobs_rejected(self):
         wl_a = make_workload(_contentious_jobs())
         wl_b = make_workload(_contentious_jobs()[:2])

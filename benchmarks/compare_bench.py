@@ -76,8 +76,8 @@ def _extract_host(payload: dict) -> dict:
 
     Hand-rolled BENCH_*.json writers stamp ``host`` at the top level;
     pytest-benchmark exports carry it per-benchmark under
-    ``benchmarks[*].extra_info.host`` (stamped by the fixtures in
-    ``benchmarks/conftest.py`` et al.) — all rows of one export share
+    ``benchmarks[*].extra_info.host`` (stamped by
+    ``benchmarks/bench_experiments.py`` et al.) — all rows of one export share
     one host, so the first is representative.
     """
     host = payload.get("host")

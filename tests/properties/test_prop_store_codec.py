@@ -5,17 +5,23 @@ The result store persists a run as typed columns
 (:func:`repro.exec.serialize.metrics_to_columns`) and decodes them with
 one vectorized validation (:func:`repro.exec.serialize.metrics_from_payload`)
 instead of building a validated ``Job`` and ``CompletedJob`` per record.
-Two contracts, against the row decoder frozen in
-``tests/oracles/row_builders.py``:
+Three contracts, against the row decoder frozen in
+``tests/oracles/row_builders.py`` and the object-path column decoder
+frozen in ``tests/oracles/record_objects.py``:
 
 * **exact round trip** — decoding what was encoded (through JSON, as the
   store does) gives a run whose ``metrics_digest`` equals the original's
   and the row decoder's, for simulated runs and for drawn record sets
   whose untyped SWF fields hold NaN, infinities and signed zeros;
+* **the object path's run** — on the same runs, every aggregate (by
+  ``repr``, so NaN groups compare), ``utilization``, ``makespan``,
+  ``metrics_digest``, ``RunMetrics ==`` and every materialized record,
+  field by field, equal the object-path decoder's;
 * **rejection parity** — each single-value corruption (negative procs,
   a non-finite runtime, a start before submission, a finish off its
   expected value, a truncated buffer, a wrong count) is rejected by the
-  codec exactly when the row decoder rejects the row-form equivalent;
+  codec exactly when the row decoder and the object-path decoder reject
+  it, and a rejected payload builds no ``Job`` and no ``CompletedJob``;
   the time corruptions are drawn on both sides of the tolerances.
 """
 
@@ -46,6 +52,7 @@ from repro.metrics.collector import (
 from repro.workload.job import Job
 from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS
 
+from tests.oracles.record_objects import metrics_from_payload_objects, record_builds
 from tests.oracles.row_builders import metrics_from_row_payload
 
 #: Field order of a row-form record, and where each lives in the columns.
@@ -57,16 +64,46 @@ def _through_json(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-def _round_trip(metrics):
-    return metrics_from_payload(_through_json(metrics_to_columns(metrics)))
-
-
 def _rejects(decode, payload) -> bool:
     try:
         decode(payload)
     except Exception:
         return True
     return False
+
+
+def _codec_rejects(payload) -> bool:
+    """Whether the codec rejects ``payload``, as the object path does; a
+    rejection must come before any record object is built."""
+    with record_builds() as built:
+        rejected = _rejects(metrics_from_payload, payload)
+    assert _rejects(metrics_from_payload_objects, payload) == rejected
+    if rejected:
+        assert built == {Job: 0, CompletedJob: 0}
+    return rejected
+
+
+def _record_fields(record) -> list[str]:
+    """A record's values by ``repr``: NaN, signed zero and int-vs-float
+    all show."""
+    values = [record.start_time, record.finish_time]
+    values += [getattr(record.job, f.name) for f in fields(Job)]
+    return [repr(value) for value in values]
+
+
+def _decode_like_the_object_path(payload: dict):
+    """Decode ``payload`` with the codec and the frozen object path; every
+    observable of the two runs must agree.  Returns both runs, for
+    ``RunMetrics ==`` where no record holds a NaN (NaN defeats ``==``)."""
+    decoded = metrics_from_payload(payload)
+    oracle = metrics_from_payload_objects(payload)
+    for name in ("overall", "by_category", "by_estimate_quality", "utilization", "makespan"):
+        assert repr(getattr(decoded, name)) == repr(getattr(oracle, name)), name
+    assert metrics_digest(decoded) == metrics_digest(oracle)
+    assert list(map(_record_fields, decoded.records)) == list(
+        map(_record_fields, oracle.records)
+    )
+    return decoded, oracle
 
 
 # -- exact round trip -------------------------------------------------------------
@@ -84,7 +121,10 @@ def _rejects(decode, payload) -> bool:
 )
 def test_simulated_runs_round_trip_exactly(cell):
     metrics = simulate_cell(cell).metrics
-    decoded = _round_trip(metrics)
+    decoded, oracle = _decode_like_the_object_path(
+        _through_json(metrics_to_columns(metrics))
+    )
+    assert decoded == oracle
     assert metrics_digest(decoded) == metrics_digest(metrics)
     assert decoded.records == metrics.records
     row = metrics_from_row_payload(_through_json(metrics_to_payload(metrics)))
@@ -93,7 +133,11 @@ def test_simulated_runs_round_trip_exactly(cell):
 
 def test_an_empty_run_round_trips():
     metrics = summarize([], utilization=0.0, makespan=0.0)
-    assert metrics_digest(_round_trip(metrics)) == metrics_digest(metrics)
+    decoded, oracle = _decode_like_the_object_path(
+        _through_json(metrics_to_columns(metrics))
+    )
+    assert decoded == oracle
+    assert metrics_digest(decoded) == metrics_digest(metrics)
 
 
 untyped = st.one_of(
@@ -134,7 +178,7 @@ def records(draw):
 @given(st.lists(records(), max_size=12), st.floats(), st.floats())
 def test_drawn_record_sets_round_trip_exactly(recs, utilization, makespan):
     metrics = summarize(recs, utilization=utilization, makespan=makespan)
-    decoded = _round_trip(metrics)
+    decoded, _ = _decode_like_the_object_path(_through_json(metrics_to_columns(metrics)))
     assert metrics_digest(decoded) == metrics_digest(metrics)
     row = metrics_from_row_payload(_through_json(metrics_to_payload(metrics)))
     assert metrics_digest(row) == metrics_digest(decoded)
@@ -178,7 +222,7 @@ def _assert_parity(metrics, field, row, value_of):
     columns = _columns_with(_through_json(metrics_to_columns(metrics)), field, row, value)
     rows = _rows_with(_through_json(metrics_to_payload(metrics)), field, row, value)
     expected = _rejects(metrics_from_row_payload, rows)
-    assert _rejects(metrics_from_payload, _through_json(columns)) == expected
+    assert _codec_rejects(_through_json(columns)) == expected
     return expected
 
 
@@ -259,7 +303,7 @@ def test_truncated_buffer_is_rejected_like_a_truncated_row(base_metrics, key, cu
     rows = _through_json(metrics_to_payload(base_metrics))
     rows["records"][-1] = rows["records"][-1][:-1]
     assert _rejects(metrics_from_row_payload, rows)
-    assert _rejects(metrics_from_payload, payload)
+    assert _codec_rejects(payload)
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,4 +317,4 @@ def test_a_wrong_count_is_rejected_like_an_overlong_row(base_metrics, n):
     rows = _through_json(metrics_to_payload(base_metrics))
     rows["records"][0] = rows["records"][0] + [0]
     assert _rejects(metrics_from_row_payload, rows)
-    assert _rejects(metrics_from_payload, payload)
+    assert _codec_rejects(payload)

@@ -10,6 +10,7 @@ utilization exactly: the integral of busy processors over time.
 from __future__ import annotations
 
 from repro.errors import AllocationError
+from repro.metrics.defs import FINISH_REL_TOL, START_TOL
 from repro.workload.job import Job
 
 __all__ = ["Machine"]
@@ -83,7 +84,7 @@ class Machine:
         if time > last:
             self._busy_area += (self.total_procs - free) * (time - last)
             self._last_time = time
-        elif time < last - 1e-9:
+        elif time < last - START_TOL:
             raise AllocationError(f"machine time moved backwards: {last} -> {time}")
         self._free = free - procs
         allocations[job_id] = procs
@@ -98,7 +99,7 @@ class Machine:
         if time > last:
             self._busy_area += (self.total_procs - free) * (time - last)
             self._last_time = time
-        elif time < last - 1e-9:
+        elif time < last - START_TOL:
             raise AllocationError(f"machine time moved backwards: {last} -> {time}")
         free += held
         if free > self.total_procs:
@@ -142,7 +143,7 @@ class Machine:
                 f"utilization horizon {until} precedes machine time {self._last_time}"
             )
         value = area / (self.total_procs * horizon)
-        if value > 1.0 + 1e-9:
+        if value > 1.0 + FINISH_REL_TOL:
             raise AllocationError(f"computed utilization {value} > 1 — accounting bug")
         return min(value, 1.0)
 

@@ -18,11 +18,17 @@ produced live and warm reruns are byte-identical to cold ones.  The
 stored form is exact by construction: the buffers are the records' own
 IEEE-754 doubles and 64-bit integers, with no text round trip.
 
-Decoding validates once, in columns — every check ``Job.__post_init__``
-and ``CompletedJob.__post_init__`` make, vectorized with the same
-tolerances, plus the buffer lengths — and only then builds the records,
-through the trusted constructors.  Any failure raises, which the store
-treats as a corrupt entry (drop and re-simulate).
+Decoding builds no object per record.  The buffers become one
+:class:`~repro.metrics.collector.RecordTable`, whose construction
+validates them once, in columns — every check ``Job.__post_init__`` and
+``CompletedJob.__post_init__`` make, vectorized with the same
+tolerances; the buffer lengths are checked here.  ``summarize`` folds
+the table's arrays in place, and the run it returns keeps the table:
+its ``Job`` and ``CompletedJob`` objects are built only if something
+reads ``.records``.  Both encoders read a table-backed run's columns
+directly, so hashing or re-storing a decoded run builds no record
+either.  Any failure raises, which the store treats as a corrupt entry
+(drop and re-simulate).
 """
 
 from __future__ import annotations
@@ -34,14 +40,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.metrics.collector import (
-    CompletedJob,
-    RunMetrics,
-    check_record_columns,
-    summarize,
-)
-from repro.workload.job import Job
-from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS, check_job_columns
+from repro.metrics.collector import JOB_FIELDS, RecordTable, RunMetrics, summarize
+from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS
 
 __all__ = [
     "metrics_to_payload",
@@ -51,26 +51,8 @@ __all__ = [
     "metrics_digest",
 ]
 
-#: Fixed column order of a serialized job; prepended by the record's
-#: start and finish times.  Must cover every ``Job`` field.
-_JOB_FIELDS = (
-    "job_id",
-    "submit_time",
-    "runtime",
-    "estimate",
-    "procs",
-    "user_id",
-    "group_id",
-    "executable",
-    "queue",
-    "partition",
-    "status",
-    "avg_cpu_time",
-    "used_memory",
-    "requested_memory",
-    "preceding_job",
-    "think_time",
-)
+#: Column order of a row-form record: its times, then every ``Job`` field.
+_ROW_FIELDS = ("start_time", "finish_time", *JOB_FIELDS)
 
 #: Rows of the stored float buffer: the record's times, then the Job's.
 _FLOAT_ROWS = ("start_time", "finish_time", *FLOAT_COLUMNS)
@@ -78,29 +60,29 @@ _FLOAT_ROWS = ("start_time", "finish_time", *FLOAT_COLUMNS)
 _INT_DTYPE = np.dtype("<i8")
 _FLOAT_DTYPE = np.dtype("<f8")
 
+_job_row = attrgetter(*JOB_FIELDS)
 _job_ints = attrgetter(*INT_COLUMNS)
 _job_floats = attrgetter(*FLOAT_COLUMNS)
 
 
 def metrics_to_payload(metrics: RunMetrics) -> dict:
     """Reduce a :class:`RunMetrics` to the JSON-safe row form."""
-    rows = [
-        [record.start_time, record.finish_time]
-        + [getattr(record.job, name) for name in _JOB_FIELDS]
-        for record in metrics.records
-    ]
+    if metrics.table is None:
+        rows = [[r.start_time, r.finish_time, *_job_row(r.job)] for r in metrics.records]
+    else:
+        columns = metrics.table.columns
+        rows = list(map(list, zip(*[columns[name].tolist() for name in _ROW_FIELDS])))
     return {
         "utilization": metrics.utilization,
         "makespan": metrics.makespan,
-        "columns": ["start_time", "finish_time", *_JOB_FIELDS],
+        "columns": list(_ROW_FIELDS),
         "records": rows,
     }
 
 
-def _encode(rows: list, dtype: np.dtype, width: int) -> str:
-    """Field-major little-endian bytes of ``rows`` (n tuples), base64."""
-    array = np.array(rows, dtype=dtype).reshape(len(rows), width)
-    return base64.b64encode(array.T.tobytes()).decode("ascii")
+def _encode(array: np.ndarray) -> str:
+    """The bytes of a ``width`` x ``n`` (field-major) ``array``, base64."""
+    return base64.b64encode(array.tobytes()).decode("ascii")
 
 
 def _decode(text: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
@@ -114,57 +96,46 @@ def _decode(text: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
 
 def metrics_to_columns(metrics: RunMetrics) -> dict:
     """The stored form of a :class:`RunMetrics` (see the module docstring)."""
-    records = metrics.records
-    ints = [_job_ints(record.job) for record in records]
-    floats = [
-        (record.start_time, record.finish_time, *_job_floats(record.job))
-        for record in records
-    ]
+    if metrics.table is None:
+        records = metrics.records
+        n = len(records)
+        ints = np.array([_job_ints(r.job) for r in records], _INT_DTYPE)
+        floats = np.array(
+            [(r.start_time, r.finish_time, *_job_floats(r.job)) for r in records],
+            _FLOAT_DTYPE,
+        )
+        ints = ints.reshape(n, len(INT_COLUMNS)).T
+        floats = floats.reshape(n, len(_FLOAT_ROWS)).T
+    else:
+        columns = metrics.table.columns
+        n = len(metrics.table)
+        ints = np.array([columns[name] for name in INT_COLUMNS], _INT_DTYPE)
+        floats = np.array([columns[name] for name in _FLOAT_ROWS], _FLOAT_DTYPE)
     return {
-        "n": len(records),
+        "n": n,
         "utilization": metrics.utilization,
         "makespan": metrics.makespan,
-        "ints": _encode(ints, _INT_DTYPE, len(INT_COLUMNS)),
-        "floats": _encode(floats, _FLOAT_DTYPE, len(_FLOAT_ROWS)),
+        "ints": _encode(ints),
+        "floats": _encode(floats),
     }
 
 
 def metrics_from_payload(payload: dict) -> RunMetrics:
     """Rebuild a :class:`RunMetrics` from :func:`metrics_to_columns` output.
 
-    Validates the columns before building any record and raises
-    (``KeyError``/``TypeError``/``ValueError``/``repro.errors.ReproError``)
-    on malformed payloads; callers treat any failure as a corrupt cache
-    entry.
+    The run keeps the decoded :class:`RecordTable` (see the module
+    docstring).  Raises (``KeyError``/``TypeError``/``ValueError``/
+    ``repro.errors.ReproError``) on malformed payloads, before building
+    anything; callers treat any failure as a corrupt cache entry.
     """
     n = payload["n"]
     if type(n) is not int or n < 0:
         raise ValueError(f"record count must be an int >= 0, got {n!r}")
     ints = _decode(payload["ints"], _INT_DTYPE, n, len(INT_COLUMNS))
     floats = _decode(payload["floats"], _FLOAT_DTYPE, n, len(_FLOAT_ROWS))
-    columns = dict(zip(INT_COLUMNS, ints))
-    columns.update(zip(_FLOAT_ROWS, floats))
-    check_job_columns(columns)
-    check_record_columns(
-        columns["job_id"],
-        columns["submit_time"],
-        np.minimum(columns["runtime"], columns["estimate"]),
-        columns["start_time"],
-        columns["finish_time"],
-    )
-    jobs = Job._from_trusted_columns(
-        [columns[name].tolist() for name in _JOB_FIELDS]
-    )
-    records = tuple(
-        map(
-            CompletedJob._trusted,
-            jobs,
-            columns["start_time"].tolist(),
-            columns["finish_time"].tolist(),
-        )
-    )
+    table = RecordTable({**dict(zip(INT_COLUMNS, ints)), **dict(zip(_FLOAT_ROWS, floats))})
     return summarize(
-        records,
+        table,
         utilization=payload["utilization"],
         makespan=payload["makespan"],
     )

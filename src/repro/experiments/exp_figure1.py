@@ -39,10 +39,6 @@ def declare(params: ExperimentParams) -> CellGrid:
     return grid
 
 
-def _starts(metrics) -> dict[int, float]:
-    return {r.job.job_id: r.start_time for r in metrics.records}
-
-
 def run(params: ExperimentParams) -> ExperimentResult:
     """Run this experiment at the given parameters (see module docs)."""
     result = ExperimentResult(
@@ -79,8 +75,8 @@ def run(params: ExperimentParams) -> ExperimentResult:
         result.findings[
             f"{trace}: conservative schedule identical under FCFS/SJF/XF"
         ] = all(
-            _starts(grid.runs((trace, "cons", p))[0])
-            == _starts(grid.runs((trace, "cons", "FCFS"))[0])
+            grid.runs((trace, "cons", p))[0].start_times()
+            == grid.runs((trace, "cons", "FCFS"))[0].start_times()
             for p in ("SJF", "XF")
         )
 

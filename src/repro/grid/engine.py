@@ -58,7 +58,8 @@ class GridResult:
         return self.metrics.records
 
     def start_times(self) -> dict[int, float]:
-        return {r.job.job_id: r.start_time for r in self.metrics.records}
+        """job_id -> start time (see :meth:`RunMetrics.start_times`)."""
+        return self.metrics.start_times()
 
     def site_of(self) -> dict[int, str]:
         """job_id -> winning site name."""

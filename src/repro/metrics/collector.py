@@ -6,18 +6,24 @@ reports: average bounded slowdown, average turnaround time, and worst-case
 turnaround time — overall, per shape category, and per estimate-quality
 class.
 
-The aggregation is columnar: :func:`summarize` pulls the record fields
-into numpy arrays once, computes every per-job metric and the
-category/quality masks with array operations, and aggregates each group
-with sequential summation, which keeps it float-identical to the
-record-at-a-time reference in ``tests/oracles/row_pipeline.py`` that the
-differential suite compares against.
+A run read back from the result store is a :class:`RecordTable` instead,
+the same records as validated columns; its :class:`RunMetrics` keeps the
+table and builds the record objects only when ``.records`` is read.
+
+The aggregation is columnar either way: one fold computes every per-job
+metric and the category/quality masks with array operations over six
+columns (pulled out of the records in one pass, or the table's own) and
+aggregates each group with sequential summation, which keeps it
+float-identical to the record-at-a-time reference in
+``tests/oracles/row_pipeline.py`` that the differential suite compares
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,32 +38,26 @@ from repro.metrics.categories import (
 )
 from repro.metrics.defs import (
     BOUNDED_SLOWDOWN_THRESHOLD,
+    FINISH_ABS_TOL,
+    FINISH_REL_TOL,
+    START_TOL,
     bounded_slowdown,
     turnaround_time,
     wait_time,
 )
 from repro.workload.job import Job
+from repro.workload.table import check_job_columns
 
 __all__ = [
     "CompletedJob",
-    "check_record_columns",
+    "RecordTable",
     "MetricSummary",
     "RunMetrics",
     "summarize",
 ]
 
-
-#: Tolerances of the completed-record checks.  They are metric-side float
-#: tolerances on recorded times, not scheduling rules (those are in
-#: ``repro.sched.tol``).  :meth:`CompletedJob.__post_init__` and its
-#: column form :func:`check_record_columns` both read these names, so
-#: the row check and the column check cannot drift apart.
-#:
-#: A start may precede its job's submission by this much.
-START_TOL = 1e-9
-#: ``math.isclose`` tolerances of a finish against start + effective runtime.
-FINISH_REL_TOL = 1e-9
-FINISH_ABS_TOL = 1e-6
+#: ``Job`` fields in declaration order, the first sixteen record columns.
+JOB_FIELDS = tuple(f.name for f in fields(Job))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,19 +97,15 @@ class CompletedJob:
         _set_start=None,
         _set_finish=None,
     ) -> "CompletedJob":
-        """Engine-internal constructor, skipping ``__post_init__``.
+        """Internal constructor, skipping ``__post_init__``.
 
-        For records the simulator's event loop builds itself: the start
-        time is the clock at allocation (>= the arrival batch, hence >=
-        submission) and the finish time is the very value the engine
-        pushed as ``start + effective_runtime``, so both checks hold by
-        construction and re-running them per completion only taxes the
-        hot loop.  Externally assembled records must use the validated
-        constructor.  Writes go through the slot member descriptors
-        (bound below, once the class exists) — same trick as
-        ``Job._from_trusted_columns``: frozen only overrides
-        ``__setattr__``, and the pre-bound ``__set__`` skips the
-        per-call attribute-name lookup.
+        For records the simulator's event loop builds itself (the start
+        is the clock at allocation, >= submission; the finish is the value
+        the engine pushed as ``start + effective_runtime``) and for a
+        :class:`RecordTable`'s, which its construction checked in columns.
+        Externally assembled records must use the validated constructor.
+        Writes go through the slot member descriptors (bound below, once
+        the class exists), as in ``Job._from_trusted_columns``.
         """
         record = _new(cls)
         _set_job(record, job)
@@ -148,46 +144,57 @@ CompletedJob._trusted.__func__.__defaults__ = (
 )
 
 
-def check_record_columns(
-    job_id: np.ndarray,
-    submit: np.ndarray,
-    effective_runtime: np.ndarray,
-    start: np.ndarray,
-    finish: np.ndarray,
-) -> None:
-    """Every :meth:`CompletedJob.__post_init__` check, vectorized.
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Completed records as columns: ``JobTable``'s sixteen plus
+    ``start_time`` and ``finish_time``, one numpy array each.
 
-    Raises the row check's :class:`~repro.errors.SimulationError` for the
-    first offending record.  ``math.isclose`` is spelled out elementwise
-    as CPython computes it (equal values are close, an infinite value is
-    close only to itself, NaN to nothing), because ``np.isclose`` is an
-    asymmetric test with other tolerances.
+    Construction runs every ``Job.__post_init__`` check
+    (:func:`~repro.workload.table.check_job_columns`) and every
+    :meth:`CompletedJob.__post_init__` check, vectorized with the same
+    tolerances, raising the row check's error for the first bad record;
+    that licenses :meth:`records`' trusted constructors.  ``math.isclose``
+    is spelled out as CPython computes it (equal values are close, an
+    infinity only to itself, NaN to nothing): ``np.isclose`` differs.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        early = start < submit - START_TOL
-        expected = start + effective_runtime
-        diff = np.abs(expected - finish)
-        close = (finish == expected) | (
-            np.isfinite(finish)
-            & np.isfinite(expected)
-            & (
-                (diff <= np.abs(FINISH_REL_TOL * expected))
-                | (diff <= np.abs(FINISH_REL_TOL * finish))
-                | (diff <= FINISH_ABS_TOL)
-            )
-        )
-    bad = early | ~close
-    if bad.any():
-        i = int(np.argmax(bad))
-        if early[i]:
+
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        columns = self.columns
+        check_job_columns(columns)
+        job_id, submit = columns["job_id"], columns["submit_time"]
+        start, finish = columns["start_time"], columns["finish_time"]
+        effective_runtime = np.minimum(columns["runtime"], columns["estimate"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            early = start < submit - START_TOL
+            expected = start + effective_runtime
+            scale = np.maximum(np.abs(expected), np.abs(finish))
+            tol = np.maximum(FINISH_REL_TOL * scale, FINISH_ABS_TOL)
+            finite = np.isfinite(finish) & np.isfinite(expected)
+            close = (finish == expected) | (finite & (np.abs(expected - finish) <= tol))
+        bad = early | ~close
+        if bad.any():
+            i = int(np.argmax(bad))
+            if early[i]:
+                raise SimulationError(
+                    f"job {job_id[i]} started at {start[i]} before "
+                    f"its submission at {submit[i]}"
+                )
             raise SimulationError(
-                f"job {job_id[i]} started at {start[i]} before "
-                f"its submission at {submit[i]}"
+                f"job {job_id[i]} ran {finish[i] - start[i]}s, "
+                f"expected {effective_runtime[i]}s"
             )
-        raise SimulationError(
-            f"job {job_id[i]} ran {finish[i] - start[i]}s, "
-            f"expected {effective_runtime[i]}s"
-        )
+
+    def __len__(self) -> int:
+        return len(self.columns["job_id"])
+
+    def records(self) -> tuple[CompletedJob, ...]:
+        """One ``Job`` and one ``CompletedJob`` per row, in row order."""
+        columns = self.columns
+        jobs = Job._from_trusted_columns([columns[name].tolist() for name in JOB_FIELDS])
+        starts, finishes = columns["start_time"].tolist(), columns["finish_time"].tolist()
+        return tuple(map(CompletedJob._trusted, jobs, starts, finishes))
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +249,13 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Full metric breakdown of one simulation run."""
+    """Full metric breakdown of one simulation run.
+
+    ``records`` may be passed as a :class:`RecordTable` (a stored run).
+    The run keeps it as ``table`` and builds the record tuple on the
+    first read of ``records``; ``==``, ``repr`` and pickling treat the
+    two forms alike.
+    """
 
     overall: MetricSummary
     by_category: dict[Category, MetricSummary]
@@ -250,12 +263,36 @@ class RunMetrics:
     utilization: float
     makespan: float
     records: tuple[CompletedJob, ...] = field(repr=False)
+    #: The columns of a table-backed run; None for one summarized from records.
+    table: ClassVar[RecordTable | None] = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.records, RecordTable):
+            object.__setattr__(self, "table", self.records)
+            object.__delattr__(self, "records")
+
+    def __getattr__(self, name: str):
+        # Ordinary lookup failed: only ``records`` of a table-backed run
+        # that nothing has read yet is missing on purpose.
+        if name != "records" or self.table is None:
+            raise AttributeError(name)
+        records = self.table.records()
+        object.__setattr__(self, "records", records)
+        return records
 
     def category_summary(self, category: Category | str) -> MetricSummary:
         return self.by_category[Category(category)]
 
     def quality_summary(self, quality: EstimateQuality | str) -> MetricSummary:
         return self.by_estimate_quality[EstimateQuality(quality)]
+
+    def start_times(self) -> dict[int, float]:
+        """job_id -> start time, the schedule itself; the last record of a
+        repeated id wins.  A table-backed run builds no record for it."""
+        if self.table is None:
+            return {r.job.job_id: r.start_time for r in self.records}
+        columns = self.table.columns
+        return dict(zip(columns["job_id"].tolist(), columns["start_time"].tolist()))
 
     def record_for(self, job_id: int) -> CompletedJob:
         # Lazy job-id index: the first lookup builds a dict so sweeps that
@@ -274,25 +311,25 @@ class RunMetrics:
 
 
 def summarize(
-    records: list[CompletedJob] | tuple[CompletedJob, ...],
+    records: list[CompletedJob] | tuple[CompletedJob, ...] | RecordTable,
     *,
     utilization: float = math.nan,
     makespan: float | None = None,
 ) -> RunMetrics:
-    """Aggregate completed-job records into a :class:`RunMetrics`.
+    """Aggregate completed records into a :class:`RunMetrics`.
 
-    One numpy pass over the record fields.  Float-identical to the
-    record-at-a-time reference: the per-job metrics are the same
-    elementwise IEEE operations, the category/quality masks preserve
-    record order, and group aggregation goes through the same sequential
-    ``sum`` (numpy's pairwise ``np.sum`` would round differently).
+    ``records`` is the engines' record objects, whose six metric fields
+    are pulled into arrays in one pass, or a stored run's
+    :class:`RecordTable`, whose columns go to :func:`_fold` as they are
+    and which the returned run keeps in place of the objects.
     """
+    if isinstance(records, RecordTable):
+        columns = records.columns
+        arrays = [columns[name] for name in _FOLD_COLUMNS]
+        return _fold(*arrays, records, utilization, makespan)
     records = tuple(records)
-    # One pass over the records instead of six: each column used to be
-    # its own ``np.fromiter`` over a generator, which re-resumed a
-    # generator frame and re-read ``r.job`` per element per column.
-    # The values are the same Python floats either way, so the arrays
-    # (and everything derived from them) stay bit-identical.
+    # One pass with bound appends; np.array of the same Python values
+    # gives bit-identical arrays to any other extraction.
     submit_l: list[float] = []
     start_l: list[float] = []
     finish_l: list[float] = []
@@ -313,13 +350,22 @@ def summarize(
         a_runtime(job.runtime)
         a_estimate(job.estimate)
         a_procs(job.procs)
-    submit = np.array(submit_l, np.float64)
-    start = np.array(start_l, np.float64)
-    finish = np.array(finish_l, np.float64)
-    runtime = np.array(runtime_l, np.float64)
-    estimate = np.array(estimate_l, np.float64)
-    procs = np.array(procs_l, np.int64)
+    floats = [
+        np.array(values, np.float64)
+        for values in (submit_l, start_l, finish_l, runtime_l, estimate_l)
+    ]
+    return _fold(*floats, np.array(procs_l, np.int64), records, utilization, makespan)
 
+
+#: The record columns :func:`_fold` takes, in its parameter order.
+_FOLD_COLUMNS = ("submit_time", "start_time", "finish_time", "runtime", "estimate", "procs")
+
+
+def _fold(submit, start, finish, runtime, estimate, procs, records, utilization, makespan):
+    """The :class:`RunMetrics` of six record columns (float64, ``procs``
+    int64).  The per-job metrics are elementwise IEEE operations, the
+    masks keep record order, and each group is a sequential ``sum``
+    (numpy's pairwise ``np.sum`` would round differently)."""
     waits = np.maximum(start - submit, 0.0)
     turnarounds = np.maximum(finish - submit, 0.0)
     elapsed = np.maximum(finish - start, 0.0)
@@ -333,7 +379,7 @@ def summarize(
             waits[mask].tolist(),
         )
 
-    span = float(finish.max()) - float(submit.min()) if records else 0.0
+    span = float(finish.max()) - float(submit.min()) if len(submit) else 0.0
     return RunMetrics(
         overall=MetricSummary.from_values(
             slowdowns.tolist(), turnarounds.tolist(), waits.tolist()

@@ -16,6 +16,9 @@ from repro.errors import SimulationError
 
 __all__ = [
     "BOUNDED_SLOWDOWN_THRESHOLD",
+    "START_TOL",
+    "FINISH_REL_TOL",
+    "FINISH_ABS_TOL",
     "wait_time",
     "turnaround_time",
     "slowdown",
@@ -25,24 +28,40 @@ __all__ = [
 #: The bound T in the bounded-slowdown definition, in seconds.
 BOUNDED_SLOWDOWN_THRESHOLD = 10.0
 
+#: Tolerances on recorded times.  They are metric-side float tolerances,
+#: not scheduling rules (those are in ``repro.sched.tol``); the record
+#: checks (``CompletedJob.__post_init__`` and ``RecordTable``'s column
+#: form), the schedule validator and the machine's accounting read them
+#: by name, so no check can drift from another.
+#:
+#: A recorded time may precede the one it must follow (a start its
+#: submission, a finish its start, the machine clock its last event) by
+#: this much.
+START_TOL = 1e-9
+#: ``math.isclose`` tolerances of a finish against start + effective
+#: runtime; ``FINISH_REL_TOL`` also bounds the rounding of a ratio of
+#: recorded times (the machine's utilization) above 1.
+FINISH_REL_TOL = 1e-9
+FINISH_ABS_TOL = 1e-6
+
 
 def _check(submit: float, start: float, finish: float) -> None:
-    if start < submit - 1e-9:
+    if start < submit - START_TOL:
         raise SimulationError(f"job started ({start}) before submission ({submit})")
-    if finish < start - 1e-9:
+    if finish < start - START_TOL:
         raise SimulationError(f"job finished ({finish}) before starting ({start})")
 
 
 def wait_time(submit: float, start: float) -> float:
     """Seconds spent in the wait queue."""
-    if start < submit - 1e-9:
+    if start < submit - START_TOL:
         raise SimulationError(f"job started ({start}) before submission ({submit})")
     return max(start - submit, 0.0)
 
 
 def turnaround_time(submit: float, finish: float) -> float:
     """Seconds from submission to completion (the user-visible latency)."""
-    if finish < submit - 1e-9:
+    if finish < submit - START_TOL:
         raise SimulationError(f"job finished ({finish}) before submission ({submit})")
     return max(finish - submit, 0.0)
 

@@ -31,12 +31,6 @@ __all__ = ["FairnessReport", "start_time_deviations", "fairness_report"]
 Schedule = SimulationResult | RunMetrics
 
 
-def _start_times(schedule: Schedule) -> dict[int, float]:
-    if isinstance(schedule, RunMetrics):
-        return {r.job.job_id: r.start_time for r in schedule.records}
-    return schedule.start_times()
-
-
 def start_time_deviations(
     schedule: Schedule,
     reference: Schedule,
@@ -48,8 +42,8 @@ def start_time_deviations(
     benefited.  Both schedules must cover the same job ids; either may
     be a :class:`SimulationResult` or its :class:`RunMetrics`.
     """
-    mine = _start_times(schedule)
-    theirs = _start_times(reference)
+    mine = schedule.start_times()
+    theirs = reference.start_times()
     if set(mine) != set(theirs):
         missing = set(mine).symmetric_difference(theirs)
         raise ReproError(

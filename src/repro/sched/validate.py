@@ -26,6 +26,7 @@ import math
 from typing import Iterable, Mapping
 
 from repro.metrics.collector import CompletedJob
+from repro.metrics.defs import FINISH_ABS_TOL, FINISH_REL_TOL
 from repro.sched.tol import EPS_DUE as _EPS
 from repro.workload.job import Workload
 
@@ -65,7 +66,9 @@ def validate_schedule(
                 f"submission at {job.submit_time}"
             )
         expected = record.start_time + job.effective_runtime
-        if not math.isclose(record.finish_time, expected, rel_tol=1e-9, abs_tol=1e-3):
+        if not math.isclose(
+            record.finish_time, expected, rel_tol=FINISH_REL_TOL, abs_tol=FINISH_ABS_TOL
+        ):
             violations.append(
                 f"job {job_id}: finish {record.finish_time} != start + "
                 f"effective runtime ({expected})"

@@ -96,16 +96,8 @@ class SimulationResult:
         return self.metrics.records
 
     def start_times(self) -> dict[int, float]:
-        """job_id -> start time (the schedule itself; used by equivalence tests).
-
-        Computed once and cached — the equivalence suites call it
-        repeatedly per comparison, and the records never change.
-        """
-        cached = self.__dict__.get("_start_times_cache")
-        if cached is None:
-            cached = {r.job.job_id: r.start_time for r in self.metrics.records}
-            object.__setattr__(self, "_start_times_cache", cached)
-        return cached
+        """job_id -> start time (see :meth:`RunMetrics.start_times`)."""
+        return self.metrics.start_times()
 
 
 @dataclass(frozen=True)

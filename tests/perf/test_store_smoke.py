@@ -14,7 +14,10 @@ validation, so it builds no validated object: zero ``Job.__post_init__``
 and zero ``CompletedJob.__post_init__`` calls, where the row-JSON
 decoder made one of each per record.  Validation still happens — an
 entry with one corrupted column value is dropped as corrupt and its cell
-re-simulated.
+re-simulated.  Nor does it build a trusted one: a warm run stays columns,
+so reading, hashing and re-storing it builds zero ``Job`` and zero
+``CompletedJob`` objects, and its records are built once, on the first
+read of ``.records`` (counted by wrapping the two trusted constructors).
 """
 
 import base64
@@ -27,10 +30,13 @@ import pytest
 
 from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest, simulate_cell
 from repro.exec.backends.sqlite import _SELECT_CHUNK
+from repro.exec.serialize import metrics_to_columns
 from repro.experiments.config import WorkloadSpec
 from repro.metrics.collector import CompletedJob
 from repro.workload.job import Job
 from repro.workload.table import INT_COLUMNS
+
+from tests.oracles.record_objects import record_builds
 
 N_CELLS = 3_000
 
@@ -116,6 +122,39 @@ def test_warm_get_many_validates_no_row(tmp_path, monkeypatch):
     assert [metrics_digest(resolved[cell].metrics) for cell in cells] == [
         metrics_digest(metrics) for metrics in cold
     ]
+
+
+NONE_BUILT = {Job: 0, CompletedJob: 0}
+
+
+@pytest.mark.perf
+def test_warm_runs_build_records_only_when_read(tmp_path):
+    cells = small_grid()
+    cold = CellExecutor(store=ResultStore(tmp_path)).execute(cells)
+
+    with record_builds() as built:
+        resolved = ResultStore(tmp_path).get_many(cells)
+    assert len(resolved) == len(cells) and built == NONE_BUILT
+    warm = [resolved[cell].metrics for cell in cells]
+    with record_builds() as built:
+        digests = [metrics_digest(metrics) for metrics in warm]
+    assert built == NONE_BUILT
+    assert digests == [metrics_digest(metrics) for metrics in cold]
+    with record_builds() as built:
+        for metrics in warm:
+            metrics_to_columns(metrics)
+            metrics.start_times()
+    assert built == NONE_BUILT
+
+    n = sum(len(metrics.table) for metrics in warm)
+    with record_builds() as built:
+        first = [metrics.records for metrics in warm]
+    assert n > 0 and built == {Job: n, CompletedJob: n}
+    with record_builds() as built:
+        again = [metrics.records for metrics in warm]
+    assert built == NONE_BUILT
+    assert all(a is b for a, b in zip(first, again))
+    assert [metrics.records for metrics in cold] == first
 
 
 @pytest.mark.perf

@@ -91,43 +91,51 @@ def test_tolerances_are_defined_only_in_tol():
 
 
 def test_record_check_tolerances_are_named_once():
-    # metrics/collector.py's record checks (ROADMAP item 1(e)): the row
-    # check in CompletedJob.__post_init__ and its column form, which the
-    # result store's decoder runs, read the same three names.
-    collector = (METRICS / "collector.py").read_text()
-    defined = dict(re.findall(r"^(\w+_TOL) = (\S+)$", collector, re.MULTILINE))
+    # metrics/defs.py defines the record-check tolerances (ROADMAP item
+    # 1(e)); collector.py's two record checks, the row check in
+    # CompletedJob.__post_init__ and its column form in RecordTable, which
+    # the result store's decoder constructs, read the same three names.
+    defs = (METRICS / "defs.py").read_text()
+    defined = dict(re.findall(r"^(\w+_TOL) = (\S+)$", defs, re.MULTILINE))
     assert defined == {
         "START_TOL": "1e-9",
         "FINISH_REL_TOL": "1e-9",
         "FINISH_ABS_TOL": "1e-6",
     }
+    collector = (METRICS / "collector.py").read_text()
+    assert not re.search(r"^\w+_TOL = ", collector, re.MULTILINE)
     cls = collector[collector.index("class CompletedJob"):]
     row_check = cls[: cls.index("    @classmethod")]
-    column_check = collector[collector.index("def check_record_columns"):]
-    column_check = column_check[: column_check.index("\n\n\n")]
+    column_check = collector[collector.index("class RecordTable"):]
+    column_check = column_check[: column_check.index("    def __len__")]
     for body in (row_check, column_check):
         assert not re.search(r"\d(e-|\.\d)", body), body
         for name in defined:
             assert name in body
     serialize = (SRC / "exec" / "serialize.py").read_text()
-    assert "check_record_columns(" in serialize
+    assert "RecordTable(" in serialize
     assert not re.search(r"\de-\d", serialize)
 
 
-
 def test_extension_engines_compare_times_through_named_tolerances():
-    # ROADMAP item 1(e): the preemptive package, the grid engine and the
-    # simulator's backwards-clock check read EPS_SNAP and collector.py's
-    # finish tolerances by name.
+    # ROADMAP item 1(e): the preemptive package, the grid engine, the
+    # simulator's backwards-clock check, the machine's accounting, the
+    # per-job metric definitions and the schedule validator read EPS_SNAP
+    # and the record tolerances by name; defs.py's own definitions of
+    # those names are the only literals.
     paths = sorted((SRC / "preempt").glob("*.py")) + [
         SRC / "grid" / "engine.py",
         SRC / "sim" / "engine.py",
+        SRC / "cluster" / "machine.py",
+        METRICS / "defs.py",
+        SCHED / "validate.py",
     ]
     assert len(paths) > 1
+    definitions = re.compile(r"^(START|FINISH_REL|FINISH_ABS)_TOL = .*$", re.MULTILINE)
     offenders = [
         f"{path.relative_to(SRC)}: {literal}"
         for path in paths
-        for literal in re.findall(r"\de-\d", path.read_text())
+        for literal in re.findall(r"\de-\d", definitions.sub("", path.read_text()))
     ]
     assert offenders == []
 

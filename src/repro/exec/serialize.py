@@ -40,8 +40,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.metrics.collector import JOB_FIELDS, RecordTable, RunMetrics, summarize
-from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS
+from repro.metrics.collector import RecordTable, RunMetrics, summarize
+from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS, JOB_FIELDS
 
 __all__ = [
     "metrics_to_payload",

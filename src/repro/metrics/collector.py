@@ -22,7 +22,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -46,7 +46,7 @@ from repro.metrics.defs import (
     wait_time,
 )
 from repro.workload.job import Job
-from repro.workload.table import check_job_columns
+from repro.workload.table import JOB_FIELDS, check_job_columns
 
 __all__ = [
     "CompletedJob",
@@ -55,9 +55,6 @@ __all__ = [
     "RunMetrics",
     "summarize",
 ]
-
-#: ``Job`` fields in declaration order, the first sixteen record columns.
-JOB_FIELDS = tuple(f.name for f in fields(Job))
 
 
 @dataclass(frozen=True, slots=True)

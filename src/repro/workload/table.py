@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.job import Job, Workload
 
-__all__ = ["JobTable", "INT_COLUMNS", "FLOAT_COLUMNS", "check_job_columns"]
+__all__ = ["JobTable", "INT_COLUMNS", "FLOAT_COLUMNS", "JOB_FIELDS", "check_job_columns"]
 
 #: Integer-valued Job fields, in Job declaration order.
 INT_COLUMNS = (
@@ -63,8 +63,9 @@ FLOAT_COLUMNS = (
 _ALL_COLUMNS = INT_COLUMNS + FLOAT_COLUMNS
 
 #: Job dataclass field order — ``Job(*row)`` positional construction in
-#: :meth:`JobTable.to_workload` depends on it.
-_JOB_FIELD_ORDER = (
+#: :meth:`JobTable.to_workload` depends on it, and a completed-record
+#: table (``repro.metrics.collector.RecordTable``) leads with these columns.
+JOB_FIELDS = (
     "job_id",
     "submit_time",
     "runtime",
@@ -83,7 +84,7 @@ _JOB_FIELD_ORDER = (
     "think_time",
 )
 
-assert _JOB_FIELD_ORDER == tuple(f.name for f in fields(Job))
+assert JOB_FIELDS == tuple(f.name for f in fields(Job))
 
 
 def check_job_columns(columns: dict[str, np.ndarray]) -> None:
@@ -241,7 +242,7 @@ class JobTable:
         :meth:`Job._from_trusted_columns` and the simulator's table feed.
         """
         cols = self.columns
-        return [cols[name].tolist() for name in _JOB_FIELD_ORDER]
+        return [cols[name].tolist() for name in JOB_FIELDS]
 
     def to_workload(self) -> Workload:
         """Rebuild the row form.  Inverse of :meth:`from_workload`.

@@ -38,7 +38,7 @@ from repro.workload.table import (
     FLOAT_COLUMNS,
     INT_COLUMNS,
     JobTable,
-    _JOB_FIELD_ORDER,
+    JOB_FIELDS,
 )
 from repro.workload.transforms import truncate
 
@@ -118,7 +118,7 @@ class TestTrustedEqualsValidated:
         assert trusted == validated
         for a, b in zip(trusted, validated):
             assert type(a) is Job
-            for name in _JOB_FIELD_ORDER:
+            for name in JOB_FIELDS:
                 got, want = getattr(a, name), getattr(b, name)
                 assert got == want
                 assert type(got) is type(want)  # builtin int/float, not numpy
@@ -138,7 +138,7 @@ class TestTrustedEqualsValidated:
         )
 
     def test_empty_columns(self):
-        assert Job._from_trusted_columns([[] for _ in _JOB_FIELD_ORDER]) == ()
+        assert Job._from_trusted_columns([[] for _ in JOB_FIELDS]) == ()
 
 
 class TestMalformedColumnsRejected:

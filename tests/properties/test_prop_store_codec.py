@@ -16,7 +16,8 @@ frozen in ``tests/oracles/record_objects.py``:
 * **the object path's run** — on the same runs, every aggregate (by
   ``repr``, so NaN groups compare), ``utilization``, ``makespan``,
   ``metrics_digest``, ``RunMetrics ==`` and every materialized record,
-  field by field, equal the object-path decoder's;
+  field by field, equal the object-path decoder's, and so do those of
+  a copy pickled before its records were first read;
 * **rejection parity** — each single-value corruption (negative procs,
   a non-finite runtime, a start before submission, a finish off its
   expected value, a truncated buffer, a wrong count) is rejected by the
@@ -28,6 +29,7 @@ frozen in ``tests/oracles/record_objects.py``:
 import base64
 import json
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -93,16 +95,21 @@ def _record_fields(record) -> list[str]:
 
 def _decode_like_the_object_path(payload: dict):
     """Decode ``payload`` with the codec and the frozen object path; every
-    observable of the two runs must agree.  Returns both runs, for
-    ``RunMetrics ==`` where no record holds a NaN (NaN defeats ``==``)."""
+    observable of the two runs must agree, also after the codec's run is
+    pickled before anything reads its records.  Returns the codec's run
+    and the oracle's, for ``RunMetrics ==`` where no record holds a NaN
+    (NaN defeats ``==``, and so does an empty group's NaN once pickled)."""
     decoded = metrics_from_payload(payload)
     oracle = metrics_from_payload_objects(payload)
+    revived = pickle.loads(pickle.dumps(decoded))
     for name in ("overall", "by_category", "by_estimate_quality", "utilization", "makespan"):
         assert repr(getattr(decoded, name)) == repr(getattr(oracle, name)), name
-    assert metrics_digest(decoded) == metrics_digest(oracle)
-    assert list(map(_record_fields, decoded.records)) == list(
-        map(_record_fields, oracle.records)
-    )
+    assert repr(decoded) == repr(revived) == repr(oracle)
+    assert metrics_digest(decoded) == metrics_digest(revived) == metrics_digest(oracle)
+    for run in (decoded, revived):
+        assert list(map(_record_fields, run.records)) == list(
+            map(_record_fields, oracle.records)
+        )
     return decoded, oracle
 
 

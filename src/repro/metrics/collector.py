@@ -285,11 +285,17 @@ class RunMetrics:
 
     def start_times(self) -> dict[int, float]:
         """job_id -> start time, the schedule itself; the last record of a
-        repeated id wins.  A table-backed run builds no record for it."""
-        if self.table is None:
-            return {r.job.job_id: r.start_time for r in self.records}
-        columns = self.table.columns
-        return dict(zip(columns["job_id"].tolist(), columns["start_time"].tolist()))
+        repeated id wins.  Built once and cached, as the equivalence suites
+        ask for it per comparison; a table-backed run builds no record."""
+        cached = self.__dict__.get("_start_times")
+        if cached is None:
+            if self.table is None:
+                cached = {r.job.job_id: r.start_time for r in self.records}
+            else:
+                columns = self.table.columns
+                cached = dict(zip(columns["job_id"].tolist(), columns["start_time"].tolist()))
+            object.__setattr__(self, "_start_times", cached)
+        return cached
 
     def record_for(self, job_id: int) -> CompletedJob:
         # Lazy job-id index: the first lookup builds a dict so sweeps that

@@ -155,6 +155,9 @@ def test_warm_runs_build_records_only_when_read(tmp_path):
     assert built == NONE_BUILT
     assert all(a is b for a, b in zip(first, again))
     assert [metrics.records for metrics in cold] == first
+    # start_times() is built once per run, in either form.
+    assert all(m.start_times() is m.start_times() for m in [*warm, *cold])
+    assert [m.start_times() for m in warm] == [m.start_times() for m in cold]
 
 
 @pytest.mark.perf

@@ -121,21 +121,28 @@ def test_extension_engines_compare_times_through_named_tolerances():
     # ROADMAP item 1(e): the preemptive package, the grid engine, the
     # simulator's backwards-clock check, the machine's accounting, the
     # per-job metric definitions and the schedule validator read EPS_SNAP
-    # and the record tolerances by name; defs.py's own definitions of
-    # those names are the only literals.
+    # and the record tolerances by name. defs.py's own definitions of
+    # those names are the only literals; a redefinition anywhere else
+    # is an offender.
+    defs = METRICS / "defs.py"
     paths = sorted((SRC / "preempt").glob("*.py")) + [
         SRC / "grid" / "engine.py",
         SRC / "sim" / "engine.py",
         SRC / "cluster" / "machine.py",
-        METRICS / "defs.py",
+        defs,
         SCHED / "validate.py",
     ]
     assert len(paths) > 1
     definitions = re.compile(r"^(START|FINISH_REL|FINISH_ABS)_TOL = .*$", re.MULTILINE)
+
+    def scanned(path):
+        text = path.read_text()
+        return definitions.sub("", text) if path == defs else text
+
     offenders = [
         f"{path.relative_to(SRC)}: {literal}"
         for path in paths
-        for literal in re.findall(r"\de-\d", definitions.sub("", path.read_text()))
+        for literal in re.findall(r"\de-\d", scanned(path))
     ]
     assert offenders == []
 

@@ -13,9 +13,12 @@ testing eligibility.
 shipped engine and policy to reproduce these per-job intervals,
 suspension counts and metrics digests exactly.
 
-The class bodies are copied unchanged.  ``PreemptiveResult``,
-``PreemptedJob``, ``summarize_preemptive`` and the priority policies come
-from the public API: they are the record and metric path both sides
+The class bodies are copied unchanged, and so is ``summarize_preemptive``
+(``preempt/records.py``) as it stood before it aggregated through the
+collector's group aggregation: one ``MetricSummary`` per group, built
+from the records' own ``bounded_slowdown``, ``turnaround`` and ``wait``
+properties.  ``PreemptiveResult``, ``PreemptedJob`` and the priority
+policies come from the public API: they are the record path both sides
 share, not the bookkeeping under test.
 
 Do not edit this file to follow the shipped code: its value is being the
@@ -26,12 +29,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.machine import Machine
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.preempt.engine import PreemptiveResult
-from repro.preempt.records import PreemptedJob, summarize_preemptive
+from repro.metrics.categories import Category, EstimateQuality, estimate_quality
+from repro.metrics.collector import MetricSummary, RunMetrics
+from repro.preempt.records import PreemptedJob
 from repro.sched.priority.policies import FCFSPriority, PriorityPolicy, xfactor
 from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job, Workload
@@ -41,7 +47,66 @@ __all__ = [
     "SuspendDecision",
     "SelectiveSuspensionScheduler",
     "PreemptiveSimulator",
+    "summarize_preemptive",
 ]
+
+
+# -- preempt/records.py (verbatim from the parent commit) ---------------------------
+
+
+def summarize_preemptive(
+    records: list[PreemptedJob] | tuple[PreemptedJob, ...],
+    *,
+    utilization: float = math.nan,
+) -> RunMetrics:
+    """Aggregate preemptive records into the standard RunMetrics shape.
+
+    The per-category and estimate-quality breakdowns reuse the
+    non-preemptive classifiers; the ``records`` tuple of the returned
+    object is empty (the preemptive records do not satisfy the
+    non-preemptive CompletedJob invariants) — callers needing the raw
+    records keep the list they passed in.
+    """
+    records = list(records)
+
+    def summary(group: list[PreemptedJob]) -> MetricSummary:
+        if not group:
+            return MetricSummary.empty()
+        slowdowns = [r.bounded_slowdown for r in group]
+        turnarounds = [r.turnaround for r in group]
+        waits = [r.wait for r in group]
+        return MetricSummary(
+            count=len(group),
+            mean_bounded_slowdown=sum(slowdowns) / len(group),
+            mean_turnaround=sum(turnarounds) / len(group),
+            mean_wait=sum(waits) / len(group),
+            max_turnaround=max(turnarounds),
+            max_bounded_slowdown=max(slowdowns),
+        )
+
+    by_category = {
+        category: summary([r for r in records if r.category is category])
+        for category in Category
+    }
+    by_quality = {
+        quality: summary(
+            [r for r in records if estimate_quality(r.job) is quality]
+        )
+        for quality in EstimateQuality
+    }
+    makespan = 0.0
+    if records:
+        makespan = max(r.finish_time for r in records) - min(
+            r.job.submit_time for r in records
+        )
+    return RunMetrics(
+        overall=summary(records),
+        by_category=by_category,
+        by_estimate_quality=by_quality,
+        utilization=utilization,
+        makespan=makespan,
+        records=(),
+    )
 
 
 # -- preempt/scheduler.py (verbatim from the parent commit) -------------------------

@@ -8,8 +8,9 @@ pool is keyed by job id.  None of that may change a schedule, so
 ``tests/oracles/preempt.py`` freezes the previous engine and policy, and
 every shipped run must reproduce its frozen original exactly — per-job
 intervals, ``total_suspensions``, the ``metrics_digest`` of the
-``RunMetrics`` and, round by round, the waiting and running job ids the
-policy was handed, in order — under FCFS, SJF and XF, suspension factors
+``RunMetrics``, its aggregates (``summarize_preemptive`` is frozen too)
+and, round by round, the waiting and running job ids the policy was
+handed, in order — under FCFS, SJF and XF, suspension factors
 1, 2 and 4, with and without a suspension overhead, at a short and a long
 decision interval, and with ``min_wait`` zero and positive.
 
@@ -95,7 +96,14 @@ def _outcome(module, wl, priority, factor, overhead, interval, min_wait):
     except _Livelock:
         return None, rounds
     intervals = {r.job.job_id: r.intervals for r in result.records}
-    summary = (intervals, result.total_suspensions, metrics_digest(result.metrics))
+    # The digest covers utilization and makespan; the aggregates are
+    # compared by repr, so NaN groups (an empty category) compare too.
+    summary = (
+        intervals,
+        result.total_suspensions,
+        metrics_digest(result.metrics),
+        repr(result.metrics),
+    )
     return summary, rounds
 
 

@@ -37,9 +37,8 @@ def _must_hold(experiment_id: str, findings: dict[str, bool]) -> dict[str, bool]
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
 def test_experiment(experiment_id, benchmark, capsys):
-    # Exported pytest-benchmark JSON carries the same host provenance
-    # the hand-rolled BENCH_*.json writers stamp, so compare_bench.py
-    # can flag host drift on every artifact, not just the custom ones.
+    # Exported pytest-benchmark JSON carries the host it was measured on,
+    # as benchmarks/e2e/run.py's first line does.
     benchmark.extra_info["host"] = host_provenance()
     clear_cache()
     params = _PARAMS.get(experiment_id, QUICK_PARAMS)

@@ -17,8 +17,8 @@ TOTAL = 430  # CTC machine size
 
 @pytest.fixture(autouse=True)
 def _host_stamp(benchmark):
-    """Stamp host provenance into the exported benchmark JSON so
-    ``compare_bench.py`` host-drift warnings cover this artifact too."""
+    """Stamp host provenance into the exported benchmark JSON: a
+    timing means nothing without the host it was measured on."""
     benchmark.extra_info["host"] = host_provenance()
 
 

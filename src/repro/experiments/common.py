@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
+import numpy as np
+
 from repro.analysis.stats import mean
 from repro.errors import ExperimentError
 from repro.exec import Cell, run_cells
 from repro.experiments.config import ExperimentParams, WorkloadSpec
-from repro.experiments.runner import cached_workload
-from repro.metrics.categories import Category, EstimateQuality, estimate_quality
+from repro.experiments.runner import cached_table
+from repro.metrics.categories import Category, EstimateQuality, quality_masks
 from repro.metrics.collector import RunMetrics
+from repro.metrics.defs import bounded_slowdowns
 
 __all__ = [
     "PRIORITIES",
@@ -99,18 +102,15 @@ def quality_ids(params: ExperimentParams, trace: str, seed: int) -> dict[Estimat
     runs, so the classification always comes from the user-estimate
     workload (under exact estimates every job is trivially "well").
     """
-    workload = cached_workload(params.spec(trace, seed, "user"))
-    ids: dict[EstimateQuality, set[int]] = {q: set() for q in EstimateQuality}
-    for job in workload:
-        ids[estimate_quality(job)].add(job.job_id)
-    return ids
+    columns = cached_table(params.spec(trace, seed, "user")).columns
+    masks = quality_masks(columns["estimate"], columns["runtime"])
+    return {q: set(columns["job_id"][mask].tolist()) for q, mask in masks.items()}
 
 
 def conditional_slowdown(metrics: RunMetrics, ids: set[int]) -> float:
-    """Mean bounded slowdown restricted to the given job ids."""
-    values = [
-        record.bounded_slowdown
-        for record in metrics.records
-        if record.job.job_id in ids
-    ]
-    return mean(values)
+    """Mean bounded slowdown restricted to the given job ids, in record order."""
+    job_id, submit, start, finish = metrics.record_columns(
+        "job_id", "submit_time", "start_time", "finish_time"
+    )
+    slowdowns = bounded_slowdowns(submit, start, finish)
+    return mean(slowdowns[np.isin(job_id, list(ids))].tolist())

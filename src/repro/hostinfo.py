@@ -1,11 +1,11 @@
 """Host provenance: the facts a benchmark number is meaningless without.
 
-Every ``BENCH_*.json`` writer stamps :func:`host_provenance` into its
-payload under ``"host"``, and ``benchmarks/compare_bench.py`` warns (but
-never fails) when two files being diffed were measured on differently
-shaped hosts — a 1-CPU container and a 16-core workstation produce
-legitimately different numbers, and the comparison should say so instead
-of letting a reader chase a phantom regression.  Keys are chosen to be
+``benchmarks/e2e/run.py`` prints :func:`host_provenance` as the first
+line of every benchmark run, and the pytest-benchmark files
+(``bench_profile.py``, ``bench_experiments.py``) stamp it into their
+exported JSON: a 1-CPU container and a 16-core workstation produce
+legitimately different numbers, and a reader comparing two runs should
+see that instead of chasing a phantom regression.  Keys are chosen to be
 stable, cheap, and dependency-free.
 """
 

@@ -37,16 +37,16 @@ from repro.metrics.categories import (
     quality_masks,
 )
 from repro.metrics.defs import (
-    BOUNDED_SLOWDOWN_THRESHOLD,
     FINISH_ABS_TOL,
     FINISH_REL_TOL,
     START_TOL,
     bounded_slowdown,
+    bounded_slowdowns,
     turnaround_time,
     wait_time,
 )
 from repro.workload.job import Job
-from repro.workload.table import JOB_FIELDS, check_job_columns
+from repro.workload.table import INT_COLUMNS, JOB_FIELDS, check_job_columns
 
 __all__ = [
     "CompletedJob",
@@ -54,6 +54,7 @@ __all__ = [
     "MetricSummary",
     "RunMetrics",
     "summarize",
+    "summarize_groups",
 ]
 
 
@@ -283,17 +284,28 @@ class RunMetrics:
     def quality_summary(self, quality: EstimateQuality | str) -> MetricSummary:
         return self.by_estimate_quality[EstimateQuality(quality)]
 
+    def record_columns(self, *names: str) -> list[np.ndarray]:
+        """The named :class:`RecordTable` columns of this run, in record
+        order: a table-backed run's own arrays (no record is built), or
+        arrays pulled from the records."""
+        if self.table is not None:
+            return [self.table.columns[name] for name in names]
+        return [
+            np.array(
+                [getattr(r if name in _RECORD_TIMES else r.job, name) for r in self.records],
+                np.int64 if name in INT_COLUMNS else np.float64,
+            )
+            for name in names
+        ]
+
     def start_times(self) -> dict[int, float]:
         """job_id -> start time, the schedule itself; the last record of a
         repeated id wins.  Built once and cached, as the equivalence suites
         ask for it per comparison; a table-backed run builds no record."""
         cached = self.__dict__.get("_start_times")
         if cached is None:
-            if self.table is None:
-                cached = {r.job.job_id: r.start_time for r in self.records}
-            else:
-                columns = self.table.columns
-                cached = dict(zip(columns["job_id"].tolist(), columns["start_time"].tolist()))
+            job_id, start = self.record_columns("job_id", "start_time")
+            cached = dict(zip(job_id.tolist(), start.tolist()))
             object.__setattr__(self, "_start_times", cached)
         return cached
 
@@ -360,40 +372,47 @@ def summarize(
     return _fold(*floats, np.array(procs_l, np.int64), records, utilization, makespan)
 
 
+#: The columns a record holds itself; the rest are its job's fields.
+_RECORD_TIMES = ("start_time", "finish_time")
+
 #: The record columns :func:`_fold` takes, in its parameter order.
 _FOLD_COLUMNS = ("submit_time", "start_time", "finish_time", "runtime", "estimate", "procs")
 
 
 def _fold(submit, start, finish, runtime, estimate, procs, records, utilization, makespan):
     """The :class:`RunMetrics` of six record columns (float64, ``procs``
-    int64).  The per-job metrics are elementwise IEEE operations, the
-    masks keep record order, and each group is a sequential ``sum``
-    (numpy's pairwise ``np.sum`` would round differently)."""
+    int64): the per-job metrics as elementwise IEEE operations, then
+    :func:`summarize_groups`."""
     waits = np.maximum(start - submit, 0.0)
     turnarounds = np.maximum(finish - submit, 0.0)
-    elapsed = np.maximum(finish - start, 0.0)
-    denom = np.maximum(elapsed, BOUNDED_SLOWDOWN_THRESHOLD)
-    slowdowns = (waits + denom) / denom
-
-    def _group(mask: np.ndarray) -> MetricSummary:
-        return MetricSummary.from_values(
-            slowdowns[mask].tolist(),
-            turnarounds[mask].tolist(),
-            waits[mask].tolist(),
-        )
-
+    slowdowns = bounded_slowdowns(submit, start, finish)
+    overall, by_category, by_quality = summarize_groups(
+        slowdowns, turnarounds, waits, runtime, estimate, procs
+    )
     span = float(finish.max()) - float(submit.min()) if len(submit) else 0.0
     return RunMetrics(
-        overall=MetricSummary.from_values(
-            slowdowns.tolist(), turnarounds.tolist(), waits.tolist()
-        ),
-        by_category={
-            c: _group(mask) for c, mask in category_masks(runtime, procs).items()
-        },
-        by_estimate_quality={
-            q: _group(mask) for q, mask in quality_masks(estimate, runtime).items()
-        },
+        overall=overall,
+        by_category=by_category,
+        by_estimate_quality=by_quality,
         utilization=utilization,
         makespan=makespan if makespan is not None else span,
         records=records,
+    )
+
+
+def summarize_groups(slowdowns, turnarounds, waits, runtime, estimate, procs) -> tuple:
+    """``(overall, by_category, by_estimate_quality)`` summaries of per-job
+    metric arrays, classified by the jobs' ``runtime``, ``estimate`` and
+    ``procs``.  The masks keep record order and each group is a sequential
+    ``sum`` (numpy's pairwise ``np.sum`` would round differently)."""
+
+    def _group(mask) -> MetricSummary:
+        return MetricSummary.from_values(
+            slowdowns[mask].tolist(), turnarounds[mask].tolist(), waits[mask].tolist()
+        )
+
+    return (
+        _group(slice(None)),  # every job
+        {c: _group(mask) for c, mask in category_masks(runtime, procs).items()},
+        {q: _group(mask) for q, mask in quality_masks(estimate, runtime).items()},
     )

@@ -12,6 +12,8 @@ Mu'alem & Feitelson 2001 which the paper follows — see DESIGN.md).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "turnaround_time",
     "slowdown",
     "bounded_slowdown",
+    "bounded_slowdowns",
 ]
 
 #: The bound T in the bounded-slowdown definition, in seconds.
@@ -95,3 +98,13 @@ def bounded_slowdown(
     runtime = max(finish - start, 0.0)
     denom = max(runtime, threshold)
     return (wait_time(submit, start) + denom) / denom
+
+
+def bounded_slowdowns(submit: np.ndarray, start: np.ndarray, finish: np.ndarray) -> np.ndarray:
+    """Column form of :func:`bounded_slowdown` over float64 arrays of
+    records already checked: elementwise IEEE operations, so each value
+    equals the scalar's for the same record."""
+    waits = np.maximum(start - submit, 0.0)
+    elapsed = np.maximum(finish - start, 0.0)
+    denom = np.maximum(elapsed, BOUNDED_SLOWDOWN_THRESHOLD)
+    return (waits + denom) / denom

@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.metrics.categories import Category, categorize
 from repro.metrics.collector import (
     FINISH_ABS_TOL,
     FINISH_REL_TOL,
-    MetricSummary,
     RunMetrics,
+    summarize_groups,
 )
 from repro.metrics.defs import BOUNDED_SLOWDOWN_THRESHOLD
 from repro.sched.tol import EPS_SNAP
@@ -128,48 +130,29 @@ def summarize_preemptive(
 ) -> RunMetrics:
     """Aggregate preemptive records into the standard RunMetrics shape.
 
-    The per-category and estimate-quality breakdowns reuse the
-    non-preemptive classifiers; the ``records`` tuple of the returned
-    object is empty (the preemptive records do not satisfy the
-    non-preemptive CompletedJob invariants) — callers needing the raw
-    records keep the list they passed in.
+    The per-job metrics are the records' own (:attr:`PreemptedJob.wait`,
+    ``turnaround`` and ``bounded_slowdown``, in column form); the groups
+    are the collector's (:func:`~repro.metrics.collector.summarize_groups`).
+    The ``records`` tuple of the returned object is empty (the preemptive
+    records do not satisfy the non-preemptive CompletedJob invariants) —
+    callers needing the raw records keep the list they passed in.
     """
-    records = list(records)
-
-    def summary(group: list[PreemptedJob]) -> MetricSummary:
-        if not group:
-            return MetricSummary.empty()
-        slowdowns = [r.bounded_slowdown for r in group]
-        turnarounds = [r.turnaround for r in group]
-        waits = [r.wait for r in group]
-        return MetricSummary(
-            count=len(group),
-            mean_bounded_slowdown=sum(slowdowns) / len(group),
-            mean_turnaround=sum(turnarounds) / len(group),
-            mean_wait=sum(waits) / len(group),
-            max_turnaround=max(turnarounds),
-            max_bounded_slowdown=max(slowdowns),
-        )
-
-    by_category = {
-        category: summary([r for r in records if r.category is category])
-        for category in Category
-    }
-    from repro.metrics.categories import EstimateQuality, estimate_quality
-
-    by_quality = {
-        quality: summary(
-            [r for r in records if estimate_quality(r.job) is quality]
-        )
-        for quality in EstimateQuality
-    }
-    makespan = 0.0
-    if records:
-        makespan = max(r.finish_time for r in records) - min(
-            r.job.submit_time for r in records
-        )
+    submit, runtime, estimate, first_start, finish = np.array(
+        [(r.job.submit_time, r.job.runtime, r.job.estimate, r.first_start, r.finish_time)
+         for r in records],
+        np.float64,
+    ).reshape(-1, 5).T
+    procs = np.array([r.job.procs for r in records], np.int64)
+    turnarounds = finish - submit
+    effective = np.minimum(runtime, estimate)
+    denom = np.maximum(effective, BOUNDED_SLOWDOWN_THRESHOLD)
+    slowdowns = (turnarounds - effective + denom) / denom
+    overall, by_category, by_quality = summarize_groups(
+        slowdowns, turnarounds, first_start - submit, runtime, estimate, procs
+    )
+    makespan = float(finish.max()) - float(submit.min()) if len(procs) else 0.0
     return RunMetrics(
-        overall=summary(records),
+        overall=overall,
         by_category=by_category,
         by_estimate_quality=by_quality,
         utilization=utilization,

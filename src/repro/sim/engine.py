@@ -117,7 +117,6 @@ class SimulationSnapshot:
     scheduler: Scheduler
     machine: Machine
     timer_times: set
-    timer_prune_at: int
     completed: tuple
     start_times: dict
     events_processed: int
@@ -168,8 +167,8 @@ class Simulator:
         self._start_times: dict[int, float] = {}
         self._pending = 0
         self._events_processed = 0
+        # Times with a pending TIMER event, each discarded when it fires.
         self._timer_times: set[float] = set()
-        self._timer_prune_at = 256  # amortized stale-entry prune threshold
         self._blocker_ids: set[int] = set()
         self._ran = False
         self._primed = False
@@ -358,21 +357,6 @@ class Simulator:
                 if batch_time > clock:
                     clock = batch_time
                     self.clock = batch_time
-                # Prune timer-dedup entries for strictly-past timestamps:
-                # their TIMER events have fired and new requests clamp to
-                # >= clock, so they can never match again — without this
-                # the set grows monotonically over long traces.  Entries
-                # at exactly ``clock`` stay: their events may be in this
-                # very batch, and the timer handler discards them on the
-                # exact float.  The scan is amortized: it runs only once
-                # the set doubles past the last prune's survivor count,
-                # so a deep queue of genuinely live future timers is not
-                # rescanned every batch.
-                if len(timer_times) > self._timer_prune_at:
-                    timer_times.difference_update(
-                        [t for t in timer_times if t < clock]
-                    )
-                    self._timer_prune_at = max(256, 2 * len(timer_times))
                 # Arrival-only instants (the common case under light
                 # contention) skip the queue entirely.
                 batch = pop_batch(batch_time) if queue_time == batch_time else ()
@@ -713,7 +697,6 @@ class Simulator:
             scheduler=self.scheduler.fork(),
             machine=self.machine.clone(),
             timer_times=set(self._timer_times),
-            timer_prune_at=self._timer_prune_at,
             completed=tuple(self._completed),
             start_times=dict(self._start_times),
             events_processed=self._events_processed,
@@ -793,7 +776,6 @@ class Simulator:
         sim._start_times = dict(snapshot.start_times)
         sim._events_processed = snapshot.events_processed
         sim._timer_times = set(snapshot.timer_times)
-        sim._timer_prune_at = snapshot.timer_prune_at
         sim._blocker_ids = set(snapshot.blocker_ids)
         sim._arrival_index = delivered
         sim._pending = feed.n - snapshot.completed_count

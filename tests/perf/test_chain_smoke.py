@@ -5,10 +5,11 @@ and forks twice.  The executor's report must say exactly that, nothing
 may fall back, and every forked cell must equal its from-scratch
 ``simulate_cell`` — digest *and* event count.  Equal, not fewer: a
 resumed branch carries its prefix's events in its own count, so the
-saving shows up in wall-clock (``benchmarks/bench_chain.py``) while the
-per-cell facts stay those of an independent run.  Only a lost
-optimization (chains silently falling back per group, a group split in
-two) changes these counts; CI jitter cannot.
+saving shows up in wall-clock (the ``deep_queue_repack`` workload of
+``benchmarks/e2e``) while the per-cell facts stay those of an
+independent run.  Only a lost optimization (chains silently falling
+back per group, a group split in two) changes these counts; CI jitter
+cannot.
 """
 
 import pytest
@@ -17,7 +18,11 @@ from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest, simulate
 from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import clear_cache
 
-from benchmarks.bench_chain import ESTIMATE, SCHEDULER, TRACE
+#: Conservative backfilling under FCFS: profile repacking makes each
+#: simulation expensive, the regime chains exist for.
+TRACE = "CTC"
+ESTIMATE = "user"
+SCHEDULER = ("cons", "FCFS")
 
 
 @pytest.mark.perf

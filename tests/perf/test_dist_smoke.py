@@ -1,42 +1,81 @@
 """Perf smoke test: a real spawned worker must drain the queue briskly.
 
-Runs a small slice of the ``benchmarks/bench_dist.py`` synthetic grid
-(150 cells instead of 10k) through one spawned worker process and
-asserts a deliberately generous throughput floor — far below the
-~150 cells/s the full benchmark records, so only a lost optimization
-(e.g. a claim transaction per cell instead of per batch) trips it, not
-CI jitter or process-startup noise.  Real numbers belong to
-``benchmarks/bench_dist.py`` + ``benchmarks/compare_bench.py``.
+Enqueues 150 distinct single-cell chain groups and drains them with one
+spawned worker process, asserting a deliberately generous throughput
+floor, so only a lost optimization (e.g. a claim transaction per cell
+instead of per batch) trips it, not CI jitter or process-startup noise.
+Wall-clock belongs to the ``cached_sweep`` workload of
+``benchmarks/e2e``, which also times a two-worker drain.
 """
+
+import multiprocessing
+import time
 
 import pytest
 
-from benchmarks.bench_dist import _drain_with_workers, sweep_cells, synthetic_cells
+from repro.exec import Cell, CellQueue
+from repro.exec.dist import worker_process_main
+from repro.exec.queue import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
+from repro.experiments.config import WorkloadSpec
 
 N_CELLS = 150
 
-#: cells/s floor including spawn startup; the full bench measures ~150.
+#: cells/s floor including spawn startup.
 MIN_CELLS_PER_SECOND = 5.0
+
+#: Groups per claim batch: the cells are singleton groups, so larger
+#: batches amortize the claim transaction.
+BATCH_GROUPS = 16
+
+
+def synthetic_cells(n: int) -> list[Cell]:
+    """``n`` distinct cells that each plan into their own chain group:
+    every cell has its own generator seed, so the queue sees ``n``
+    independent lease units, the worst case for claim overhead."""
+    kinds = ("easy", "cons", "nobf")
+    return [
+        Cell(
+            WorkloadSpec("CTC", 60 + (i % 31), seed=i + 1, load_scale=1.0),
+            kinds[i % 3],
+            "FCFS",
+        )
+        for i in range(n)
+    ]
 
 
 @pytest.mark.perf
-def test_single_worker_drains_synthetic_grid_briskly():
+def test_single_worker_drains_synthetic_grid_briskly(tmp_path):
     cells = synthetic_cells(N_CELLS)
-    # _drain_with_workers asserts full completion (all done, none
-    # poisoned, worker exit 0) before returning timings.
-    _, drain_seconds = _drain_with_workers(cells, 1)
+    queue = CellQueue(tmp_path)
+    assert queue.enqueue(cells).enqueued == N_CELLS
+
+    worker = multiprocessing.get_context("spawn").Process(
+        target=worker_process_main,
+        args=(
+            str(tmp_path),
+            "smoke:w0",
+            DEFAULT_LEASE_SECONDS,
+            DEFAULT_MAX_ATTEMPTS,
+            BATCH_GROUPS,
+            0.2,
+        ),
+        daemon=True,
+    )
+    # The drain timer spans process start to join: startup is part of
+    # what a distributed sweep pays.
+    started = time.perf_counter()
+    worker.start()
+    worker.join(timeout=120)
+    drain_seconds = time.perf_counter() - started
+
+    assert worker.exitcode == 0
+    stats = queue.stats()
+    assert stats.done_cells == N_CELLS, stats.render()
+    assert stats.poisoned_cells == 0, stats.render()
+    queue.close()
     rate = N_CELLS / drain_seconds
     assert rate >= MIN_CELLS_PER_SECOND, (
         f"queue drain slowed to {rate:.1f} cells/s (floor "
-        f"{MIN_CELLS_PER_SECOND}); run benchmarks/bench_dist.py and compare "
-        "against the checked-in BENCH_dist.json"
+        f"{MIN_CELLS_PER_SECOND}); time the cached_sweep workload with "
+        "benchmarks/e2e/run.py"
     )
-
-
-@pytest.mark.perf
-def test_sweep_grid_shape_matches_bench_sweep():
-    # The equivalence leg must keep measuring the same 90-cell grid the
-    # sweep bench established as the paper-shaped workload.
-    cells = sweep_cells()
-    assert len(cells) == 90
-    assert len(set(cells)) == 90

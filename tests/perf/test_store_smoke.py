@@ -18,6 +18,8 @@ re-simulated.  Nor does it build a trusted one: a warm run stays columns,
 so reading, hashing and re-storing it builds zero ``Job`` and zero
 ``CompletedJob`` objects, and its records are built once, on the first
 read of ``.records`` (counted by wrapping the two trusted constructors).
+A warm experiment rerun reads its runs' columns the same way, so it
+builds none either.
 """
 
 import base64
@@ -28,10 +30,12 @@ import sqlite3
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.exec import Cell, CellExecutor, ResultStore, metrics_digest, simulate_cell
 from repro.exec.backends.sqlite import _SELECT_CHUNK
 from repro.exec.serialize import metrics_to_columns
 from repro.experiments.config import WorkloadSpec
+from repro.experiments.runner import clear_cache
 from repro.metrics.collector import CompletedJob
 from repro.workload.job import Job
 from repro.workload.table import INT_COLUMNS
@@ -158,6 +162,21 @@ def test_warm_runs_build_records_only_when_read(tmp_path):
     # start_times() is built once per run, in either form.
     assert all(m.start_times() is m.start_times() for m in [*warm, *cold])
     assert [m.start_times() for m in warm] == [m.start_times() for m in cold]
+
+
+@pytest.mark.perf
+def test_warm_experiment_rerun_builds_no_record(tmp_path, capsys):
+    # figure4 reads per-job slowdowns of a quality class from every run:
+    # a warm rerun takes them, and the class's job ids, from columns.
+    argv = ["experiment", "figure4", "--jobs", "100", "--seeds", "1",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    clear_cache()
+    with record_builds() as built:
+        assert main(argv) == 0
+    assert built == NONE_BUILT
+    assert capsys.readouterr().out == cold
 
 
 @pytest.mark.perf

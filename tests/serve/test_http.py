@@ -164,3 +164,29 @@ class TestConcurrency:
             thread.join()
         for result in results:
             assert result == reference
+
+    def test_what_ifs_leave_the_live_session_untouched(self, server):
+        for i in range(30):
+            call(
+                server,
+                "POST",
+                "/submit",
+                {"runtime": 300 + i, "procs": 1 + i % 8,
+                 "submit_time": float(i * 5)},
+            )
+        call(server, "POST", "/advance", {"to_time": 100.0})
+        before = server.session.stats()
+        assert before.queued > 0
+
+        def worker(index):
+            call(server, "POST", "/what-if",
+                 {"job": {"runtime": 100 + index, "procs": 1 + index}})
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert server.session.stats() == before

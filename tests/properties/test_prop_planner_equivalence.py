@@ -14,7 +14,11 @@ discipline must reproduce its frozen original byte for byte:
   length, slack at factors 0 / 1.0 — under FCFS, SJF, XF and LJF, with
   exact and with inaccurate estimates;
 * the same with advance reservations carved into the plan, on the three
-  disciplines that accept them;
+  disciplines that accept them — the frozen planners on the frozen
+  engine-side window handling (``tests/oracles/blocker_engine.py``), the
+  shipped ones on the shipped engine, equal ``metrics_digest`` included,
+  on drawn windows and on a coarse time grid where window edges share
+  instants with finishes, arrivals and reservation timers;
 * the frozen planners driven through ``Scheduler.profile_factory`` onto
   the reference kernel (``tests/oracles/profile_ref.py``) agree too, so
   the seam the shared core plans through is the one the oracles use;
@@ -27,6 +31,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.errors import ConfigurationError
+from repro.exec import metrics_digest
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
@@ -43,6 +48,7 @@ from repro.workload.job import Job, Workload
 
 from tests.conftest import BATCH_TRAP
 from tests.oracles import planners
+from tests.oracles.blocker_engine import simulate_with_blockers
 from tests.oracles.profile_ref import configure_reference_kernel
 
 MAX_PROCS = 16
@@ -95,15 +101,46 @@ def workloads(draw, min_jobs=1):
     return Workload(tuple(jobs), max_procs=MAX_PROCS, name="prop-planner")
 
 
+#: Step of the coarse time grid: every submit time, runtime, estimate and
+#: window edge a multiple of it, so edges coincide with other events.
+GRID = 10.0
+
+
 @st.composite
-def reservations(draw):
+def grid_workloads(draw):
+    n = draw(st.integers(min_value=1, max_value=MAX_JOBS))
+    jobs = []
+    clock = 0.0
+    for i in range(n):
+        clock += GRID * draw(st.integers(min_value=0, max_value=6))
+        runtime = GRID * draw(st.integers(min_value=1, max_value=15))
+        jobs.append(
+            Job(
+                job_id=i + 1,
+                submit_time=clock,
+                runtime=runtime,
+                estimate=runtime + GRID * draw(st.integers(min_value=0, max_value=8)),
+                procs=draw(st.integers(min_value=1, max_value=MAX_PROCS)),
+            )
+        )
+    return Workload(tuple(jobs), max_procs=MAX_PROCS, name="prop-planner-grid")
+
+
+@st.composite
+def reservations(draw, on_grid=False):
     """Valid AR sets: windows that would jointly oversubscribe are dropped."""
     windows: list[AdvanceReservation] = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if on_grid:
+            start = GRID * draw(st.integers(min_value=1, max_value=40))
+            duration = GRID * draw(st.integers(min_value=1, max_value=15))
+        else:
+            start = draw(st.floats(min_value=10.0, max_value=2000.0))
+            duration = draw(st.floats(min_value=10.0, max_value=400.0))
         candidate = AdvanceReservation(
             procs=draw(st.integers(min_value=1, max_value=MAX_PROCS)),
-            start=draw(st.floats(min_value=10.0, max_value=2000.0)),
-            duration=draw(st.floats(min_value=10.0, max_value=400.0)),
+            start=start,
+            duration=duration,
         )
         try:
             validate_reservation_set(windows + [candidate], MAX_PROCS)
@@ -135,21 +172,32 @@ def test_shipped_schedulers_match_frozen_planners(wl):
             assert got.events_processed == want.events_processed
 
 
-@given(workloads(), reservations())
-@settings(max_examples=20, deadline=None)
-def test_shipped_schedulers_match_frozen_planners_around_advance_reservations(wl, ars):
+def _assert_ar_runs_match(wl, ars):
     for kind, kwargs in AR_CONFIGS:
         for priority in PRIORITIES:
             got = simulate(
                 wl, SHIPPED[kind](priority(), advance_reservations=ars, **kwargs)
             )
-            want = simulate(
+            want = simulate_with_blockers(
                 wl, FROZEN[kind](priority(), advance_reservations=ars, **kwargs)
             )
             assert _schedule(got) == _schedule(want), (
                 f"{_label(kind, kwargs, priority)} diverged from its frozen "
                 f"planner around {ars}"
             )
+            assert metrics_digest(got.metrics) == metrics_digest(want.metrics)
+
+
+@given(workloads(), reservations())
+@settings(max_examples=20, deadline=None)
+def test_shipped_schedulers_match_frozen_planners_around_advance_reservations(wl, ars):
+    _assert_ar_runs_match(wl, ars)
+
+
+@given(grid_workloads(), reservations(on_grid=True))
+@settings(max_examples=40, deadline=None)
+def test_window_edges_sharing_instants_match_the_frozen_planners(wl, ars):
+    _assert_ar_runs_match(wl, ars)
 
 
 @given(workloads())

@@ -22,7 +22,7 @@ drains instead of 3375 job-lifetimes.
 Safety over speed: the prefix property is *verified at runtime* (exact
 job-tuple comparison against the full workload), and any mismatch — or a
 :class:`~repro.errors.SimulationError` from the checkpoint machinery,
-e.g. advance-reservation blockers colliding with a resumed branch — falls
+e.g. a branch workload that disagrees with the simulated history — falls
 back to independent per-cell simulation, counted in
 :class:`ChainStats.fallbacks`.  Chained results are therefore always
 byte-identical to unchained ones (pinned by

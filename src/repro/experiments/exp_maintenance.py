@@ -8,8 +8,8 @@ backfilling, with and without a weekly two-hour full-machine window, and
 for a half-machine window as a milder variant:
 
 * every schedule remains feasible — no job ever overlaps a window
-  (enforced by the engine's blocker allocation; re-verified here from the
-  records);
+  (enforced by the scheduler holding each window on its machine;
+  re-verified here from the records);
 * windows never help: both variants cost measurable slowdown over the
   no-window baseline (the half-vs-full *ordering* is NOT asserted — a
   half-width window constricts the machine awkwardly and can pack worse

@@ -197,10 +197,6 @@ class _Metascheduler:
             )
         return started
 
-    def poke(self, now: float) -> list[Job]:
-        """Nothing to do: the engine pokes only for advance reservations."""
-        return []
-
     def notify_started(self, job: Job, now: float) -> None:
         """Nothing to do: :meth:`_handle_starts` committed at the site."""
 

@@ -68,8 +68,6 @@ class ConservativeScheduler(PlanningScheduler):
 
     name = "CONS"
 
-    supports_advance_reservations = True
-
     COMPRESSION_MODES = ("none", "startonly", "full", "repack")
 
     def __init__(
@@ -79,14 +77,13 @@ class ConservativeScheduler(PlanningScheduler):
         compression: str = "repack",
         advance_reservations=(),
     ) -> None:
-        super().__init__(priority)
+        super().__init__(priority, advance_reservations=advance_reservations)
         if compression not in self.COMPRESSION_MODES:
             raise SchedulingError(
                 f"unknown compression mode {compression!r}; "
                 f"expected one of {self.COMPRESSION_MODES}"
             )
         self.compression = compression
-        self.advance_reservations = tuple(advance_reservations)
         self._reservation_start: dict[int, float] = {}
         self._running_resv_end: dict[int, float] = {}
 
@@ -146,9 +143,8 @@ class ConservativeScheduler(PlanningScheduler):
         profile = self._profile_at(now)
         profile.release(job.procs, start, job.estimate)
 
-    def poke(self, now: float) -> list[Job]:
-        """Refill holes after withdrawals using the configured compression."""
-        started: list[Job] = []
+    def _schedule_pass(self, now: float, started: list[Job]) -> None:
+        """Refill holes using the configured compression."""
         if self.compression == "repack":
             self._repack(now, started)
         elif self.compression in ("startonly", "full"):
@@ -157,7 +153,6 @@ class ConservativeScheduler(PlanningScheduler):
         else:
             self._profile_at(now)
             self._start_due(now, started)
-        return started
 
     def reservation_of(self, job_id: int) -> float:
         """Current guaranteed start time of a queued job (for tests/inspection)."""
@@ -180,21 +175,18 @@ class ConservativeScheduler(PlanningScheduler):
             self.request_wakeup(start)
         return started
 
-    def on_wakeup(self, now: float) -> list[Job]:
+    def _wakeup_pass(self, now: float, started: list[Job]) -> None:
         """A reservation may have come due at a time with no job event."""
         self._profile_at(now)
-        started: list[Job] = []
         self._start_due(now, started)
-        return started
 
-    def on_finish(self, job: Job, now: float) -> list[Job]:
+    def _finish_pass(self, job: Job, now: float, started: list[Job]) -> None:
         resv_end = self._running_resv_end.pop(job.job_id, None)
         if resv_end is None:
             raise SchedulingError(
                 f"{self.name}: finished job {job.job_id} has no recorded reservation"
             )
         finished_early = resv_end > now + _EPS
-        started: list[Job] = []
 
         if self.compression == "repack":
             # Repack rebuilds the profile from the surviving running set, so
@@ -215,7 +207,7 @@ class ConservativeScheduler(PlanningScheduler):
                 # repacks.
                 self._profile_at(now)
                 self._start_due(now, started)
-            return started
+            return
 
         profile = self._profile_at(now)
         if finished_early:
@@ -226,7 +218,6 @@ class ConservativeScheduler(PlanningScheduler):
         else:
             # Even without compression, reservations that are due must start.
             self._start_due(now, started)
-        return started
 
     def _start_due(self, now: float, started: list[Job]) -> None:
         """Start every queued job whose reservation time has arrived."""
@@ -257,7 +248,7 @@ class ConservativeScheduler(PlanningScheduler):
         running occupancy).
         """
         ordered = self._ordered_queue(now)
-        _, starts = self._replan(now, self._occupancy(), ordered)
+        _, starts = self._replan(now, self._occupancy(now, started), ordered)
         committed = sum(j.procs for j in started)
         wake = None
         for queued, start in zip(ordered, starts):

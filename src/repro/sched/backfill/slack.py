@@ -72,9 +72,7 @@ class SlackScheduler(PlanningScheduler):
         on the one profile, so no plan outlives the next call.
         """
         ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-        occupancy = self._occupancy()
-        occupancy += [(job.procs, now + job.estimate) for job in starting]
-        _, starts = self._replan(now, occupancy, ordered)
+        _, starts = self._replan(now, self._occupancy(now, starting), ordered)
         return {job.job_id: start for job, start in zip(ordered, starts)}
 
     def _deadlines_met(self, plan: dict[int, float]) -> bool:
@@ -85,18 +83,17 @@ class SlackScheduler(PlanningScheduler):
     # -- the scheduling pass ------------------------------------------------------
 
     def _schedule_pass(
-        self, now: float, plan: dict[int, float] | None = None
-    ) -> list[Job]:
+        self, now: float, started: list[Job], plan: dict[int, float] | None = None
+    ) -> None:
         """One pass; ``plan`` is the queue's current plan if the caller
         already made it (an arrival plans the queue for its guarantee)."""
         if not self._queue:
-            return []
-        started: list[Job] = []
-        committed = 0  # processors of ``started``, kept as it grows
+            return
+        committed = sum(job.procs for job in started)  # kept as it grows
 
         # Phase 1: start everything the plan schedules for right now.
         if plan is None:
-            plan = self._plan(now, self._queue)
+            plan = self._plan(now, self._queue, started)
         progressed = True
         while progressed:
             progressed = False
@@ -124,7 +121,6 @@ class SlackScheduler(PlanningScheduler):
                 started.append(job)
                 committed += job.procs
                 self._deadline.pop(job.job_id, None)
-        return started
 
     # -- scheduler API ----------------------------------------------------------
 
@@ -132,16 +128,13 @@ class SlackScheduler(PlanningScheduler):
         self._dequeue(job)
         self._deadline.pop(job.job_id, None)
 
-    def poke(self, now: float) -> list[Job]:
-        return self._schedule_pass(now)
-
     def on_arrival(self, job: Job, now: float) -> list[Job]:
         # The arrival-time guarantee anchors the job's deadline.  The plan
         # is the one of the queue the job joins, so the pass reuses it.
         plan = self._plan(now, self._queue + [job])
         self._deadline[job.job_id] = plan[job.job_id] + self.slack_factor * job.estimate
         self._enqueue(job)
-        return self._schedule_pass(now, plan)
+        started: list[Job] = []
+        self._schedule_pass(now, started, plan)
+        return started
 
-    def on_finish(self, job: Job, now: float) -> list[Job]:
-        return self._schedule_pass(now)

@@ -56,15 +56,6 @@ class Scheduler(ABC):
     #: Short name for reports ("FCFS-nobf", "conservative", "EASY", ...).
     name: str = "scheduler"
 
-    #: Advance reservations this scheduler plans around (profile-based
-    #: disciplines override their constructor to accept them).  The
-    #: simulator reads this to install the machine-side capacity blocks.
-    advance_reservations: tuple = ()
-
-    #: True only for disciplines whose planning honours a hard future
-    #: rectangle; the simulator rejects ARs on anything else.
-    supports_advance_reservations: bool = False
-
     #: Profile implementation used by reservation-planning subclasses.
     #: The one substitution seam: the property suites point instances at
     #: the frozen reference kernel in ``tests/oracles/profile_ref.py``.
@@ -193,8 +184,7 @@ class Scheduler(ABC):
         """Run a scheduling pass outside the normal event hooks.
 
         The grid metascheduler calls this after a batch of :meth:`cancel`
-        withdrawals, and the simulator after an advance reservation ends;
-        a freed slot may let queued jobs start.  The base
+        withdrawals; a freed slot may let queued jobs start.  The base
         implementation starts nothing.
         """
         return []

@@ -12,6 +12,12 @@ which only *some* queued jobs are reserved
 (:class:`PartialReservationScheduler`).  What a discipline adds is
 policy: who holds a reservation, and what admission test the others face
 (DESIGN.md section 3, "The reservation family").
+
+The core also owns the advance reservations: it carves them into every
+plan and holds them on its machine (:mod:`repro.sched.reservations`), so
+the simulator sees only workload jobs and wake-ups.  A window's end can
+share one simulator call with a finish or timer pass, so every pass takes
+``started``: jobs an earlier pass of the call started, not yet allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from abc import abstractmethod
 
 from repro.sched.base import Scheduler
 from repro.sched.profile import Profile
-from repro.sched.reservations import carve_reservations
+from repro.sched.reservations import HeldWindows, carve_reservations
 from repro.sched.tol import EPS_DUE as _EPS
 from repro.workload.job import Job
 
@@ -28,21 +34,87 @@ __all__ = ["PlanningScheduler", "PartialReservationScheduler"]
 
 
 class PlanningScheduler(Scheduler):
-    """A discipline that plans reservations on one availability profile."""
+    """A discipline that plans reservations on one availability profile.
 
-    def __init__(self, priority=None) -> None:
+    ``advance_reservations`` are windows the plan packs around and the
+    scheduler holds on its machine.  Subclasses implement the passes the
+    simulator-facing hooks here run.
+    """
+
+    def __init__(self, priority=None, *, advance_reservations=()) -> None:
         super().__init__(priority)
+        self.advance_reservations = tuple(advance_reservations)
         self._profile: Profile | None = None
+        self._windows: HeldWindows | None = None
+
+    def bind(self, machine, request_wakeup=None) -> None:
+        super().bind(machine, request_wakeup)
+        if self.advance_reservations and request_wakeup is not None:
+            self._windows = HeldWindows(self.advance_reservations, machine, request_wakeup)
 
     def reset(self) -> None:
-        self._profile = None
+        self._profile = self._windows = None
 
     def _fork_into(self, clone: Scheduler) -> None:
         clone._profile = None if self._profile is None else self._profile.fork()
+        clone._windows = None if self._windows is None else self._windows.fork()
 
-    def _occupancy(self) -> list[tuple[int, float]]:
-        """``(procs, estimated finish)`` of every running job."""
-        return [(job.procs, start + job.estimate) for job, start in self._running.values()]
+    def request_wakeup(self, time: float) -> None:
+        if self._windows is None:
+            super().request_wakeup(time)
+        elif self._request_wakeup is not None:
+            self._windows.request(time, self._request_wakeup)
+
+    # -- simulator-facing hooks -------------------------------------------------
+
+    def on_finish(self, job: Job, now: float) -> list[Job]:
+        started: list[Job] = []
+        windows = self._windows
+        if windows is not None:
+            for _ in range(windows.passes_before(job.job_id, now, self.machine)):
+                self._schedule_pass(now, started)
+        self._finish_pass(job, now, started)
+        return started
+
+    def on_wakeup(self, now: float) -> list[Job]:
+        started: list[Job] = []
+        windows = self._windows
+        if windows is None:
+            self._wakeup_pass(now, started)
+            return started
+        passes, asked = windows.wake(now, self.machine)
+        for _ in range(passes):
+            self._schedule_pass(now, started)
+        if asked:
+            self._wakeup_pass(now, started)
+        windows.open(now, self.machine, self._request_wakeup, self._running, started)
+        return started
+
+    def poke(self, now: float) -> list[Job]:
+        started: list[Job] = []
+        self._schedule_pass(now, started)
+        return started
+
+    # -- discipline passes: each appends the jobs to start to ``started`` -------
+
+    @abstractmethod
+    def _schedule_pass(self, now: float, started: list[Job]) -> None:
+        """Fill what the plan allows after withdrawals or a window's end."""
+
+    def _finish_pass(self, job: Job, now: float, started: list[Job]) -> None:
+        """React to ``job``'s completion."""
+        self._schedule_pass(now, started)
+
+    def _wakeup_pass(self, now: float, started: list[Job]) -> None:
+        """A wake-up the discipline asked for fired."""
+
+    # -- the plan ---------------------------------------------------------------
+
+    def _occupancy(self, now: float, started: list[Job]) -> list[tuple[int, float]]:
+        """``(procs, estimated finish)`` of every running job and of ``started``."""
+        occupancy = [(job.procs, start + job.estimate) for job, start in self._running.values()]
+        occupancy += [(job.procs, now + job.estimate) for job in started]
+        return occupancy
 
     def _replan(
         self, now: float, occupancy: list[tuple[int, float]], jobs: list[Job]
@@ -80,12 +152,6 @@ class PartialReservationScheduler(PlanningScheduler):
     profile shows room.
     """
 
-    supports_advance_reservations = True
-
-    def __init__(self, priority=None, *, advance_reservations=()) -> None:
-        super().__init__(priority)
-        self.advance_reservations = tuple(advance_reservations)
-
     @abstractmethod
     def _reserved(self, queue: list[Job], now: float) -> list[Job]:
         """The jobs of the priority-ordered ``queue`` that hold reservations."""
@@ -93,12 +159,12 @@ class PartialReservationScheduler(PlanningScheduler):
     def _reservation_started(self, job: Job) -> None:
         """Hook: a reserved job is leaving the queue to start."""
 
-    def _schedule_pass(self, now: float) -> list[Job]:
+    def _schedule_pass(self, now: float, started: list[Job]) -> None:
         if not self._queue:
-            return []
+            return
         queue = self._ordered_queue(now)
         reserved = self._reserved(queue, now)
-        profile, starts = self._replan(now, self._occupancy(), reserved)
+        profile, starts = self._replan(now, self._occupancy(now, started), reserved)
         reservations = {job.job_id: start for job, start in zip(reserved, starts)}
 
         # One batched min_free over the post-claim profile prefilters
@@ -115,8 +181,7 @@ class PartialReservationScheduler(PlanningScheduler):
         dirty = False
 
         # Start whatever can run immediately without disturbing reservations.
-        started: list[Job] = []
-        committed = 0
+        committed = sum(job.procs for job in started)
         for i, job in enumerate(queue):
             reservation = reservations.get(job.job_id)
             if reservation is not None:
@@ -135,14 +200,9 @@ class PartialReservationScheduler(PlanningScheduler):
                     self._dequeue(job)
                     started.append(job)
                     committed += job.procs
-        return started
-
-    def poke(self, now: float) -> list[Job]:
-        return self._schedule_pass(now)
 
     def on_arrival(self, job: Job, now: float) -> list[Job]:
         self._enqueue(job)
-        return self._schedule_pass(now)
-
-    def on_finish(self, job: Job, now: float) -> list[Job]:
-        return self._schedule_pass(now)
+        started: list[Job] = []
+        self._schedule_pass(now, started)
+        return started

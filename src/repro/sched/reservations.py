@@ -6,21 +6,19 @@ runs (Snell et al., "The performance impact of advance reservation
 meta-scheduling", in this paper's related-work orbit).  An AR is a hard
 rectangle in the 2D chart that batch jobs must be packed around.
 
-Support spans two layers:
-
-* the **simulator** blocks the processors for the window (an internal
-  blocker allocation the scheduler is never notified about);
-* the **scheduler** must plan around the window, which only disciplines
-  with an availability profile can do — ConservativeScheduler,
-  SelectiveScheduler and DepthScheduler accept ``advance_reservations``;
-  passing ARs to a scheduler without planning support is rejected at
-  simulation start (EASY's shadow heuristic cannot honour a hard future
-  rectangle).
+Only a discipline with an availability profile can pack around one, so
+ARs belong to the planning core (:class:`repro.sched.plan.PlanningScheduler`,
+behind conservative, selective and depth): it carves every window into its
+plan (:func:`carve_reservations`) and holds it on its machine
+(:class:`HeldWindows`).  The simulator sees only the wake-ups asked for at
+each window's edges.  EASY and no-backfill have no ``advance_reservations``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -94,7 +92,7 @@ def carve_reservations(
     """Subtract every AR's remaining window from an availability profile.
 
     Windows entirely in the past are skipped; windows already underway are
-    carved from ``now`` to their end (the simulator's blocker holds the
+    carved from ``now`` to their end (:class:`HeldWindows` holds the
     machine-side processors for that same remainder).
     """
     for ar in reservations:
@@ -102,3 +100,90 @@ def carve_reservations(
             continue
         start = max(ar.start, now)
         profile.reserve(ar.procs, start, ar.end - start)
+
+
+#: The machine keys allocations by ``job_id``; a window's is ``("AR", index)``.
+_Hold = namedtuple("_Hold", "job_id procs")
+
+
+class HeldWindows:
+    """The machine side of one planning scheduler's advance reservations.
+
+    Made when the scheduler binds, it validates the windows, asks the
+    simulator for a wake-up at each window's start and end, and holds each
+    window's processors in between.  Within one instant a window opens
+    after the completions and the discipline's timer pass, before the
+    arrivals.  It closes before the first scheduling decision, and the
+    pass that refills it runs ahead of the timer pass and of the finish
+    pass of every job started after it opened (:meth:`passes_before`).
+    Wake-ups are one per instant, so an edge's wake-up runs the timer
+    pass only if the discipline asked for the instant before it began; a
+    request made during the instant wakes it again afterwards.
+    """
+
+    def __init__(self, reservations, machine, request_wakeup) -> None:
+        validate_reservation_set(reservations, machine.total_procs)
+        self._windows = tuple(reservations)
+        self._now = 0.0  # instant of the last finish or wake-up
+        self._edges = {t for ar in self._windows for t in (ar.start, ar.end)}
+        self._asked: set[float] = set()  # edges the discipline asked for
+        self._again: set[float] = set()  # ... asked for during their instant
+        #: Open window index -> ids of the jobs started before it opened;
+        #: those sets for the windows closed at ``_now`` and not refilled.
+        self._open: dict[int, frozenset] = {}
+        self._closed: list[frozenset] = []
+        for edge in sorted(self._edges):
+            request_wakeup(edge)
+
+    def fork(self) -> "HeldWindows":
+        clone = copy.copy(self)
+        clone._edges, clone._asked = set(self._edges), set(self._asked)
+        clone._again, clone._open = set(self._again), dict(self._open)
+        clone._closed = list(self._closed)
+        return clone
+
+    def request(self, time: float, request_wakeup) -> None:
+        """The discipline asks for a wake-up at ``time``."""
+        now = self._now
+        when = max(time, now)  # the simulator's own clamp
+        if when not in self._edges:
+            request_wakeup(time)
+        elif when > now:
+            self._asked.add(when)
+        elif now not in self._asked:
+            self._again.add(now)
+
+    def _close(self, now: float, machine) -> None:
+        self._now = now
+        for index in [i for i in self._open if self._windows[i].end <= now]:
+            machine.release(_Hold(("AR", index), 0), now)
+            self._closed.append(self._open.pop(index))
+
+    def passes_before(self, job_id: int, now: float, machine) -> int:
+        """Refilling passes due before job ``job_id``'s finish pass."""
+        self._close(now, machine)
+        closed = self._closed
+        count = next((i for i, ids in enumerate(closed) if job_id in ids), len(closed))
+        del closed[:count]
+        return count
+
+    def wake(self, now: float, machine) -> tuple[int, bool]:
+        """``(refilling passes due, whether the timer pass runs)``."""
+        self._close(now, machine)
+        passes, self._closed = len(self._closed), []
+        asked = now in self._asked or now not in self._edges
+        self._edges.discard(now)
+        self._asked.discard(now)
+        return passes, asked
+
+    def open(self, now: float, machine, request_wakeup, running, started) -> None:
+        """After :meth:`wake`'s passes, hold the windows starting at ``now``."""
+        opening = [i for i, ar in enumerate(self._windows) if ar.start == now]
+        if opening:
+            before = frozenset(running).union(job.job_id for job in started)
+            for index in opening:
+                machine.allocate(_Hold(("AR", index), self._windows[index].procs), now)
+                self._open[index] = before
+        if now in self._again:
+            self._again.discard(now)
+            request_wakeup(now)

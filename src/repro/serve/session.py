@@ -66,8 +66,8 @@ __all__ = [
     "RunningJob",
 ]
 
-#: Session job ids must stay below the engine's advance-reservation
-#: blocker base.
+#: Largest job id a session accepts.  Ids arrive from HTTP clients, so
+#: submission bounds them rather than trusting the caller.
 _MAX_JOB_ID = 10**12 - 1
 
 #: ``"bounded"`` feeds a StreamingMetrics sink; ``"exact"`` runs without one.
@@ -116,15 +116,6 @@ class WhatIfReport:
     pending: tuple[JobForecast, ...]
     drained_at: float
     metrics: RunMetrics = field(repr=False)
-
-    def forecast_for(self, job_id: int) -> JobForecast:
-        """The prediction for one pending job id."""
-        if self.target is not None and self.target.job_id == job_id:
-            return self.target
-        for prediction in self.pending:
-            if prediction.job_id == job_id:
-                return prediction
-        raise KeyError(f"no forecast for job {job_id}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +196,6 @@ class SessionBranch:
         total_procs: int,
         now: float,
         name: str,
-        free_id: int,
     ) -> None:
         self.policy = policy
         self._snapshot = snapshot
@@ -213,7 +203,6 @@ class SessionBranch:
         self._total_procs = total_procs
         self._now = now
         self._name = name
-        self._free_id = free_id
 
     # -- internals ------------------------------------------------------------
 
@@ -353,10 +342,6 @@ class SessionBranch:
             started=tuple(started),
             utilization=sim.machine.utilization(),
         )
-
-    def free_job_id(self) -> int:
-        """A job id unused by any submitted job (for hypothetical jobs)."""
-        return self._free_id
 
 
 class Session:
@@ -629,7 +614,6 @@ class Session:
             total_procs=self.total_procs,
             now=self._now,
             name=self.name,
-            free_id=self._next_id,
         )
 
     def what_if(

@@ -37,7 +37,7 @@ the executor's simulation chains, which share one simulated prefix across
 an entire horizon sweep.  Workload arrivals are therefore *fed lazily*
 (merged into each batch from the sorted workload rather than pre-pushed
 onto the event queue): the event queue then holds only engine-generated
-events (finishes, timers, blocker arrivals), whose push sequence is
+events (finishes and scheduler-requested timers), whose push sequence is
 identical for every workload sharing the prefix, which is what makes a
 snapshot's event queue and tie-breaking counters exactly reusable.
 
@@ -120,7 +120,6 @@ class SimulationSnapshot:
     completed: tuple
     start_times: dict
     events_processed: int
-    blocker_ids: frozenset
     #: Workload arrivals already fed into batches (= jobs with
     #: ``submit_time < watermark``); resume validates this against the
     #: branch workload.
@@ -169,7 +168,6 @@ class Simulator:
         self._events_processed = 0
         # Times with a pending TIMER event, each discarded when it fires.
         self._timer_times: set[float] = set()
-        self._blocker_ids: set[int] = set()
         self._ran = False
         self._primed = False
         self._finalized = False
@@ -199,46 +197,6 @@ class Simulator:
                 self.machine.free_procs,
             )
 
-    #: Blocker job ids for advance reservations start here; workload ids
-    #: must stay below.
-    _BLOCKER_ID_BASE = 10**12
-
-    def _install_advance_reservations(self) -> None:
-        """Create machine-side capacity blocks for the scheduler's ARs.
-
-        The scheduler is the single source of truth (its planning profile
-        already avoids the windows); schedulers without planning support
-        cannot honour a hard future rectangle, so declaring ARs on one is
-        rejected here rather than failing as an allocation error mid-run.
-        """
-        reservations = tuple(getattr(self.scheduler, "advance_reservations", ()))
-        if not reservations:
-            return
-        if not getattr(self.scheduler, "supports_advance_reservations", False):
-            raise SimulationError(
-                f"{self.scheduler.name} cannot honour advance reservations — "
-                "only profile-planning disciplines (conservative, selective, "
-                "depth) can pack around a hard future rectangle"
-            )
-        if self._feed.has_id_at_or_above(self._BLOCKER_ID_BASE):
-            raise SimulationError(
-                f"workload job ids must stay below {self._BLOCKER_ID_BASE} "
-                "when advance reservations are used"
-            )
-        from repro.sched.reservations import validate_reservation_set
-
-        validate_reservation_set(reservations, self.machine.total_procs)
-        for index, ar in enumerate(reservations):
-            blocker = Job(
-                job_id=self._BLOCKER_ID_BASE + index,
-                submit_time=ar.start,
-                runtime=ar.duration,
-                estimate=ar.duration,
-                procs=ar.procs,
-            )
-            self._blocker_ids.add(blocker.job_id)
-            self._events.push(Event(ar.start, EventKind.JOB_ARRIVAL, blocker))
-
     def _request_wakeup(self, time: float) -> None:
         """Schedule a TIMER event at ``time`` (deduplicated, never in the past)."""
         when = max(time, self.clock)
@@ -249,10 +207,9 @@ class Simulator:
     # -- the event loop ---------------------------------------------------------
 
     def _prime(self) -> None:
-        """Bind the scheduler and install reservations; arrivals stay lazy."""
+        """Bind the scheduler; arrivals stay lazy."""
         self._primed = True
         self.scheduler.bind(self.machine, self._request_wakeup)
-        self._install_advance_reservations()
         self._pending = self._feed.n
 
     def _advance_until(self, stop_time: float) -> None:
@@ -267,19 +224,16 @@ class Simulator:
         maintained, including mid-batch on an engine error).
 
         Each iteration processes one *batch*: every event at the next
-        timestamp, merging queue events (finishes, timers, blocker
-        arrivals — popped in kind/sequence order) with the workload
-        arrivals due then, fed from the sorted feed.  Because workload
-        arrivals are never *pushed*, the merge reproduces the ordering
-        the pre-checkpoint engine got from pushing all arrivals up front:
-        engine-generated events carry lower sequence numbers than any
-        arrival at the same instant would, and arrivals sort last by kind
-        anyway.  Within a batch, *all* completions release their
-        processors (phase 1) before any scheduling decision runs (phase
-        2) — real schedulers batch their wakeups the same way, and a
-        reservation anchored at two simultaneous completions must observe
-        both.  Events pushed *during* processing at the same timestamp
-        form the next batch.  Table-fed jobs materialize here, batch by
+        timestamp, merging queue events (finishes, then timers — popped
+        in kind/sequence order) with the workload arrivals due then, fed
+        from the sorted feed.  Arrivals sort last by kind, so feeding
+        them instead of pushing them keeps the order a queue holding
+        every arrival would give.  Within a batch, *all* completions
+        release their processors (phase 1) before any scheduling decision
+        runs (phase 2) — real schedulers batch their wakeups the same
+        way, and a start planned at two simultaneous completions must
+        observe both.  Events pushed *during* processing at the same
+        timestamp form the next batch.  Table-fed jobs materialize here, batch by
         batch, through the trusted constructor — a paused run never
         builds the jobs it has not reached.
         """
@@ -298,8 +252,6 @@ class Simulator:
         on_wakeup = scheduler.on_wakeup
         notify_started = scheduler.notify_started
         notify_finished = scheduler.notify_finished
-        poke = scheduler.poke
-        blockers = self._blocker_ids
         start_times = self._start_times
         sink = self._metrics_sink
         record_append = self._completed.append
@@ -308,7 +260,6 @@ class Simulator:
         trace = self.trace
         record_trace = self._record_trace
         timer_kind = EventKind.TIMER
-        finish_kind = EventKind.JOB_FINISH
         inf = math.inf
         eps_snap = EPS_SNAP
         index = self._arrival_index
@@ -366,21 +317,16 @@ class Simulator:
                 events_processed += len(batch) + (index - first)
 
                 if batch:
-                    n_batch = len(batch)
-                    n_finish = 0
-                    while (
-                        n_finish < n_batch
-                        and batch[n_finish].kind is finish_kind
-                    ):
-                        n_finish += 1
+                    # Finishes sort before timers, and wake-ups are
+                    # deduplicated per instant: a batch ends in at most
+                    # one TIMER (workload arrivals are fed, never pushed).
+                    timer = batch[-1].kind is timer_kind
+                    n_finish = len(batch) - timer
                     # Phase 1: every completion at this instant releases
                     # its processors and records its outcome.
                     for k in range(n_finish):
                         job = batch[k].job
                         jid = job.job_id
-                        if blockers and jid in blockers:
-                            machine.release(job, clock)
-                            continue
                         start = start_times.get(jid)
                         if start is None:
                             raise SimulationError(
@@ -404,37 +350,14 @@ class Simulator:
                             record_trace("finish", job)
                     # Phase 2: scheduling reactions to the completions.
                     for k in range(n_finish):
-                        job = batch[k].job
-                        if blockers and job.job_id in blockers:
-                            # The scheduler never saw the blocker, but its
-                            # plan may anchor starts at the window's end —
-                            # poke it.
-                            started = poke(clock)
-                        else:
-                            started = on_finish(job, clock)
+                        started = on_finish(batch[k].job, clock)
                         if started:
                             start_jobs(started)
-                    for k in range(n_finish, n_batch):
-                        event = batch[k]
-                        if event.kind is timer_kind:
-                            timer_times.discard(clock)
-                            started = on_wakeup(clock)
-                            if started:
-                                start_jobs(started)
-                        else:
-                            # Queue arrivals are only AR blockers (workload
-                            # arrivals are fed, never pushed); the id check
-                            # guards against future misuse.
-                            job = event.job
-                            if job.job_id in blockers:
-                                machine.allocate(job, clock)
-                                push_finish(clock + job.runtime, job)
-                            else:
-                                started = on_arrival(job, clock)
-                                if trace is not None:
-                                    record_trace("arrive", job)
-                                if started:
-                                    start_jobs(started)
+                    if timer:
+                        timer_times.discard(clock)
+                        started = on_wakeup(clock)
+                        if started:
+                            start_jobs(started)
                 if index > first:
                     for job in materialize(first, index):
                         started = on_arrival(job, clock)
@@ -617,8 +540,7 @@ class Simulator:
           the watermark — submitting into the simulated past would
           desynchronize ``delivered`` from the workload history that
           :meth:`resume` validates;
-        * no previously-pending job vanishes;
-        * no job id collides with advance-reservation blocker ids.
+        * no previously-pending job vanishes.
         """
         if self._finalized:
             raise SimulationError("extend_workload() after the simulation finished")
@@ -655,13 +577,6 @@ class Simulator:
         if lost:
             raise SimulationError(
                 f"extend_workload() dropped pending jobs {sorted(lost)[:10]}"
-            )
-        if self._blocker_ids and new_feed.has_id_at_or_above(
-            self._BLOCKER_ID_BASE, delivered
-        ):
-            raise SimulationError(
-                f"workload job ids must stay below {self._BLOCKER_ID_BASE} "
-                "when advance reservations are active"
             )
         if self._primed:
             self._pending += new_feed.n - old_feed.n
@@ -700,7 +615,6 @@ class Simulator:
             completed=tuple(self._completed),
             start_times=dict(self._start_times),
             events_processed=self._events_processed,
-            blocker_ids=frozenset(self._blocker_ids),
             delivered=self._arrival_index,
             watermark=self._watermark,
             total_procs=self.machine.total_procs,
@@ -743,11 +657,6 @@ class Simulator:
                 f"cannot resume on a {feed.max_procs}-proc workload: the "
                 f"snapshot was taken on {snapshot.total_procs} processors"
             )
-        if snapshot.blocker_ids and feed.has_id_at_or_above(cls._BLOCKER_ID_BASE):
-            raise SimulationError(
-                f"workload job ids must stay below {cls._BLOCKER_ID_BASE} "
-                "when resuming a snapshot with advance reservations"
-            )
         delivered = bisect_left(feed.submit_times, snapshot.watermark)
         if delivered != snapshot.delivered:
             raise SimulationError(
@@ -776,7 +685,6 @@ class Simulator:
         sim._start_times = dict(snapshot.start_times)
         sim._events_processed = snapshot.events_processed
         sim._timer_times = set(snapshot.timer_times)
-        sim._blocker_ids = set(snapshot.blocker_ids)
         sim._arrival_index = delivered
         sim._pending = feed.n - snapshot.completed_count
         sim._watermark = snapshot.watermark

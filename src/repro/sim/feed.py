@@ -59,10 +59,6 @@ class RowArrivalFeed:
     def as_workload(self) -> Workload:
         return self.workload
 
-    def has_id_at_or_above(self, base: int, start: int = 0) -> bool:
-        """Whether any job at row >= ``start`` has ``job_id >= base``."""
-        return any(job.job_id >= base for job in self.jobs[start:])
-
     def ids_from(self, i: int) -> set[int]:
         """Job ids of rows ``[i, n)``."""
         return {job.job_id for job in self.jobs[i:]}
@@ -146,12 +142,6 @@ class TableArrivalFeed:
                 jobs, self.max_procs, self.name, dict(self.table.metadata)
             )
         return self._workload
-
-    def has_id_at_or_above(self, base: int, start: int = 0) -> bool:
-        ids = self.table.columns["job_id"]
-        if start:
-            ids = ids[start:]
-        return bool(ids.size) and bool((ids >= base).any())
 
     def ids_from(self, i: int) -> set[int]:
         return set(self.table.columns["job_id"][i:].tolist())

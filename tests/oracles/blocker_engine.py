@@ -66,7 +66,7 @@ class BlockerSimulator(Simulator):
                 "only profile-planning disciplines (conservative, selective, "
                 "depth) can pack around a hard future rectangle"
             )
-        if self._feed.has_id_at_or_above(self._BLOCKER_ID_BASE):
+        if any(job.job_id >= self._BLOCKER_ID_BASE for job in self.workload.jobs):
             raise SimulationError(
                 f"workload job ids must stay below {self._BLOCKER_ID_BASE} "
                 "when advance reservations are used"

@@ -10,17 +10,15 @@ the reference profile kernels.  "Exactly" means ``==`` on the full
 ``RunMetrics`` dataclass and on ``start_times()`` (the schedule itself),
 not approximate closeness.
 
-Also covered here (ISSUE satellite): advance reservations x
-checkpointing — forking mid-blocker-window must reproduce the blocker
-state exactly, and resuming onto a workload whose job ids collide with
-blocker ids must raise a clear ``SimulationError``.
+Also covered here: advance reservations x checkpointing — forking while
+a window is held must carry the held window (on the cloned machine and in
+the forked scheduler) over exactly.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.exec import (
     Cell,
     CellExecutor,
@@ -42,7 +40,6 @@ from repro.sched.priority.fairshare import FairSharePriority
 from repro.sched.priority.policies import PRIORITY_POLICIES, SJFPriority
 from repro.sched.reservations import AdvanceReservation
 from repro.sim.engine import Simulator, simulate
-from repro.workload.job import Job, Workload
 
 from tests.oracles.profile_ref import configure_reference_kernel
 
@@ -149,11 +146,11 @@ class TestMultiForkChains:
 
 
 class TestAdvanceReservationsCheckpointing:
-    """ISSUE satellite: forking mid-blocker-window."""
+    """Forking while a window is held."""
 
     def _ar_spanning_fork(self, short, full):
         # A window that starts before the fork boundary and ends after
-        # it, so the machine-side blocker is mid-flight at snapshot time.
+        # it, so the window is held on the machine at snapshot time.
         boundary = full.jobs[len(short.jobs)].submit_time
         start = max(boundary * 0.5, 1.0)
         return AdvanceReservation(
@@ -181,29 +178,6 @@ class TestAdvanceReservationsCheckpointing:
                 ConservativeScheduler(advance_reservations=(ar,))
             ),
         )
-
-    def test_resume_rejects_blocker_id_collision(self):
-        short, full = _pair("user")
-        ar = self._ar_spanning_fork(short, full)
-        trunk = Simulator(full, ConservativeScheduler(advance_reservations=(ar,)))
-        trunk.run_until(len(short.jobs))
-        snap = trunk.snapshot()
-        clashing = Workload(
-            name="clash",
-            jobs=tuple(
-                Job(
-                    job_id=Simulator._BLOCKER_ID_BASE + i,
-                    submit_time=job.submit_time,
-                    runtime=job.runtime,
-                    estimate=job.estimate,
-                    procs=job.procs,
-                )
-                for i, job in enumerate(short.jobs)
-            ),
-            max_procs=short.max_procs,
-        )
-        with pytest.raises(SimulationError, match="job ids must stay below"):
-            Simulator.resume(snap, clashing)
 
 
 class TestExecutorChainEquivalence:

@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.cluster.machine import Machine
+from repro.errors import ConfigurationError
+from repro.exec import metrics_digest
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.easy import EasyScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
-from repro.sched.reservations import AdvanceReservation, carve_reservations
+from repro.sched.reservations import (
+    AdvanceReservation,
+    HeldWindows,
+    carve_reservations,
+)
 from repro.sched.profile import Profile
-from repro.exec import metrics_digest
 from repro.sim.engine import simulate
 
 from tests.conftest import make_job, make_workload
@@ -96,10 +101,14 @@ class TestSchedulingAroundAR:
 
 class TestEngineGuards:
     def test_unsupported_scheduler_rejected(self):
-        scheduler = EasyScheduler()
-        scheduler.advance_reservations = (AR,)
-        with pytest.raises(SimulationError, match="cannot honour"):
-            simulate(make_workload([make_job(1)]), scheduler)
+        # EASY has no plan to pack around a hard future rectangle, so it
+        # has no advance_reservations parameter at all.
+        from repro.experiments.runner import make_scheduler
+
+        with pytest.raises(TypeError, match="advance_reservations"):
+            EasyScheduler(advance_reservations=(AR,))
+        with pytest.raises(TypeError, match="advance_reservations"):
+            make_scheduler("easy", advance_reservations=(AR,))
 
     def test_oversized_ar_rejected(self):
         big = AdvanceReservation(procs=99, start=10.0, duration=10.0)
@@ -160,6 +169,66 @@ class TestEngineGuards:
         # 120s does not fit before t=100 nor between the windows (150-300);
         # wait: 150 to 300 is 150s >= 120s, so it fits in the gap.
         assert starts[1] == 150.0
+
+class TestHeldWindows:
+    """The ordering rules of the planning core's window holds, unit by unit."""
+
+    def _make(self, log):
+        machine = Machine(10)
+        ar = AdvanceReservation(procs=4, start=100.0, duration=50.0)
+        return HeldWindows((ar,), machine, log.append), machine
+
+    def test_each_edge_is_requested_once(self):
+        log = []
+        windows = (
+            AdvanceReservation(procs=4, start=100.0, duration=50.0),
+            AdvanceReservation(procs=4, start=150.0, duration=50.0),
+        )
+        HeldWindows(windows, Machine(10), log.append)
+        assert log == [100.0, 150.0, 200.0]
+
+    def test_a_request_for_a_pending_edge_rides_on_its_wakeup(self):
+        log = []
+        windows, machine = self._make(log)
+        windows.request(100.0, log.append)
+        windows.request(120.0, log.append)
+        assert log == [100.0, 150.0, 120.0]
+        assert windows.wake(100.0, machine) == (0, True)
+
+    def test_an_unasked_edge_runs_no_timer_pass(self):
+        windows, machine = self._make([])
+        assert windows.wake(100.0, machine) == (0, False)
+        windows.open(100.0, machine, None, (), [])
+        assert machine.free_procs == 6
+
+    def test_a_request_during_the_edge_instant_wakes_again_after_it(self):
+        log = []
+        windows, machine = self._make(log)
+        assert windows.passes_before(7, 100.0, machine) == 0
+        windows.request(90.0, log.append)  # clamped to the current instant
+        assert log == [100.0, 150.0]
+        assert windows.wake(100.0, machine) == (0, False)
+        windows.open(100.0, machine, log.append, (), [])
+        assert log == [100.0, 150.0, 100.0]
+
+    def test_a_window_ends_ahead_of_jobs_started_after_it_opened(self):
+        windows, machine = self._make([])
+        windows.wake(100.0, machine)
+        windows.open(100.0, machine, None, (1,), [make_job(2)])
+        # Jobs 1 and 2 started before the window opened: their finishes
+        # come first; job 3 started after, so the refill precedes it.
+        assert windows.passes_before(1, 150.0, machine) == 0
+        assert machine.free_procs == 10
+        assert windows.passes_before(2, 150.0, machine) == 0
+        assert windows.passes_before(3, 150.0, machine) == 1
+        assert windows.wake(150.0, machine) == (0, False)
+
+    def test_job_ids_of_any_size_share_the_machine_with_windows(self):
+        ar = AdvanceReservation(procs=2, start=10.0, duration=10.0)
+        wl = make_workload([make_job(10**12 + 1, procs=1)])
+        result = simulate(wl, ConservativeScheduler(advance_reservations=(ar,)))
+        assert result.start_times() == {10**12 + 1: 0.0}
+
 
 # -- pinned schedules -------------------------------------------------------
 #

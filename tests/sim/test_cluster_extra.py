@@ -1,7 +1,7 @@
 """Additional edge-case coverage for the simulation substrate.
 
 Scenarios the main test modules do not reach: zero-duration batches with
-mixed event kinds, timer deduplication, blocker interactions, and machine
+mixed event kinds, timer deduplication, held advance reservations, and machine
 accounting across long idle periods.
 """
 
@@ -69,14 +69,6 @@ class TestTraceWithBlockers:
         )
         assert result.metrics.overall.count == 1
         assert all(r.job_id == 1 for r in trace)
-
-    def test_blocker_id_collision_rejected(self):
-        from repro.errors import SimulationError
-
-        ar = AdvanceReservation(procs=2, start=10.0, duration=10.0)
-        wl = make_workload([make_job(10**12 + 1, procs=1)])
-        with pytest.raises(SimulationError, match="job ids must stay below"):
-            simulate(wl, ConservativeScheduler(advance_reservations=(ar,)))
 
     def test_utilization_includes_blocked_capacity(self):
         # A full-machine AR while no jobs run still counts as busy time.

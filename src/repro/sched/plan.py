@@ -99,7 +99,7 @@ class PlanningScheduler(Scheduler):
 
     @abstractmethod
     def _schedule_pass(self, now: float, started: list[Job]) -> None:
-        """Fill what the plan allows after withdrawals or a window's end."""
+        """One pass: after withdrawals, at a window's end, and after finishes."""
 
     def _finish_pass(self, job: Job, now: float, started: list[Job]) -> None:
         """React to ``job``'s completion."""

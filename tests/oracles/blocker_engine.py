@@ -14,8 +14,10 @@ run on the shipped engine, and both must produce the same bytes.
 
 :class:`BlockerSimulator` subclasses the shipped ``Simulator`` and
 replaces only what the blockers touched: ``_prime`` and
-``_advance_until`` (both copied unchanged), plus the blocker installer.
-Only :meth:`~repro.sim.engine.Simulator.run` is meant to be used.
+``_advance_until`` (both copied unchanged), plus the blocker installer,
+whose id check reads the workload's jobs because the feed's id probe it
+called is gone.  Only :meth:`~repro.sim.engine.Simulator.run` is meant
+to be used.
 
 Do not edit this file to follow the shipped code: its value is being the
 independent original.

@@ -62,7 +62,6 @@ from repro.sched.priority.policies import (
     CompositePriority,
     policy_by_name,
 )
-from repro.sched.priority.fairshare import FairSharePriority
 from repro.sched.validate import (
     validate_conservative_guarantees,
     validate_no_backfill,
@@ -77,7 +76,6 @@ from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.multiqueue import MultiQueueScheduler, QueueClass
-from repro.workload.predictors import BlendedEstimate, UserHistoryPredictor
 from repro.metrics.defs import bounded_slowdown, turnaround_time, wait_time
 from repro.metrics.fairness import FairnessReport, fairness_report, start_time_deviations
 from repro.grid import (
@@ -152,7 +150,6 @@ __all__ = [
     "XFactorPriority",
     "SmallestFirstPriority",
     "CompositePriority",
-    "FairSharePriority",
     "policy_by_name",
     "validate_schedule",
     "validate_no_backfill",
@@ -168,9 +165,6 @@ __all__ = [
     "DepthScheduler",
     "MultiQueueScheduler",
     "QueueClass",
-    # predictors
-    "BlendedEstimate",
-    "UserHistoryPredictor",
     # grid (paper ref. [12])
     "GridSimulator",
     "GridSite",

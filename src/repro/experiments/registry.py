@@ -25,16 +25,13 @@ from repro.experiments import (
     exp_figure1,
     exp_figure2,
     exp_figure3,
-    exp_fairshare,
     exp_figure4,
     exp_grid,
     exp_loadsweep,
     exp_maintenance,
-    exp_prediction,
     exp_preemption,
     exp_schedulers,
     exp_selective,
-    exp_shaking,
     exp_table4,
     exp_table7,
     exp_tables_2_3,
@@ -63,13 +60,10 @@ _MODULES = {
     "selective": exp_selective,
     "ablation-compression": exp_ablation,
     "loadsweep": exp_loadsweep,
-    "prediction": exp_prediction,
     "schedulers": exp_schedulers,
     "grid": exp_grid,
     "preemption": exp_preemption,
-    "shaking": exp_shaking,
     "depth": exp_depth,
-    "fairshare": exp_fairshare,
     "maintenance": exp_maintenance,
 }
 

@@ -14,12 +14,13 @@ Queue-order maintenance (kernel fast path): policies whose sort keys never
 change as time passes (``PriorityPolicy.is_dynamic`` is False — FCFS, SJF,
 LJF, narrowest-first) get an *incrementally sorted* queue: arrivals are
 placed by binary insertion and :meth:`Scheduler._ordered_queue` is a copy,
-not a sort.  Time-varying policies (XFactor, fair-share) keep the queue in
-arrival order and the previous pass's order beside it, which
-:meth:`PriorityPolicy.sort` checks and re-sorts only once two keys have
-crossed.  Keys always end in ``(submit_time, job_id)``, so a strictly
-increasing order *is* the sorted order and every path produces the
-identical total order.  Jobs leave the queue by identity, never by ``==``.
+not a sort.  Time-varying policies (XFactor, a composite with a wait or
+XFactor term) keep the queue in arrival order and the previous pass's
+order beside it, which :meth:`PriorityPolicy.sort` checks and re-sorts
+only once two keys have crossed.  Keys always end in
+``(submit_time, job_id)``, so a strictly increasing order *is* the sorted
+order and every path produces the identical total order.  Jobs leave the
+queue by identity, never by ``==``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class Scheduler(ABC):
         self._order: list[Job] = []
         self._running: dict[int, tuple[Job, float]] = {}  # id -> (job, start)
         self._request_wakeup = None  # set by bind(); Callable[[float], None]
-        self._observe_finish = getattr(self.priority, "observe_finish", None)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -95,11 +95,6 @@ class Scheduler(ABC):
         self._order.clear()
         self._queue_is_sorted = not self.priority.is_dynamic
         self._running.clear()
-        # Stateful priority policies (e.g. fair-share usage tracking) are
-        # reset per run so a scheduler instance can be reused.
-        if hasattr(self.priority, "reset"):
-            self.priority.reset()
-        self._observe_finish = getattr(self.priority, "observe_finish", None)
         self.reset()
 
     def reset(self) -> None:
@@ -115,7 +110,6 @@ class Scheduler(ABC):
         self.machine = machine
         self._request_wakeup = request_wakeup
         self._queue_is_sorted = not self.priority.is_dynamic
-        self._observe_finish = getattr(self.priority, "observe_finish", None)
 
     def fork(self) -> "Scheduler":
         """Independent copy of the full mid-run scheduler state.
@@ -123,26 +117,21 @@ class Scheduler(ABC):
         The copy is detached (no machine, no wakeup callback) until
         :meth:`rebind` attaches it; the original keeps running
         unaffected.  The base class copies the shared bookkeeping — the
-        idle queue, the running table, and the priority policy (via
-        ``priority.fork()``, a self-return for stateless policies) — then
-        hands the copy to :meth:`_fork_into` for the subclass's own
-        state.  Every concrete discipline must implement
+        idle queue and the running table — and shares the stateless
+        priority policy, then hands the copy to :meth:`_fork_into` for
+        the subclass's own state.  Every concrete discipline must implement
         :meth:`_fork_into` (``pass`` when there is nothing beyond the
         base state) so that new state added later fails loudly instead
         of being silently shared.
         """
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone.priority = self.priority.fork()
         clone.machine = None
         clone._request_wakeup = None
         clone._queue = list(self._queue)
         clone._queue_keys = list(self._queue_keys)
         clone._order = list(self._order)
         clone._running = dict(self._running)
-        # Rebound to the *forked* policy — the shallow copy above would
-        # otherwise leave a stateful policy's method bound to the original.
-        clone._observe_finish = getattr(clone.priority, "observe_finish", None)
         self._fork_into(clone)
         return clone
 
@@ -211,12 +200,6 @@ class Scheduler(ABC):
                 f"{self.name}: finish notification for job {job.job_id} "
                 "which is not running"
             )
-        # Feed stateful priority policies (fair-share usage accounting).
-        # The lookup is cached at bind/fork time; a per-finish getattr was
-        # measurable on the hot loop.
-        observe = self._observe_finish
-        if observe is not None:
-            observe(job, now)
 
     # -- shared queue helpers ---------------------------------------------------
 

@@ -11,7 +11,6 @@ from repro.sched.priority.policies import (
     policy_by_name,
     PRIORITY_POLICIES,
 )
-from repro.sched.priority.fairshare import FairSharePriority
 
 __all__ = [
     "PriorityPolicy",
@@ -21,7 +20,6 @@ __all__ = [
     "XFactorPriority",
     "SmallestFirstPriority",
     "CompositePriority",
-    "FairSharePriority",
     "policy_by_name",
     "PRIORITY_POLICIES",
 ]

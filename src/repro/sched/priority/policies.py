@@ -22,9 +22,13 @@ deterministic, which keeps whole simulations reproducible.
 documentation: the scheduler base class keeps the idle queue of a
 *static* policy (``is_dynamic`` is False) sorted incrementally by binary
 insertion and never re-sorts it, so a policy whose keys depend on ``now``
-or on mutable internal state (fair-share usage) MUST declare
-``is_dynamic = True`` or queues will silently serve a stale order.
-Static keys must ignore the ``now`` argument entirely.
+MUST declare ``is_dynamic = True`` or queues will silently serve a stale
+order.  Static keys must ignore the ``now`` argument entirely.
+
+Policies hold no per-run state: a key is a function of ``(job, now)``
+alone.  The scheduler base class therefore shares one policy instance
+across runs and across :meth:`~repro.sched.base.Scheduler.fork`, and a
+policy needs no reset or copy hook.
 """
 
 from __future__ import annotations
@@ -99,16 +103,6 @@ class PriorityPolicy(ABC):
         which re-sorts only once some pair of keys has crossed.
         """
         return False
-
-    def fork(self) -> "PriorityPolicy":
-        """Independent copy for scheduler checkpointing.
-
-        The standard policies are frozen and stateless, so sharing the
-        instance is safe and the default just returns ``self``.  Policies
-        carrying mutable per-run state (fair-share usage accounting) must
-        override this with a real copy.
-        """
-        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -25,8 +25,6 @@ from repro.workload.transforms import (
     apply_estimates,
     shift_to_zero,
     merge,
-    shake,
-    assign_users,
 )
 from repro.workload.stats import characterize, characterization_table
 
@@ -50,8 +48,6 @@ __all__ = [
     "apply_estimates",
     "shift_to_zero",
     "merge",
-    "shake",
-    "assign_users",
     "characterize",
     "characterization_table",
 ]

@@ -41,8 +41,6 @@ __all__ = [
     "renumber",
     "shift_to_zero",
     "merge",
-    "shake",
-    "assign_users",
 ]
 
 
@@ -165,96 +163,6 @@ def merge(
         procs,
         name=name,
         metadata={"merged_from": [w.name for w in workloads]},
-    )
-
-
-def shake(
-    workload: Workload,
-    *,
-    magnitude: float = 0.1,
-    seed: int | np.random.Generator = 0,
-    name: str | None = None,
-) -> Workload:
-    """Randomly perturb inter-arrival times ("input shaking").
-
-    The related-work methodology of Tsafrir et al. ("Reducing performance
-    evaluation sensitivity and variability by input shaking"): a result
-    that only holds for the exact submit times of one trace is noise, so
-    conclusions are re-checked across an ensemble of workloads whose
-    inter-arrival gaps are multiplied by lognormal factors with the given
-    ``magnitude`` (sigma of the underlying normal).  Work content is
-    untouched; the mean offered load is approximately preserved.
-    """
-    if magnitude < 0:
-        raise ConfigurationError(f"magnitude must be >= 0, got {magnitude}")
-    if len(workload) < 2 or magnitude == 0:
-        return workload
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    gaps = np.diff([job.submit_time for job in workload])
-    # Mean-one lognormal multipliers keep the average gap unbiased.
-    factors = rng.lognormal(mean=-0.5 * magnitude**2, sigma=magnitude, size=len(gaps))
-    new_times = np.concatenate(
-        [[workload[0].submit_time], workload[0].submit_time + np.cumsum(gaps * factors)]
-    )
-    jobs = tuple(
-        job.with_submit_time(float(t)) for job, t in zip(workload.jobs, new_times)
-    )
-    meta = dict(workload.metadata)
-    meta["shaken"] = magnitude
-    return Workload(
-        jobs,
-        workload.max_procs,
-        name if name is not None else f"{workload.name}-shaken",
-        meta,
-    )
-
-
-def assign_users(
-    workload: Workload,
-    *,
-    n_users: int = 10,
-    skew: float = 1.2,
-    seed: int | np.random.Generator = 0,
-    name: str | None = None,
-) -> Workload:
-    """Reassign user ids with a Zipf-like popularity distribution.
-
-    Real traces are dominated by a few heavy users; the synthetic
-    generators assign users uniformly.  This transform draws each job's
-    user from ``P(u) ∝ 1 / u^skew`` over users ``1..n_users`` (user 1 is
-    the hog), which is what fair-share policies are designed to tame.
-    """
-    if n_users < 1:
-        raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
-    if skew < 0:
-        raise ConfigurationError(f"skew must be >= 0, got {skew}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    weights = np.array([1.0 / (u**skew) for u in range(1, n_users + 1)])
-    weights /= weights.sum()
-    assignments = rng.choice(n_users, size=len(workload), p=weights) + 1
-    jobs = tuple(
-        Job(
-            job_id=job.job_id,
-            submit_time=job.submit_time,
-            runtime=job.runtime,
-            estimate=job.estimate,
-            procs=job.procs,
-            user_id=int(user),
-            group_id=job.group_id,
-            executable=job.executable,
-            queue=job.queue,
-            partition=job.partition,
-            status=job.status,
-        )
-        for job, user in zip(workload.jobs, assignments)
-    )
-    meta = dict(workload.metadata)
-    meta["user_skew"] = skew
-    return Workload(
-        jobs,
-        workload.max_procs,
-        name if name is not None else workload.name,
-        meta,
     )
 
 

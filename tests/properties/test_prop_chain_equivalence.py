@@ -36,8 +36,7 @@ from repro.experiments.runner import (
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
-from repro.sched.priority.fairshare import FairSharePriority
-from repro.sched.priority.policies import PRIORITY_POLICIES, SJFPriority
+from repro.sched.priority.policies import PRIORITY_POLICIES
 from repro.sched.reservations import AdvanceReservation
 from repro.sim.engine import Simulator, simulate
 
@@ -106,23 +105,6 @@ class TestEveryPriority:
             full,
             lambda: configure_reference_kernel(make_scheduler("cons", priority)),
         )
-
-    def test_fairshare_priority_state_forks(self):
-        # FAIR is stateful (decayed per-user usage), so it exercises the
-        # PriorityPolicy.fork() path the registry policies skip.  Not a
-        # Cell-addressable policy, hence tested at the engine level.
-        short, full = _pair("user")
-        _assert_fork_equivalent(
-            short,
-            full,
-            lambda: make_scheduler_fair(),
-        )
-
-
-def make_scheduler_fair():
-    from repro.sched.backfill.easy import EasyScheduler
-
-    return EasyScheduler(FairSharePriority(SJFPriority(), half_life=7_200.0))
 
 
 class TestMultiForkChains:

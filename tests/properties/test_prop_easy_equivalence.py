@@ -10,8 +10,8 @@ re-sort per pass and all — and every shipped pass must reproduce its
 frozen original byte for byte, ``(job_id, start_time)`` lists and
 ``events_processed`` alike:
 
-* EASY and lookahead under FCFS, SJF, XF, LJF and fair-share(SJF), with
-  exact and with inaccurate estimates;
+* EASY and lookahead under FCFS, SJF, XF and LJF, with exact and with
+  inaccurate estimates;
 * a static policy redeclared ``is_dynamic``, which drives the checked
   order with the generic per-job keys instead of XF's inlined ones;
 * a run paused before a drawn arrival, snapshotted and resumed: both the
@@ -31,7 +31,6 @@ from repro.grid.engine import GridSimulator
 from repro.grid.site import GridSite
 from repro.sched.backfill.easy import EasyScheduler
 from repro.sched.backfill.lookahead import LookaheadScheduler
-from repro.sched.priority.fairshare import FairSharePriority
 from repro.sched.priority.policies import (
     FCFSPriority,
     LJFPriority,
@@ -53,17 +52,11 @@ PAIRS = {
 }
 
 
-def _fair_sjf():
-    # A short half-life so usage decays between passes and the order moves.
-    return FairSharePriority(SJFPriority(), half_life=600.0)
-
-
 PRIORITIES = {
     "FCFS": FCFSPriority,
     "SJF": SJFPriority,
     "XF": XFactorPriority,
     "LJF": LJFPriority,
-    "FAIR(SJF)": _fair_sjf,
 }
 
 #: Static policies redeclared dynamic: the checked order with generic keys.
@@ -189,7 +182,7 @@ def test_grid_sites_with_cancelled_replicas_match_frozen_pass(wl, replication):
         return _schedule(result), result.site_of()
 
     for kind, (shipped, reference) in PAIRS.items():
-        for name in ("FCFS", "XF", "FAIR(SJF)"):
+        for name in ("FCFS", "XF"):
             priority = PRIORITIES[name]
             assert run(shipped, priority) == run(reference, priority), (
                 f"{kind} x {name} diverged on the grid"

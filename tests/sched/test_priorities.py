@@ -1,8 +1,12 @@
 """Unit tests for the priority policies."""
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import make_scheduler
+from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.priority.policies import (
     PRIORITY_POLICIES,
     CompositePriority,
@@ -14,6 +18,8 @@ from repro.sched.priority.policies import (
     policy_by_name,
     xfactor,
 )
+from repro.sim.engine import simulate
+from repro.workload.generators import CTCGenerator
 
 from tests.conftest import make_job
 
@@ -112,3 +118,26 @@ class TestRegistry:
     def test_registry_contains_paper_policies(self):
         for name in ("FCFS", "SJF", "XF"):
             assert name in PRIORITY_POLICIES
+
+
+#: Scheduler factories, one per registered policy plus a dynamic composite.
+_STATELESS_CASES = {
+    **{
+        name: (lambda name=name: make_scheduler("cons", name))
+        for name in PRIORITY_POLICIES
+    },
+    "COMP(wait)": lambda: ConservativeScheduler(CompositePriority(wait_weight=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", tuple(_STATELESS_CASES))
+def test_policies_are_stateless_and_shared_by_fork(case):
+    # The scheduler base shares one policy instance across runs and forks,
+    # which is only sound while a policy keeps no per-run state.
+    scheduler = _STATELESS_CASES[case]()
+    policy = scheduler.priority
+    assert scheduler.fork().priority is policy
+    before = copy.deepcopy(vars(policy))
+    result = simulate(CTCGenerator().generate(150, seed=1), scheduler)
+    assert len(result.metrics.records) == 150
+    assert vars(policy) == before

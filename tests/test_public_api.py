@@ -48,7 +48,6 @@ def test_readme_taught_names_exist():
         "AdvanceReservation",
         "MultiQueueScheduler",
         "DepthScheduler",
-        "FairSharePriority",
         "Cell",
         "CellExecutor",
         "ResultStore",

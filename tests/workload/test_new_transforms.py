@@ -1,11 +1,10 @@
-"""Unit tests for merge, shake, and assign_users transforms."""
+"""Unit tests for the merge transform."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.workload.job import Workload
-from repro.workload.transforms import assign_users, merge, shake
+from repro.workload.transforms import merge
 
 from tests.conftest import make_job
 
@@ -50,80 +49,3 @@ class TestMerge:
         merged = merge([_stream(1, 0.0), _stream(100, 5.0)])
         assert merged.metadata["merged_from"] == ["s1", "s100"]
 
-
-class TestShake:
-    def _base(self):
-        return _stream(1, 0.0, n=30)
-
-    def test_preserves_job_content(self):
-        shaken = shake(self._base(), magnitude=0.3, seed=1)
-        assert [j.runtime for j in shaken] == [50.0] * 30
-        assert [j.procs for j in shaken] == [2] * 30
-        assert [j.job_id for j in shaken] == list(range(1, 31))
-
-    def test_changes_submit_times(self):
-        base = self._base()
-        shaken = shake(base, magnitude=0.3, seed=1)
-        assert [j.submit_time for j in shaken] != [j.submit_time for j in base]
-
-    def test_first_submit_anchored(self):
-        shaken = shake(self._base(), magnitude=0.5, seed=2)
-        assert shaken[0].submit_time == 0.0
-
-    def test_order_preserved(self):
-        shaken = shake(self._base(), magnitude=0.5, seed=3)
-        submits = [j.submit_time for j in shaken]
-        assert submits == sorted(submits)
-
-    def test_mean_gap_approximately_preserved(self):
-        base = _stream(1, 0.0, n=2000)
-        shaken = shake(base, magnitude=0.3, seed=4)
-        assert np.mean(shaken.interarrival_times()) == pytest.approx(
-            np.mean(base.interarrival_times()), rel=0.05
-        )
-
-    def test_zero_magnitude_is_identity(self):
-        base = self._base()
-        assert shake(base, magnitude=0.0) is base
-
-    def test_seeded_reproducibility(self):
-        a = shake(self._base(), magnitude=0.3, seed=9)
-        b = shake(self._base(), magnitude=0.3, seed=9)
-        assert [j.submit_time for j in a] == [j.submit_time for j in b]
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ConfigurationError):
-            shake(self._base(), magnitude=-0.1)
-
-
-class TestAssignUsers:
-    def test_users_within_range(self):
-        out = assign_users(_stream(1, 0.0, n=50), n_users=5, seed=1)
-        assert all(1 <= j.user_id <= 5 for j in out)
-
-    def test_skew_makes_user_one_dominant(self):
-        out = assign_users(_stream(1, 0.0, n=2000), n_users=10, skew=1.5, seed=2)
-        counts = {}
-        for job in out:
-            counts[job.user_id] = counts.get(job.user_id, 0) + 1
-        assert counts[1] == max(counts.values())
-        assert counts[1] > counts.get(10, 0) * 3
-
-    def test_zero_skew_is_roughly_uniform(self):
-        out = assign_users(_stream(1, 0.0, n=3000), n_users=3, skew=0.0, seed=3)
-        counts = {}
-        for job in out:
-            counts[job.user_id] = counts.get(job.user_id, 0) + 1
-        assert max(counts.values()) < 1.2 * min(counts.values())
-
-    def test_everything_else_untouched(self):
-        base = _stream(1, 0.0)
-        out = assign_users(base, n_users=4, seed=4)
-        assert [j.submit_time for j in out] == [j.submit_time for j in base]
-        assert [j.runtime for j in out] == [j.runtime for j in base]
-
-    def test_invalid_args_rejected(self):
-        with pytest.raises(ConfigurationError):
-            assign_users(_stream(1, 0.0), n_users=0)
-        with pytest.raises(ConfigurationError):
-            assign_users(_stream(1, 0.0), skew=-1.0)

@@ -4,8 +4,8 @@
 The paper's methodological point is that overall averages hide structure.
 This example runs one schedule and inspects it with the library's
 analysis stack: trace characterization, slowdown per job category,
-fairness against the no-backfill reference, and a written report
-directory.
+worst-case turnaround per category against the no-backfill reference,
+and a written report directory.
 
 Run:  python examples/analysis_deep_dive.py [output_dir]
 """
@@ -24,7 +24,6 @@ from repro import (
     simulate,
 )
 from repro.analysis import bar_chart
-from repro.metrics.fairness import fairness_report
 from repro.workload.stats import characterization_table
 
 
@@ -54,13 +53,12 @@ def main() -> None:
     )
     print(by_category)
 
-    print("\n4. Who pays for the average (vs the no-overtaking baseline):")
-    reference = simulate(workload, FCFSScheduler())
-    report = fairness_report(result, reference)
-    print(f"   {report.advanced_count} jobs served earlier "
-          f"(mean benefit {report.mean_benefit / 3600:.1f}h); "
-          f"{report.delayed_count} served later "
-          f"(mean unfair delay {report.mean_unfair_delay / 3600:.1f}h)")
+    print("\n4. Who pays for the average (worst turnaround, hours, "
+          "vs the no-overtaking baseline):")
+    reference = simulate(workload, FCFSScheduler()).metrics.by_category
+    for category, summary in result.metrics.by_category.items():
+        print(f"   {category.value}: EASY {summary.max_turnaround / 3600:7.1f}"
+              f"   no backfill {reference[category].max_turnaround / 3600:7.1f}")
 
     out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="repro_")
     from repro.analysis.report import write_report

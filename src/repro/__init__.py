@@ -59,7 +59,6 @@ from repro.sched.priority.policies import (
     LJFPriority,
     XFactorPriority,
     SmallestFirstPriority,
-    CompositePriority,
     policy_by_name,
 )
 from repro.sched.validate import (
@@ -72,12 +71,9 @@ from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.backfill.depth import DepthScheduler
-from repro.sched.backfill.multiqueue import MultiQueueScheduler, QueueClass
 from repro.metrics.defs import bounded_slowdown, turnaround_time, wait_time
-from repro.metrics.fairness import FairnessReport, fairness_report, start_time_deviations
 from repro.grid import (
     GridSimulator,
     GridSite,
@@ -149,7 +145,6 @@ __all__ = [
     "LJFPriority",
     "XFactorPriority",
     "SmallestFirstPriority",
-    "CompositePriority",
     "policy_by_name",
     "validate_schedule",
     "validate_no_backfill",
@@ -160,11 +155,8 @@ __all__ = [
     "ConservativeScheduler",
     "EasyScheduler",
     "SelectiveScheduler",
-    "LookaheadScheduler",
     "SlackScheduler",
     "DepthScheduler",
-    "MultiQueueScheduler",
-    "QueueClass",
     # grid (paper ref. [12])
     "GridSimulator",
     "GridSite",
@@ -175,9 +167,6 @@ __all__ = [
     "PreemptiveSimulator",
     "SelectiveSuspensionScheduler",
     # metrics
-    "FairnessReport",
-    "fairness_report",
-    "start_time_deviations",
     "bounded_slowdown",
     "turnaround_time",
     "wait_time",

@@ -30,7 +30,6 @@ from repro.experiments import (
     exp_loadsweep,
     exp_maintenance,
     exp_preemption,
-    exp_schedulers,
     exp_selective,
     exp_table4,
     exp_table7,
@@ -60,7 +59,6 @@ _MODULES = {
     "selective": exp_selective,
     "ablation-compression": exp_ablation,
     "loadsweep": exp_loadsweep,
-    "schedulers": exp_schedulers,
     "grid": exp_grid,
     "preemption": exp_preemption,
     "depth": exp_depth,

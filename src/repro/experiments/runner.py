@@ -36,8 +36,6 @@ from repro.experiments.config import (
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
-from repro.sched.backfill.multiqueue import MultiQueueScheduler
 from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.backfill.slack import SlackScheduler
@@ -183,7 +181,7 @@ def make_workload(spec: WorkloadSpec) -> Workload:
 
 
 #: Scheduler kinds understood by the harness.
-SCHEDULER_KINDS = ("nobf", "cons", "easy", "sel", "look", "slack", "depth", "mq")
+SCHEDULER_KINDS = ("nobf", "cons", "easy", "sel", "slack", "depth")
 
 
 def make_scheduler(kind: str, priority: str = "FCFS", **options) -> Scheduler:
@@ -202,14 +200,10 @@ def make_scheduler(kind: str, priority: str = "FCFS", **options) -> Scheduler:
         return EasyScheduler(policy, **options)
     if kind == "sel":
         return SelectiveScheduler(policy, **options)
-    if kind == "look":
-        return LookaheadScheduler(policy, **options)
     if kind == "slack":
         return SlackScheduler(policy, **options)
     if kind == "depth":
         return DepthScheduler(policy, **options)
-    if kind == "mq":
-        return MultiQueueScheduler(policy, **options)
     raise ConfigurationError(
         f"unknown scheduler kind {kind!r}; expected one of {SCHEDULER_KINDS}"
     )

@@ -19,16 +19,13 @@ from repro.sched.priority.policies import (
     LJFPriority,
     XFactorPriority,
     SmallestFirstPriority,
-    CompositePriority,
 )
 from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.backfill.depth import DepthScheduler
-from repro.sched.backfill.multiqueue import MultiQueueScheduler, QueueClass
 
 __all__ = [
     "Scheduler",
@@ -40,14 +37,10 @@ __all__ = [
     "LJFPriority",
     "XFactorPriority",
     "SmallestFirstPriority",
-    "CompositePriority",
     "FCFSScheduler",
     "ConservativeScheduler",
     "EasyScheduler",
     "SelectiveScheduler",
-    "LookaheadScheduler",
     "SlackScheduler",
     "DepthScheduler",
-    "MultiQueueScheduler",
-    "QueueClass",
 ]

@@ -99,7 +99,12 @@ class EasyScheduler(Scheduler):
 
     def _backfill(self, now: float, candidates: Iterable[Job], free: int,
                   shadow: float, extra: int) -> list[Job]:
-        """Phase 3: start the ``candidates`` that cannot delay the head."""
+        """Phase 3: start the ``candidates`` that cannot delay the head.
+
+        The one seam of the EASY pass: a variant that chooses among the
+        candidates differently (a knapsack over ``free`` and ``extra``,
+        say) overrides this and keeps phases 1 and 2.
+        """
         started: list[Job] = []
         for job in candidates:
             if job.procs > free:

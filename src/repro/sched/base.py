@@ -14,10 +14,10 @@ Queue-order maintenance (kernel fast path): policies whose sort keys never
 change as time passes (``PriorityPolicy.is_dynamic`` is False — FCFS, SJF,
 LJF, narrowest-first) get an *incrementally sorted* queue: arrivals are
 placed by binary insertion and :meth:`Scheduler._ordered_queue` is a copy,
-not a sort.  Time-varying policies (XFactor, a composite with a wait or
-XFactor term) keep the queue in arrival order and the previous pass's
-order beside it, which :meth:`PriorityPolicy.sort` checks and re-sorts
-only once two keys have crossed.  Keys always end in
+not a sort.  A time-varying policy (XFactor) keeps the queue in arrival
+order and the previous pass's order beside it, which
+:meth:`PriorityPolicy.sort` checks and re-sorts only once two keys have
+crossed.  Keys always end in
 ``(submit_time, job_id)``, so a strictly increasing order *is* the sorted
 order and every path produces the identical total order.  Jobs leave the
 queue by identity, never by ``==``.

@@ -7,7 +7,6 @@ from repro.sched.priority.policies import (
     LJFPriority,
     XFactorPriority,
     SmallestFirstPriority,
-    CompositePriority,
     policy_by_name,
     PRIORITY_POLICIES,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "LJFPriority",
     "XFactorPriority",
     "SmallestFirstPriority",
-    "CompositePriority",
     "policy_by_name",
     "PRIORITY_POLICIES",
 ]

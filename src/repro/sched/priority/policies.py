@@ -11,8 +11,7 @@ A priority policy orders the idle queue.  The paper studies three:
   aging long waiters.
 
 Two more are provided for completeness and ablations: **LJF** (longest
-first) and **SmallestFirst** (narrowest first), plus a weighted
-:class:`CompositePriority` for building blends like WFP-style policies.
+first) and **SmallestFirst** (narrowest first).
 
 A policy maps ``(job, now)`` to a sort key; *smaller keys run first*.
 Every key ends with ``(submit_time, job_id)`` so orderings are total and
@@ -33,7 +32,6 @@ policy needs no reset or copy hook.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import islice
@@ -50,7 +48,6 @@ __all__ = [
     "LJFPriority",
     "XFactorPriority",
     "SmallestFirstPriority",
-    "CompositePriority",
     "xfactor",
     "policy_by_name",
     "PRIORITY_POLICIES",
@@ -166,50 +163,6 @@ class SmallestFirstPriority(PriorityPolicy):
 
     def key(self, job: Job, now: float) -> tuple:
         return (job.procs, job.submit_time, job.job_id)
-
-
-class CompositePriority(PriorityPolicy):
-    """Weighted blend of normalized priority terms.
-
-    ``score = w_wait * wait/3600 + w_xf * (xfactor - 1) - w_len * log(estimate)``
-    with larger scores running first.  This is the shape of production
-    "WFP"-style priority functions (e.g. in Maui); exposed here for
-    ablation experiments beyond the paper's three policies.
-    """
-
-    name = "COMP"
-
-    def __init__(
-        self,
-        *,
-        wait_weight: float = 0.0,
-        xfactor_weight: float = 0.0,
-        length_weight: float = 0.0,
-    ) -> None:
-        if wait_weight == xfactor_weight == length_weight == 0.0:
-            raise ConfigurationError("composite priority needs a non-zero weight")
-        self.wait_weight = wait_weight
-        self.xfactor_weight = xfactor_weight
-        self.length_weight = length_weight
-
-    def key(self, job: Job, now: float) -> tuple:
-        wait_hours = max(now - job.submit_time, 0.0) / 3600.0
-        score = (
-            self.wait_weight * wait_hours
-            + self.xfactor_weight * (xfactor(job, now) - 1.0)
-            - self.length_weight * math.log(max(job.estimate, 1.0))
-        )
-        return (-score, job.submit_time, job.job_id)
-
-    @property
-    def is_dynamic(self) -> bool:
-        return self.wait_weight != 0.0 or self.xfactor_weight != 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"CompositePriority(wait={self.wait_weight}, "
-            f"xf={self.xfactor_weight}, len={self.length_weight})"
-        )
 
 
 #: Registry of the policies used throughout the experiments.

@@ -470,8 +470,10 @@ class Session:
         field values (``submit_time`` defaults to *now*, ``estimate`` to
         the runtime, the id to the next free one).  Submissions must not
         land in the simulated past — the session's time has already been
-        played beyond them — and ids must be unique; both violations
-        raise :class:`~repro.errors.SimulationError`.
+        played beyond them — nor need more processors than the machine
+        has, and ids must be unique and at most ``_MAX_JOB_ID``; each
+        violation raises :class:`~repro.errors.SimulationError` and
+        leaves the session unchanged.
         """
         if job is None:
             if runtime is None or procs is None:
@@ -492,6 +494,11 @@ class Session:
                 "(submissions into the simulated past would silently rewrite "
                 "history; this session refuses instead)"
             )
+        if job.procs > self.total_procs:
+            raise SimulationError(
+                f"job {job.job_id} needs {job.procs} procs but the session "
+                f"machine has {self.total_procs}"
+            )
         if job.job_id > _MAX_JOB_ID:
             raise SimulationError(
                 f"job id {job.job_id} exceeds the maximum {_MAX_JOB_ID}"
@@ -507,8 +514,9 @@ class Session:
         """Bulk-queue every job of a columnar table; returns the ids.
 
         The table analogue of calling :meth:`submit` per row, with the
-        same refusals (no submissions into the simulated past, no id
-        collisions, ids below the reservation base) — but checked over
+        same refusals (no submissions into the simulated past, no job
+        wider than the machine, no id collisions, no id above
+        ``_MAX_JOB_ID``, the bound on ids from HTTP input) — but checked over
         whole columns and materialized once through the trusted bulk
         constructor, so feeding a session a trace segment costs no
         per-job Python validation.  The table itself proved the per-row

@@ -20,11 +20,8 @@ from repro.workload.estimates import (
 from repro.workload.transforms import (
     scale_load,
     truncate,
-    filter_jobs,
-    renumber,
     apply_estimates,
     shift_to_zero,
-    merge,
 )
 from repro.workload.stats import characterize, characterization_table
 
@@ -43,11 +40,8 @@ __all__ = [
     "ClampedEstimate",
     "scale_load",
     "truncate",
-    "filter_jobs",
-    "renumber",
     "apply_estimates",
     "shift_to_zero",
-    "merge",
     "characterize",
     "characterization_table",
 ]

@@ -128,10 +128,6 @@ class Job:
         """Return a copy of this job submitted at a different time."""
         return replace(self, submit_time=submit_time)
 
-    def with_job_id(self, job_id: int) -> "Job":
-        """Return a copy of this job with a different identifier."""
-        return replace(self, job_id=job_id)
-
 
 def _make_trusted_job_factories():
     """Code-generate the fastest possible no-validation Job constructors.
@@ -294,15 +290,6 @@ class Workload:
         """Apply ``fn`` to every job and rebuild (re-sorting by submit time)."""
         return Workload.from_jobs(
             (fn(job) for job in self.jobs),
-            self.max_procs,
-            name if name is not None else self.name,
-            dict(self.metadata),
-        )
-
-    def select(self, predicate: Callable[[Job], bool], name: str | None = None) -> "Workload":
-        """Keep only jobs for which ``predicate`` is true."""
-        return Workload(
-            tuple(job for job in self.jobs if predicate(job)),
             self.max_procs,
             name if name is not None else self.name,
             dict(self.metadata),

@@ -6,9 +6,8 @@ These are the pre-processing steps the paper applies to its traces:
   inter-arrival times of jobs" (Section 3).
 * :func:`apply_estimates` — attach a user-estimate model to every job
   (Sections 4 and 5).
-* :func:`truncate`, :func:`filter_jobs`, :func:`renumber`,
-  :func:`shift_to_zero` — the usual trace hygiene operations (warm-up
-  removal, subsetting, id normalization).
+* :func:`truncate`, :func:`shift_to_zero` — trace hygiene (warm-up
+  removal, a zero time origin).
 
 All transforms are pure: they return new workloads.
 
@@ -28,19 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.workload.estimates import EstimateModel
-from repro.workload.job import Job, Workload
+from repro.workload.job import Workload
 from repro.workload.table import JobTable
 
 __all__ = [
     "scale_load",
     "apply_estimates",
     "truncate",
-    "filter_jobs",
-    "renumber",
     "shift_to_zero",
-    "merge",
 ]
 
 
@@ -94,75 +89,6 @@ def truncate(
     """Drop the first ``skip`` jobs, then keep at most ``max_jobs`` jobs."""
     return _on_table(
         workload, lambda table: table.truncate(max_jobs=max_jobs, skip=skip, name=name)
-    )
-
-
-def filter_jobs(
-    workload: Workload,
-    predicate: Callable[[Job], bool],
-    *,
-    name: str | None = None,
-) -> Workload:
-    """Keep only jobs satisfying ``predicate`` (alias of Workload.select)."""
-    return workload.select(predicate, name=name)
-
-
-def renumber(workload: Workload, *, start: int = 1, name: str | None = None) -> Workload:
-    """Re-assign consecutive job ids starting at ``start`` (arrival order)."""
-    jobs = tuple(
-        job.with_job_id(start + index) for index, job in enumerate(workload.jobs)
-    )
-    return Workload(
-        jobs,
-        workload.max_procs,
-        name if name is not None else workload.name,
-        dict(workload.metadata),
-    )
-
-
-def merge(
-    workloads: list[Workload],
-    *,
-    max_procs: int | None = None,
-    name: str = "merged",
-) -> Workload:
-    """Interleave several arrival streams into one workload.
-
-    Jobs are re-sorted by submit time and renumbered consecutively (the
-    source stream index is preserved in each job's ``partition`` field so
-    analyses can still attribute jobs).  ``max_procs`` defaults to the
-    widest of the inputs.
-    """
-    if not workloads:
-        raise ConfigurationError("merge needs at least one workload")
-    procs = max_procs if max_procs is not None else max(w.max_procs for w in workloads)
-    combined = []
-    for stream_index, workload in enumerate(workloads):
-        for job in workload:
-            combined.append(
-                Job(
-                    job_id=0,  # renumbered below
-                    submit_time=job.submit_time,
-                    runtime=job.runtime,
-                    estimate=job.estimate,
-                    procs=job.procs,
-                    user_id=job.user_id,
-                    group_id=job.group_id,
-                    executable=job.executable,
-                    queue=job.queue,
-                    partition=stream_index,
-                    status=job.status,
-                )
-            )
-    combined.sort(key=lambda j: j.submit_time)
-    jobs = tuple(
-        job.with_job_id(index + 1) for index, job in enumerate(combined)
-    )
-    return Workload(
-        jobs,
-        procs,
-        name=name,
-        metadata={"merged_from": [w.name for w in workloads]},
     )
 
 

@@ -7,12 +7,10 @@ from hypothesis import settings
 
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.backfill.slack import SlackScheduler
 from repro.sched.backfill.depth import DepthScheduler
-from repro.sched.backfill.multiqueue import MultiQueueScheduler
 from repro.workload.job import Job, Workload
 
 # Tier-1 is deterministic by construction: the default profile derives
@@ -72,10 +70,8 @@ ALL_SCHEDULER_FACTORIES = {
     "cons": ConservativeScheduler,
     "easy": EasyScheduler,
     "sel": SelectiveScheduler,
-    "look": LookaheadScheduler,
     "slack": SlackScheduler,
     "depth": DepthScheduler,
-    "mq": MultiQueueScheduler,
 }
 
 

@@ -158,8 +158,8 @@ class TestPlanCompleteness:
     """Each declaration is the whole grid its experiment reads, and only it."""
 
     def test_every_cell_shaped_experiment_declares(self):
-        assert len(_DECLARED) == 12
-        assert {"figure1", "selective", "depth", "schedulers"} <= set(_DECLARED)
+        assert len(_DECLARED) == 11
+        assert {"figure1", "selective", "depth"} <= set(_DECLARED)
 
     @pytest.mark.parametrize("experiment_id", _DECLARED)
     def test_prefetched_plan_leaves_no_misses(self, experiment_id, monkeypatch):

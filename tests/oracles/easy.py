@@ -1,17 +1,17 @@
-"""REFERENCE EASY pass: ``EasyScheduler`` and ``LookaheadScheduler``, kept verbatim.
+"""REFERENCE EASY pass: ``EasyScheduler``, kept verbatim.
 
-This module freezes the two head-reservation disciplines exactly as they
+This module freezes the head-reservation discipline exactly as it
 stood before the EASY pass became event-incremental — the running set
 re-sorted into releases on every blocked pass, the ``(head, free)``
 shadow memo with its invalidation hooks, ``queue.pop(0)`` / ``queue[1:]``
 copies and a fresh ``pseudo_running`` list per pass.
 ``tests/properties/test_prop_easy_equivalence.py`` requires the shipped
-schedulers to produce byte-identical ``(job_id, start_time)`` lists and
-the same ``events_processed`` against these.
+scheduler to produce byte-identical ``(job_id, start_time)`` lists and
+the same ``events_processed`` against it.
 
-The class bodies are copied unchanged.  The base-class queue helpers
+The class body is copied unchanged.  The base-class queue helpers
 (``_enqueue``, ``_dequeue``, ``_ordered_queue``, the last with
-``PriorityPolicy.sort``'s old body inlined) are frozen beside them in
+``PriorityPolicy.sort``'s old body inlined) are frozen beside it in
 :class:`_FrozenQueue`: the shipped ``Scheduler`` keeps a dynamic policy's
 order between passes, checks it instead of re-sorting, and dequeues by
 identity, and an oracle that inherited those would compare the checked
@@ -28,14 +28,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-import numpy as np
-
 from repro.errors import SchedulingError
 from repro.sched.base import Scheduler
 from repro.sched.tol import EPS_SNAP as _EPS
 from repro.workload.job import Job
 
-__all__ = ["EasyScheduler", "LookaheadScheduler"]
+__all__ = ["EasyScheduler"]
 
 
 # -- sched/base.py queue helpers (verbatim from the parent commit) -----------------
@@ -221,92 +219,3 @@ class EasyScheduler(_FrozenQueue):
 
     def on_finish(self, job: Job, now: float) -> list[Job]:
         return self._schedule_pass(now)
-
-
-# -- lookahead.py (verbatim from the parent commit) -----------------------------------
-
-
-def _max_packing(candidates: list[Job], capacity: int) -> list[Job]:
-    """0/1 knapsack: subset of candidates maximizing total procs <= capacity.
-
-    Value equals weight (processors), so the DP maximizes utilized
-    processors.  Items are considered in the given (priority) order and
-    reconstruction prefers earlier items, which breaks value ties towards
-    higher-priority jobs.
-    """
-    if not candidates or capacity <= 0:
-        return []
-    sizes = [job.procs for job in candidates]
-    # dp[c] = max procs achievable with capacity c
-    dp = np.zeros(capacity + 1, dtype=np.int64)
-    take = np.zeros((len(sizes), capacity + 1), dtype=bool)
-    for index, size in enumerate(sizes):
-        if size > capacity:
-            continue
-        shifted = np.concatenate([np.full(size, -1, dtype=np.int64), dp[:-size] + size])
-        better = shifted > dp
-        take[index] = better
-        dp = np.where(better, shifted, dp)
-    # Reconstruct from the full-capacity cell.
-    chosen: list[Job] = []
-    c = capacity
-    for index in range(len(sizes) - 1, -1, -1):
-        if c >= 0 and take[index, c]:
-            chosen.append(candidates[index])
-            c -= sizes[index]
-    chosen.reverse()
-    return chosen
-
-
-class LookaheadScheduler(EasyScheduler):
-    """EASY with an optimal-packing backfill step (see module docstring)."""
-
-    name = "LOOK"
-
-    def _schedule_pass(self, now: float) -> list[Job]:
-        machine = self._machine()
-        free = machine.free_procs
-        started: list[Job] = []
-
-        queue = self._ordered_queue(now)
-        while queue and queue[0].procs <= free:
-            job = queue.pop(0)
-            self._dequeue(job)
-            started.append(job)
-            free -= job.procs
-        if not queue:
-            return started
-
-        head = queue[0]
-        pseudo_running = list(self._running.values()) + [(job, now) for job in started]
-        shadow, extra = self._shadow_cached(
-            head, now, free, pseudo_running, cacheable=not started
-        )
-
-        # Partition the remaining queue by which EASY condition applies.
-        candidates = queue[1:]
-        shadow_safe = [
-            job
-            for job in candidates
-            if job.procs <= free and now + job.estimate <= shadow + _EPS
-        ]
-        packed = _max_packing(shadow_safe, free)
-        for job in packed:
-            self._dequeue(job)
-            started.append(job)
-            free -= job.procs
-
-        # Second chance for everything not packed: the extra-processor rule
-        # (may run past the shadow using processors the head will not need).
-        packed_ids = {job.job_id for job in packed}
-        for job in candidates:
-            if job.job_id in packed_ids or job.procs > free:
-                continue
-            finishes_by_shadow = now + job.estimate <= shadow + _EPS
-            if finishes_by_shadow or job.procs <= extra:
-                self._dequeue(job)
-                started.append(job)
-                free -= job.procs
-                if not finishes_by_shadow:
-                    extra -= job.procs
-        return started

@@ -5,13 +5,13 @@ between events instead of re-sorted per blocked pass, a dynamic policy's
 order is checked and re-sorted only when two keys have crossed, queued
 jobs leave by identity, and the phases walk the order by index.  None of
 that may change a schedule, so ``tests/oracles/easy.py`` freezes the
-previous ``EasyScheduler`` and ``LookaheadScheduler`` — shadow memo, full
-re-sort per pass and all — and every shipped pass must reproduce its
-frozen original byte for byte, ``(job_id, start_time)`` lists and
+previous ``EasyScheduler`` — shadow memo, full re-sort per pass and
+all — and the shipped pass must reproduce its frozen original byte for
+byte, ``(job_id, start_time)`` lists and
 ``events_processed`` alike:
 
-* EASY and lookahead under FCFS, SJF, XF and LJF, with exact and with
-  inaccurate estimates;
+* EASY under FCFS, SJF, XF and LJF, with exact and with inaccurate
+  estimates;
 * a static policy redeclared ``is_dynamic``, which drives the checked
   order with the generic per-job keys instead of XF's inlined ones;
 * a run paused before a drawn arrival, snapshotted and resumed: both the
@@ -30,7 +30,6 @@ from repro.grid.dispatch import LeastLoadedDispatch
 from repro.grid.engine import GridSimulator
 from repro.grid.site import GridSite
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.priority.policies import (
     FCFSPriority,
     LJFPriority,
@@ -45,12 +44,6 @@ from tests.oracles import easy as frozen
 
 MAX_PROCS = 16
 MAX_JOBS = 25
-
-PAIRS = {
-    "EASY": (EasyScheduler, frozen.EasyScheduler),
-    "LOOK": (LookaheadScheduler, frozen.LookaheadScheduler),
-}
-
 
 PRIORITIES = {
     "FCFS": FCFSPriority,
@@ -132,20 +125,21 @@ def _assert_same(wl, shipped, reference, label):
 @example(STALE_SHADOW_WORKLOAD)
 @settings(max_examples=30, deadline=None)
 def test_shipped_easy_pass_matches_frozen_pass(wl):
-    for kind, (shipped, reference) in PAIRS.items():
-        for name, priority in PRIORITIES.items():
-            _assert_same(wl, shipped(priority()), reference(priority()), f"{kind} x {name}")
+    for name, priority in PRIORITIES.items():
+        _assert_same(wl, EasyScheduler(priority()), frozen.EasyScheduler(priority()), name)
 
 
 @given(workloads())
 @example(BATCH_TRAP)
 @settings(max_examples=20, deadline=None)
 def test_checked_order_with_generic_keys_matches_frozen_pass(wl):
-    for kind, (shipped, reference) in PAIRS.items():
-        for name, redeclared in REDECLARED.items():
-            _assert_same(
-                wl, shipped(redeclared()), reference(redeclared()), f"{kind} x dynamic {name}"
-            )
+    for name, redeclared in REDECLARED.items():
+        _assert_same(
+            wl,
+            EasyScheduler(redeclared()),
+            frozen.EasyScheduler(redeclared()),
+            f"dynamic {name}",
+        )
 
 
 @st.composite
@@ -160,17 +154,15 @@ def fork_points(draw):
 @settings(max_examples=20, deadline=None)
 def test_resumed_halves_match_the_frozen_monolithic_run(case):
     wl, fork_at = case
-    for kind, (shipped, reference) in PAIRS.items():
-        for name, priority in PRIORITIES.items():
-            label = f"{kind} x {name}"
-            want = simulate(wl, reference(priority()))
-            trunk = Simulator(wl, shipped(priority()))
-            trunk.run_until(fork_at)
-            branch = Simulator.resume(trunk.snapshot(), wl).drain()
-            original = trunk.drain()
-            for half, result in (("forked", branch), ("original", original)):
-                assert _schedule(result) == _schedule(want), f"{label}: {half} half diverged"
-                assert result.events_processed == want.events_processed, label
+    for name, priority in PRIORITIES.items():
+        want = simulate(wl, frozen.EasyScheduler(priority()))
+        trunk = Simulator(wl, EasyScheduler(priority()))
+        trunk.run_until(fork_at)
+        branch = Simulator.resume(trunk.snapshot(), wl).drain()
+        original = trunk.drain()
+        for half, result in (("forked", branch), ("original", original)):
+            assert _schedule(result) == _schedule(want), f"{name}: {half} half diverged"
+            assert result.events_processed == want.events_processed, name
 
 
 @given(workloads(), st.integers(min_value=2, max_value=3))
@@ -181,12 +173,11 @@ def test_grid_sites_with_cancelled_replicas_match_frozen_pass(wl, replication):
         result = GridSimulator(wl, sites, dispatch=LeastLoadedDispatch(replication)).run()
         return _schedule(result), result.site_of()
 
-    for kind, (shipped, reference) in PAIRS.items():
-        for name in ("FCFS", "XF"):
-            priority = PRIORITIES[name]
-            assert run(shipped, priority) == run(reference, priority), (
-                f"{kind} x {name} diverged on the grid"
-            )
+    for name in ("FCFS", "XF"):
+        priority = PRIORITIES[name]
+        assert run(EasyScheduler, priority) == run(frozen.EasyScheduler, priority), (
+            f"{name} diverged on the grid"
+        )
 
 
 @given(fork_points())

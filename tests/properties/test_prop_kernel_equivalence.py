@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.backfill.slack import SlackScheduler
@@ -72,7 +71,6 @@ def workloads(draw, max_jobs=25):
 SCHEDULER_FACTORIES = [
     FCFSScheduler,
     EasyScheduler,
-    LookaheadScheduler,
     ConservativeScheduler,
     SelectiveScheduler,
     DepthScheduler,

@@ -1,7 +1,7 @@
-"""Property tests: advance reservations and multi-queue class caps.
+"""Property tests: advance reservations.
 
-Both features add *hard constraints* on top of scheduling; these tests
-verify the constraints hold on random workloads by reconstructing the
+Windows add *hard constraints* on top of scheduling; these tests verify
+the constraints hold on random workloads by reconstructing the
 resource usage from the completed records (never trusting the scheduler's
 own bookkeeping).
 """
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.depth import DepthScheduler
-from repro.sched.backfill.multiqueue import MultiQueueScheduler, QueueClass
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.reservations import AdvanceReservation
 from repro.sim.engine import simulate
@@ -92,27 +91,3 @@ def test_jobs_and_reservations_never_oversubscribe(wl, ars):
         for _, kind, procs in events:
             busy += procs if kind == 1 else -procs
             assert busy <= MAX_PROCS
-
-
-@given(workloads())
-@settings(max_examples=30, deadline=None)
-def test_multiqueue_class_caps_hold(wl):
-    """Per-class concurrent usage never exceeds the class cap."""
-    classes = [
-        QueueClass("short", 60.0, 6),
-        QueueClass("long", float("inf"), MAX_PROCS),
-    ]
-    scheduler = MultiQueueScheduler(classes=classes)
-    result = simulate(wl, scheduler)
-    assert result.metrics.overall.count == len(wl)
-    events = []
-    for record in result.completed:
-        cls = scheduler.class_of(record.job)
-        events.append((record.start_time, 1, cls, record.job.procs))
-        events.append((record.finish_time, 0, cls, record.job.procs))
-    events.sort()
-    usage = [0] * len(classes)
-    for _, kind, cls, procs in events:
-        usage[cls] += procs if kind == 1 else -procs
-        for index, used in enumerate(usage):
-            assert used <= classes[index].proc_cap

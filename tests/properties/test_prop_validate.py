@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.backfill.easy import EasyScheduler
-from repro.sched.backfill.lookahead import LookaheadScheduler
 from repro.sched.backfill.nobf import FCFSScheduler
 from repro.sched.backfill.selective import SelectiveScheduler
 from repro.sched.validate import validate_no_backfill, validate_schedule
@@ -19,7 +18,6 @@ SCHEDULERS = [
     EasyScheduler,
     ConservativeScheduler,
     SelectiveScheduler,
-    LookaheadScheduler,
 ]
 
 

@@ -6,10 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import make_scheduler
-from repro.sched.backfill.conservative import ConservativeScheduler
 from repro.sched.priority.policies import (
     PRIORITY_POLICIES,
-    CompositePriority,
     FCFSPriority,
     LJFPriority,
     SJFPriority,
@@ -83,29 +81,6 @@ class TestOrderings:
         assert XFactorPriority().is_dynamic
 
 
-class TestComposite:
-    def test_requires_nonzero_weight(self):
-        with pytest.raises(ConfigurationError):
-            CompositePriority()
-
-    def test_pure_wait_weight_behaves_like_fcfs(self):
-        jobs = [make_job(2, submit=50.0), make_job(1, submit=0.0)]
-        ordered = CompositePriority(wait_weight=1.0).sort(jobs, now=100.0)
-        assert [j.job_id for j in ordered] == [1, 2]
-
-    def test_length_weight_prefers_short(self):
-        jobs = [
-            make_job(1, runtime=1000.0, estimate=1000.0),
-            make_job(2, runtime=10.0, estimate=10.0),
-        ]
-        ordered = CompositePriority(length_weight=1.0).sort(jobs, now=0.0)
-        assert [j.job_id for j in ordered] == [2, 1]
-
-    def test_dynamic_iff_time_dependent(self):
-        assert CompositePriority(wait_weight=1.0).is_dynamic
-        assert not CompositePriority(length_weight=1.0).is_dynamic
-
-
 class TestRegistry:
     def test_lookup_case_insensitive(self):
         assert isinstance(policy_by_name("sjf"), SJFPriority)
@@ -120,21 +95,11 @@ class TestRegistry:
             assert name in PRIORITY_POLICIES
 
 
-#: Scheduler factories, one per registered policy plus a dynamic composite.
-_STATELESS_CASES = {
-    **{
-        name: (lambda name=name: make_scheduler("cons", name))
-        for name in PRIORITY_POLICIES
-    },
-    "COMP(wait)": lambda: ConservativeScheduler(CompositePriority(wait_weight=1.0)),
-}
-
-
-@pytest.mark.parametrize("case", tuple(_STATELESS_CASES))
+@pytest.mark.parametrize("case", tuple(PRIORITY_POLICIES))
 def test_policies_are_stateless_and_shared_by_fork(case):
     # The scheduler base shares one policy instance across runs and forks,
     # which is only sound while a policy keeps no per-run state.
-    scheduler = _STATELESS_CASES[case]()
+    scheduler = make_scheduler("cons", case)
     policy = scheduler.priority
     assert scheduler.fork().priority is policy
     before = copy.deepcopy(vars(policy))

@@ -121,6 +121,12 @@ class TestErrorMapping:
         status, _ = call(server, "POST", "/forecast", {})
         assert status == 400
 
+    def test_refused_submission_leaves_the_server_usable(self, server):
+        status, payload = call(server, "POST", "/submit", {"runtime": 10, "procs": 64})
+        assert status == 400 and "needs 64 procs" in payload["error"]
+        status, state = call(server, "GET", "/state")
+        assert status == 200 and state["submitted"] == 0
+
     def test_unknown_endpoint_is_404(self, server):
         status, _ = call(server, "GET", "/bogus")
         assert status == 404

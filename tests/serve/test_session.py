@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.exec.serialize import metrics_digest
 from repro.experiments.runner import make_scheduler
 from repro.serve import Session
+from repro.serve.session import _MAX_JOB_ID
 from repro.sim.engine import Simulator, simulate
 from repro.workload.job import Job, Workload
 from repro.workload.table import JobTable
@@ -160,6 +161,34 @@ class TestSubmitTable:
         mixed.advance(10_000_000.0)
         rows.advance(10_000_000.0)
         assert metrics_digest(mixed.metrics()) == metrics_digest(rows.metrics())
+
+
+#: Each refusal, as (message, refused job), offered to a 16-processor
+#: session that already holds job 7 and has simulated up to t = 100.
+_REFUSALS = {
+    "past": ("simulated past", Job(1, 50.0, 10.0, 10.0, 1)),
+    "id-above-max": ("exceeds the maximum", Job(_MAX_JOB_ID + 1, 100.0, 10.0, 10.0, 1)),
+    "id-collision": ("duplicate job id 7", Job(7, 100.0, 10.0, 10.0, 1)),
+    "too-wide": ("needs 32 procs", Job(1, 100.0, 10.0, 10.0, 32)),
+}
+
+
+@pytest.mark.parametrize("via", ("submit", "submit_table"))
+@pytest.mark.parametrize("refusal", tuple(_REFUSALS))
+def test_refused_submission_leaves_the_session_usable(refusal, via):
+    match, job = _REFUSALS[refusal]
+    session = Session(16)
+    session.submit(runtime=10, procs=1, job_id=7)
+    session.advance(100.0)
+    with pytest.raises(SimulationError, match=match):
+        if via == "submit":
+            session.submit(job)
+        else:
+            session.submit_table(JobTable.from_workload(Workload.from_jobs([job], 32)))
+    assert session.advance(200.0) == 200.0
+    stats = session.stats()
+    assert stats.submitted == 1 and stats.completed == 1
+    assert session.what_if(runtime=10, procs=16).target.start_time == 200.0
 
 
 class TestQueries:

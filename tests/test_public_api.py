@@ -46,7 +46,6 @@ def test_readme_taught_names_exist():
         "GridSimulator",
         "PreemptiveSimulator",
         "AdvanceReservation",
-        "MultiQueueScheduler",
         "DepthScheduler",
         "Cell",
         "CellExecutor",

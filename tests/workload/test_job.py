@@ -82,9 +82,6 @@ class TestJobProperties:
         job = make_job(1, submit=10.0)
         assert job.with_submit_time(99.0).submit_time == 99.0
 
-    def test_with_job_id(self):
-        assert make_job(1).with_job_id(7).job_id == 7
-
     def test_jobs_are_frozen(self):
         job = make_job(1)
         with pytest.raises(AttributeError):
@@ -162,10 +159,6 @@ class TestWorkloadProperties:
     def test_map_jobs(self):
         wl = self._workload().map_jobs(lambda j: j.with_estimate(999.0))
         assert all(j.estimate == 999.0 for j in wl)
-
-    def test_select(self):
-        wl = self._workload().select(lambda j: j.procs >= 2)
-        assert [j.job_id for j in wl] == [1, 2]
 
     def test_describe_contains_key_stats(self):
         info = self._workload().describe()

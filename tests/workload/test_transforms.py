@@ -7,8 +7,6 @@ from repro.workload.estimates import MultiplicativeEstimate, UserEstimateModel
 from repro.workload.job import Workload
 from repro.workload.transforms import (
     apply_estimates,
-    filter_jobs,
-    renumber,
     scale_load,
     shift_to_zero,
     truncate,
@@ -102,14 +100,6 @@ class TestTruncate:
 
 
 class TestOtherTransforms:
-    def test_filter_jobs(self, workload):
-        narrow = filter_jobs(workload, lambda j: j.procs <= 2)
-        assert [j.job_id for j in narrow] == [1, 3]
-
-    def test_renumber(self, workload):
-        renumbered = renumber(truncate(workload, skip=1), start=1)
-        assert [j.job_id for j in renumbered] == [1, 2]
-
     def test_shift_to_zero(self, workload):
         shifted = shift_to_zero(workload)
         assert shifted[0].submit_time == 0.0

@@ -2,20 +2,21 @@
 
 The *backend* is the physical layer under :class:`repro.exec.store.ResultStore`
 (:class:`~repro.exec.backends.sqlite.SqliteBackend`, the only one): it
-maps string keys (cell content hashes) to *entry payloads*, one
-JSON-safe dict per cell::
+maps string keys (cell content hashes) to *entry payloads*, one dict
+per cell::
 
     {
         "schema": <int>,             # CACHE_SCHEMA_VERSION at write time
         "cell": <dict>,              # Cell.to_payload() of the owning cell
         "events_processed": <int>,
         "sim_seconds": <float>,
-        "metrics": <dict>,           # metrics_to_columns() output
+        "metrics": <bytes>,          # metrics_to_columns() output
     }
 
-The backend stores and returns payloads verbatim; all *semantic*
-judgment — schema staleness, cell-identity verification, metrics
-decoding — lives in the store front (``tests/exec/test_backends.py``).
+The backend stores and returns payloads verbatim — the metrics bytes
+unread; all *semantic* judgment — schema staleness, cell-identity
+verification, metrics decoding — lives in the store front
+(``tests/exec/test_backends.py``).
 
 The contract is **batch-native**: the primitive operations are
 ``resolve_many`` (cheap membership + bookkeeping facts, *without*

@@ -3,13 +3,15 @@
 Layout: ``<cache_dir>/results.sqlite`` holding two tables keyed by cell
 content hash.  ``meta`` carries only the bookkeeping facts (schema
 version, event count, simulated seconds) — rows of ~100 bytes — while
-the serialized cell and metrics JSON live in the separate ``payloads``
-table.  The split is what makes :meth:`SqliteBackend.resolve_many`
-fast at grid scale: warm-path resolution walks a B-tree of compact
-``meta`` rows and never pages through multi-kilobyte metrics text,
-which a single fat table would force (the payload bytes sit inline in
-the same B-tree pages the key probes traverse).  :meth:`load_many`
-joins the two tables when metrics are actually wanted.
+the cell JSON and the metrics BLOB live in the separate ``payloads``
+table.  The metrics bytes are stored and returned as they are: only
+:mod:`repro.exec.serialize` reads inside them.  The split is what makes
+:meth:`SqliteBackend.resolve_many` fast at grid scale: warm-path
+resolution walks a B-tree of compact ``meta`` rows and never pages
+through multi-kilobyte metrics payloads, which a single fat table would
+force (the payload bytes sit inline in the same B-tree pages the key
+probes traverse).  :meth:`load_many` joins the two tables when metrics
+are actually wanted.
 
 Concurrency: the database runs in WAL journal mode with a generous busy
 timeout, so multiple *processes* sharing one cache directory can write
@@ -79,13 +81,14 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 # An ordinary rowid table: the TEXT primary key becomes a slim key->rowid
-# index while the heavy cell/metrics text appends to the rowid B-tree in
-# insertion order, keeping writes sequential and the meta table lean.
+# index while the heavy cell text and metrics BLOB append to the rowid
+# B-tree in insertion order, keeping writes sequential and the meta
+# table lean.
 _CREATE_PAYLOADS = """
 CREATE TABLE IF NOT EXISTS payloads (
     key     TEXT PRIMARY KEY,
     cell    TEXT NOT NULL,
-    metrics TEXT NOT NULL
+    metrics BLOB NOT NULL
 )
 """
 
@@ -220,14 +223,14 @@ class SqliteBackend:
                 f"WHERE m.key IN ({marks})",
                 chunk,
             )
-            for key, schema, cell_text, events, sim_seconds, metrics_text in rows:
+            for key, schema, cell_text, events, sim_seconds, metrics in rows:
                 try:
                     payload = {
                         "schema": schema,
                         "cell": json.loads(cell_text),
                         "events_processed": events,
                         "sim_seconds": sim_seconds,
-                        "metrics": json.loads(metrics_text),
+                        "metrics": metrics,
                     }
                 except (json.JSONDecodeError, UnicodeDecodeError, TypeError):
                     result.corrupt.append(key)
@@ -242,34 +245,9 @@ class SqliteBackend:
         """
         if not items:
             return
-        meta_rows = []
-        payload_rows = []
-        for key, payload in items:
-            meta_rows.append(
-                (
-                    key,
-                    int(payload["schema"]),
-                    int(payload["events_processed"]),
-                    float(payload["sim_seconds"]),
-                )
-            )
-            payload_rows.append(
-                (
-                    key,
-                    json.dumps(
-                        payload["cell"], sort_keys=True, separators=(",", ":")
-                    ),
-                    json.dumps(payload["metrics"]),
-                )
-            )
         conn = self._connection()
         with conn:  # one transaction per batch, both tables or neither
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?,?,?,?)", meta_rows
-            )
-            conn.executemany(
-                "INSERT OR REPLACE INTO payloads VALUES (?,?,?)", payload_rows
-            )
+            _insert_rows(conn, items)
 
     def delete_many(self, keys: Sequence[str]) -> int:
         """Remove entries; returns how many existed.  Missing keys are fine."""
@@ -414,34 +392,9 @@ class SqliteBackend:
         worker finishing a stolen group commits byte-identical results,
         so the late write is harmless and the work should not re-run.
         """
-        meta_rows = []
-        payload_rows = []
-        for key, payload in items:
-            meta_rows.append(
-                (
-                    key,
-                    int(payload["schema"]),
-                    int(payload["events_processed"]),
-                    float(payload["sim_seconds"]),
-                )
-            )
-            payload_rows.append(
-                (
-                    key,
-                    json.dumps(
-                        payload["cell"], sort_keys=True, separators=(",", ":")
-                    ),
-                    json.dumps(payload["metrics"]),
-                )
-            )
         conn = self._queue_connection()
         with conn:
-            conn.executemany(
-                "INSERT OR REPLACE INTO meta VALUES (?,?,?,?)", meta_rows
-            )
-            conn.executemany(
-                "INSERT OR REPLACE INTO payloads VALUES (?,?,?)", payload_rows
-            )
+            _insert_rows(conn, items)
             marks = ",".join("?" * len(group_ids))
             conn.execute(
                 f"UPDATE queue SET state='done', owner=?, deadline=NULL, "
@@ -586,6 +539,31 @@ class SqliteBackend:
             except OSError:
                 pass
         return total
+
+
+def _insert_rows(conn: sqlite3.Connection, items: Sequence[tuple[str, dict]]) -> None:
+    """Write ``(key, payload)`` pairs to both result tables, inside the
+    caller's transaction; the metrics bytes go in unread."""
+    meta_rows = []
+    payload_rows = []
+    for key, payload in items:
+        meta_rows.append(
+            (
+                key,
+                int(payload["schema"]),
+                int(payload["events_processed"]),
+                float(payload["sim_seconds"]),
+            )
+        )
+        payload_rows.append(
+            (
+                key,
+                json.dumps(payload["cell"], sort_keys=True, separators=(",", ":")),
+                payload["metrics"],
+            )
+        )
+    conn.executemany("INSERT OR REPLACE INTO meta VALUES (?,?,?,?)", meta_rows)
+    conn.executemany("INSERT OR REPLACE INTO payloads VALUES (?,?,?)", payload_rows)
 
 
 def _chunked(keys: Sequence[str]) -> list[Sequence[str]]:

@@ -22,9 +22,10 @@ __all__ = ["Cell", "CACHE_SCHEMA_VERSION"]
 
 #: Version stamp of the cell-hash / result-store schema.  Bumping it
 #: invalidates every persisted result (the hash changes and old files are
-#: rejected on read), so bump whenever the simulation semantics or the
-#: serialized layout change incompatibly.
-CACHE_SCHEMA_VERSION = 2
+#: rejected on read), so bump whenever the simulation semantics, the
+#: serialized layout or the aggregate fold whose output a stored entry
+#: carries (``metrics.collector.summarize``) change.
+CACHE_SCHEMA_VERSION = 3
 
 #: Option values must be plain JSON-safe scalars so the content hash is
 #: stable across processes and Python versions.

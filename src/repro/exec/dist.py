@@ -17,8 +17,9 @@ Two halves, both thin over :class:`~repro.exec.queue.CellQueue`:
   context — workers must never inherit the coordinator's SQLite
   handles) when there is more than one chain group to share out, waits
   for the queue to drain — draining inline itself whenever no local
-  worker is alive — and reads the finished results back from the shared
-  database.  Because it *is* a ``CellExecutor``, it installs with
+  worker is alive — and reads back from the shared database only the
+  results other workers committed: those it simulated inline it already
+  holds.  Because it *is* a ``CellExecutor``, it installs with
   :func:`repro.exec.set_default_executor` and everything built on
   :func:`repro.exec.run_cells` — experiments, the CLI — distributes
   without knowing it.
@@ -53,7 +54,7 @@ from repro.exec.queue import (
     DEFAULT_MAX_ATTEMPTS,
     CellQueue,
 )
-from repro.exec.store import ResultStore
+from repro.exec.store import ResultStore, StoredResult
 from repro.metrics.collector import RunMetrics
 
 __all__ = ["WorkerReport", "run_worker", "worker_process_main", "DistExecutor"]
@@ -114,9 +115,14 @@ def run_worker(
     poll_seconds: float = 0.5,
     idle_seconds: float = 0.0,
     progress: Callable[[WorkerReport], None] | None = None,
+    commit: Callable[[list[tuple[Cell, StoredResult]]], None] | None = None,
 ) -> WorkerReport:
     """Drain the queue at ``queue_dir``: claim, simulate, commit, repeat.
 
+    ``commit``, when given, receives each group's ``[(cell, stored),
+    ...]`` once the queue has committed it, as
+    :func:`~repro.exec.chains.run_chain_groups` hands its groups on: the
+    inline drain keeps what it simulated instead of reading it back.
     Exits when the queue holds no open work (``idle_seconds`` lets a
     worker linger that long for new work first — useful for workers
     started before the sweep is enqueued).  While other workers hold
@@ -136,7 +142,7 @@ def run_worker(
             if claimed:
                 idle_since = None
                 for index, group in enumerate(claimed):
-                    _run_group(queue, group, report)
+                    _run_group(queue, group, report, commit)
                     # One group can outlive the whole batch's lease (a
                     # deep-queue condition simulates orders of magnitude
                     # slower than the median cell), so re-arm the
@@ -172,7 +178,7 @@ def run_worker(
     return report
 
 
-def _run_group(queue: CellQueue, group, report: WorkerReport) -> None:
+def _run_group(queue: CellQueue, group, report: WorkerReport, commit) -> None:
     """Simulate one claimed group and commit or fail it."""
     cells = list(group.cells)
     try:
@@ -182,7 +188,10 @@ def _run_group(queue: CellQueue, group, report: WorkerReport) -> None:
         queue.fail(group.group_id, f"{type(exc).__name__}: {exc}", poison=poison)
         report.groups_failed += 1
         return
-    queue.complete(report.owner, [group.group_id], list(zip(cells, storeds)))
+    pairs = list(zip(cells, storeds))
+    queue.complete(report.owner, [group.group_id], pairs)
+    if commit is not None:
+        commit(pairs)
     report.groups_completed += 1
     report.cells_simulated += len(cells)
     report.events_processed += sum(s.events_processed for s in storeds)
@@ -280,15 +289,21 @@ class DistExecutor(CellExecutor):
                 )
             else:
                 report.parallel_reason = "dist queue, inline drain"
+            drained: dict[Cell, StoredResult] = {}
             procs = self._spawn_workers(spawn)
             try:
-                self._await_drain(batch, procs, sim_started)
+                self._await_drain(batch, procs, sim_started, drained.update)
             finally:
                 self._reap_workers(procs)
             self._raise_poisoned(misses)
             report.completed = report.cache_hits
-            fetched = self.store.get_many(misses)
-            lost = [cell for cell in misses if cell not in fetched]
+            # What the inline drain simulated is in hand (and on disk, by
+            # its own commit); only other workers' cells are read back.
+            fetched = {cell: drained[cell] for cell in misses if cell in drained}
+            self.store.remember(fetched.items())
+            others = [cell for cell in misses if cell not in fetched]
+            fetched.update(self.store.get_many(others))
+            lost = [cell for cell in others if cell not in fetched]
             if lost:
                 raise ReproError(
                     f"distributed sweep finished but {len(lost)} result(s) "
@@ -341,14 +356,17 @@ class DistExecutor(CellExecutor):
                 proc.terminate()
                 proc.join()
 
-    def _await_drain(self, batch: _Batch, procs: Sequence, sim_started: float) -> None:
+    def _await_drain(
+        self, batch: _Batch, procs: Sequence, sim_started: float, commit
+    ) -> None:
         """Poll the queue until every miss is done or poisoned.
 
         Whenever open cells remain and no local worker is alive — none
         was spawned, or the whole fleet died — the coordinator is the
         local worker: it drains inline (external workers steal from the
         same queue concurrently), waiting out and stealing any lease a
-        dead worker left behind.
+        dead worker left behind.  Each group it commits goes to
+        ``commit``.
         """
         misses, report = batch.misses, batch.report
         while True:
@@ -372,6 +390,7 @@ class DistExecutor(CellExecutor):
                     max_attempts=self.queue.max_attempts,
                     batch_groups=self.batch_groups,
                     poll_seconds=self.poll_seconds,
+                    commit=commit,
                 )
                 report.chains += inline.chains
                 report.chained_cells += inline.chained_cells

@@ -5,27 +5,41 @@ A run has two serialized forms:
 * the **row form** (:func:`metrics_to_payload`), one JSON list per
   completed job: what :func:`metrics_digest` hashes, so every golden
   digest pins its bytes.  Nothing reads it back.
-* the **stored form** (:func:`metrics_to_columns`), which the result
-  store persists: ``n``, utilization, makespan, and the records as two
-  base64 buffers of little-endian columns, field-major — int64 for the
-  nine integer ``Job`` fields, float64 for start, finish and the seven
-  float ``Job`` fields.  :func:`metrics_from_payload` is its one decoder.
+* the **stored form** (:func:`metrics_to_columns`), one little-endian
+  byte string the result store persists as a BLOB.
+  :func:`metrics_from_payload` is its one decoder.  In order:
 
-Only the irreducible facts of a run are stored; every aggregate is
-rebuilt by :func:`repro.metrics.collector.summarize`, a pure function of
-the records, so a run decoded from disk is float-for-float the one
-produced live and warm reruns are byte-identical to cold ones.  The
-stored form is exact by construction: the buffers are the records' own
-IEEE-754 doubles and 64-bit integers, with no text round trip.
+  - a header of three eight-byte words: ``n`` (int64), utilization and
+    makespan (float64);
+  - the run's seven :class:`~repro.metrics.collector.MetricSummary`
+    groups — overall, the four shape categories, the two estimate
+    qualities, in enum order — as seven int64 counts, then seven rows
+    of five float64s (the fields after ``count``, in field order);
+  - the records as two column buffers, field-major: int64 for the nine
+    integer ``Job`` fields, then float64 for start, finish and the seven
+    float ``Job`` fields.
 
-Decoding builds no object per record.  The buffers become one
-:class:`~repro.metrics.collector.RecordTable`, whose construction
-validates them once, in columns — every check ``Job.__post_init__`` and
+The buffers are the records' own IEEE-754 doubles and 64-bit integers,
+and the groups are the live run's own floats, so a run decoded from
+disk equals the one produced live by construction, and a warm rerun is
+byte-identical to a cold one.  The aggregates are stored rather than
+re-folded from the records because the fold was most of a warm read:
+decoding is now a fixed-size header unpack plus ``np.frombuffer``
+views, with no text and no per-group sum.  The price is that the stored
+groups are only as right as the fold that wrote them, so a change to
+:func:`~repro.metrics.collector.summarize` must bump
+:data:`~repro.exec.cell.CACHE_SCHEMA_VERSION`; a guard test pins the
+fold's output next to the version.
+
+Every check on a stored entry still runs, before anything is built: the
+buffer length against ``n``, the group counts against ``n`` (the
+overall count equals it, the category counts and the quality counts
+each sum to it), and the columns' :class:`~repro.metrics.collector.RecordTable`
+validation — every check ``Job.__post_init__`` and
 ``CompletedJob.__post_init__`` make, vectorized with the same
-tolerances; the buffer lengths are checked here.  ``summarize`` folds
-the table's arrays in place, and the run it returns keeps the table:
-its ``Job`` and ``CompletedJob`` objects are built only if something
-reads ``.records``.  Both encoders read a table-backed run's columns
+tolerances.  The decoded run keeps the table: its ``Job`` and
+``CompletedJob`` objects are built only if something reads
+``.records``.  Both encoders read a table-backed run's columns
 directly, so hashing or re-storing a decoded run builds no record
 either.  Any failure raises, which the store treats as a corrupt entry
 (drop and re-simulate).
@@ -33,14 +47,15 @@ either.  Any failure raises, which the store treats as a corrupt entry
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import struct
 from operator import attrgetter
 
 import numpy as np
 
-from repro.metrics.collector import RecordTable, RunMetrics, summarize
+from repro.metrics.categories import Category, EstimateQuality
+from repro.metrics.collector import MetricSummary, RecordTable, RunMetrics
 from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS, JOB_FIELDS
 
 __all__ = [
@@ -59,6 +74,26 @@ _FLOAT_ROWS = ("start_time", "finish_time", *FLOAT_COLUMNS)
 
 _INT_DTYPE = np.dtype("<i8")
 _FLOAT_DTYPE = np.dtype("<f8")
+
+_CATEGORIES = tuple(Category)
+_QUALITIES = tuple(EstimateQuality)
+_GROUPS = 1 + len(_CATEGORIES) + len(_QUALITIES)
+
+#: A :class:`MetricSummary`'s fields after ``count``, in field order.
+_SUMMARY_VALUES = attrgetter(
+    "mean_bounded_slowdown",
+    "mean_turnaround",
+    "mean_wait",
+    "max_turnaround",
+    "max_bounded_slowdown",
+)
+_VALUES_PER_GROUP = 5
+
+#: ``n``, utilization, makespan; the group counts; the group values.
+_HEAD = struct.Struct(f"<qdd{_GROUPS}q{_GROUPS * _VALUES_PER_GROUP}d")
+
+#: Stored bytes per record: one eight-byte word per column.
+_RECORD_BYTES = 8 * (len(INT_COLUMNS) + len(_FLOAT_ROWS))
 
 _job_row = attrgetter(*JOB_FIELDS)
 _job_ints = attrgetter(*INT_COLUMNS)
@@ -80,22 +115,13 @@ def metrics_to_payload(metrics: RunMetrics) -> dict:
     }
 
 
-def _encode(array: np.ndarray) -> str:
-    """The bytes of a ``width`` x ``n`` (field-major) ``array``, base64."""
-    return base64.b64encode(array.tobytes()).decode("ascii")
+def metrics_to_columns(metrics: RunMetrics) -> bytes:
+    """The stored form of a :class:`RunMetrics` (see the module docstring).
 
-
-def _decode(text: str, dtype: np.dtype, n: int, width: int) -> np.ndarray:
-    """The ``width`` x ``n`` array :func:`_encode` wrote; raises on any
-    length mismatch."""
-    array = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
-    if array.size != width * n:
-        raise ValueError(f"buffer holds {array.size} values, expected {width} x {n}")
-    return array.reshape(width, n)
-
-
-def metrics_to_columns(metrics: RunMetrics) -> dict:
-    """The stored form of a :class:`RunMetrics` (see the module docstring)."""
+    Raises ``ValueError`` for a run whose aggregates do not cover its
+    records (a streaming run keeps only its watched records): its stored
+    groups would fail the decoder's count checks.
+    """
     if metrics.table is None:
         records = metrics.records
         n = len(records)
@@ -111,33 +137,71 @@ def metrics_to_columns(metrics: RunMetrics) -> dict:
         n = len(metrics.table)
         ints = np.array([columns[name] for name in INT_COLUMNS], _INT_DTYPE)
         floats = np.array([columns[name] for name in _FLOAT_ROWS], _FLOAT_DTYPE)
-    return {
-        "n": n,
-        "utilization": metrics.utilization,
-        "makespan": metrics.makespan,
-        "ints": _encode(ints),
-        "floats": _encode(floats),
-    }
+    if metrics.overall.count != n:
+        raise ValueError(
+            f"run summarizes {metrics.overall.count} jobs but holds {n} records"
+        )
+    groups = (
+        metrics.overall,
+        *(metrics.by_category[c] for c in _CATEGORIES),
+        *(metrics.by_estimate_quality[q] for q in _QUALITIES),
+    )
+    values = [value for group in groups for value in _SUMMARY_VALUES(group)]
+    head = _HEAD.pack(
+        n,
+        metrics.utilization,
+        metrics.makespan,
+        *(group.count for group in groups),
+        *values,
+    )
+    return b"".join((head, ints.tobytes(), floats.tobytes()))
 
 
-def metrics_from_payload(payload: dict) -> RunMetrics:
+def _summary(count: int, values: tuple) -> MetricSummary:
+    # A group with no job decodes to the very object the fold returns
+    # for one, NaN identity included, so ``RunMetrics ==`` holds.
+    return MetricSummary(count, *values) if count else MetricSummary.empty()
+
+
+def metrics_from_payload(blob: bytes) -> RunMetrics:
     """Rebuild a :class:`RunMetrics` from :func:`metrics_to_columns` output.
 
-    The run keeps the decoded :class:`RecordTable` (see the module
-    docstring).  Raises (``KeyError``/``TypeError``/``ValueError``/
-    ``repro.errors.ReproError``) on malformed payloads, before building
-    anything; callers treat any failure as a corrupt cache entry.
+    The run keeps the decoded :class:`RecordTable` and takes its
+    aggregates from the stored groups (see the module docstring).
+    Raises (``TypeError``/``ValueError``/``repro.errors.ReproError``) on
+    malformed bytes, before building anything; callers treat any
+    failure as a corrupt cache entry.
     """
-    n = payload["n"]
-    if type(n) is not int or n < 0:
-        raise ValueError(f"record count must be an int >= 0, got {n!r}")
-    ints = _decode(payload["ints"], _INT_DTYPE, n, len(INT_COLUMNS))
-    floats = _decode(payload["floats"], _FLOAT_DTYPE, n, len(_FLOAT_ROWS))
+    if type(blob) is not bytes:
+        raise TypeError(f"stored metrics must be bytes, got {type(blob).__name__}")
+    if len(blob) < _HEAD.size:
+        raise ValueError(f"stored metrics hold {len(blob)} bytes, under the header")
+    n, utilization, makespan, *head = _HEAD.unpack_from(blob)
+    if n < 0 or len(blob) != _HEAD.size + _RECORD_BYTES * n:
+        raise ValueError(f"stored metrics hold {len(blob)} bytes, not {n} records")
+    counts = head[:_GROUPS]
+    categories = counts[1 : 1 + len(_CATEGORIES)]
+    qualities = counts[1 + len(_CATEGORIES) :]
+    if min(counts) < 0 or counts[0] != n or sum(categories) != n or sum(qualities) != n:
+        raise ValueError(f"stored group counts {counts} do not cover {n} records")
+    width = len(INT_COLUMNS)
+    ints = np.frombuffer(blob, _INT_DTYPE, width * n, _HEAD.size).reshape(width, n)
+    floats = np.frombuffer(
+        blob, _FLOAT_DTYPE, len(_FLOAT_ROWS) * n, _HEAD.size + 8 * width * n
+    ).reshape(len(_FLOAT_ROWS), n)
     table = RecordTable({**dict(zip(INT_COLUMNS, ints)), **dict(zip(_FLOAT_ROWS, floats))})
-    return summarize(
-        table,
-        utilization=payload["utilization"],
-        makespan=payload["makespan"],
+    values = head[_GROUPS:]
+    summaries = [
+        _summary(count, values[i * _VALUES_PER_GROUP : (i + 1) * _VALUES_PER_GROUP])
+        for i, count in enumerate(counts)
+    ]
+    return RunMetrics(
+        overall=summaries[0],
+        by_category=dict(zip(_CATEGORIES, summaries[1 : 1 + len(_CATEGORIES)])),
+        by_estimate_quality=dict(zip(_QUALITIES, summaries[1 + len(_CATEGORIES) :])),
+        utilization=utilization,
+        makespan=makespan,
+        records=table,
     )
 
 

@@ -230,6 +230,12 @@ class ResultStore:
             self.backend.put_many(items)
         self.stats.writes += len(pairs)
 
+    def remember(self, pairs: Iterable[tuple[Cell, StoredResult]]) -> None:
+        """Record results in the memory layer only: for results already
+        on disk by another writer's commit (a queue worker's)."""
+        for cell, stored in pairs:
+            self._memory_put(cell.content_hash(), stored)
+
     def resolve_many(self, cells: Sequence[Cell]) -> dict[Cell, tuple[int, float]]:
         """Bulk cache-state resolution: which cells are warm, and their
         ``(events_processed, sim_seconds)`` bookkeeping — metrics payloads

@@ -88,11 +88,18 @@ class Profile:
         return self._free[max(bisect_right(times, time + _EPS) - 1, 0)]
 
     def min_free(self, start: float, duration: float) -> int:
-        """Minimum free processors over the window ``[start, start+duration)``."""
+        """Minimum free processors over the window ``[start, start+duration)``.
+
+        The window's first segment is the one containing ``start``, found
+        by exact ``bisect_right`` as :meth:`_anchor` finds it: a segment
+        beginning within _EPS after ``start`` does not hide the sliver
+        before it, so ``min_free`` calls a start feasible exactly when
+        :meth:`find_start` from there would return it.
+        """
         if duration <= 0:
             return self.free_at(start)
         times = self._times
-        first = max(bisect_right(times, start + _EPS) - 1, 0)
+        first = max(bisect_right(times, start) - 1, 0)
         stop = bisect_left(times, start + duration - _EPS)
         if stop <= first:
             return self.total_procs
@@ -116,8 +123,9 @@ class Profile:
     def _anchor(self, earliest: float) -> tuple[float, int]:
         """Clamp ``earliest`` to the origin; locate the segment containing it.
 
-        Exact ``bisect_right``, NOT the +_EPS-fudged one the other queries
-        use: with the fudge, a breakpoint in ``(earliest, earliest +
+        Exact ``bisect_right`` (as in :meth:`min_free`), NOT the
+        +_EPS-fudged one :meth:`free_at` and the mutations use: with the
+        fudge, a breakpoint in ``(earliest, earliest +
         _EPS]`` makes the sweep skip the segment that actually contains
         ``earliest`` — and if that segment is feasible, the job is delayed
         past a start the profile can support.  The exact form never
@@ -291,8 +299,9 @@ class Profile:
         One running minimum over the free list answers every window at
         once: ``min_free(start, d)`` is the cumulative minimum at the last
         segment the window overlaps, found with one ``bisect`` per
-        duration.  Durations must be positive (the scalar method's
-        ``duration <= 0`` point-query special case is not replicated).
+        duration, the first segment found as :meth:`min_free` finds it.
+        Durations must be positive (the scalar method's ``duration <= 0``
+        point-query special case is not replicated).
         """
         dlist = [float(d) for d in durations]
         if not dlist:
@@ -301,7 +310,7 @@ class Profile:
             bad = next(d for d in dlist if d <= 0)
             raise ProfileError(f"duration must be > 0, got {bad}")
         times = self._times
-        first = max(bisect_right(times, start + _EPS) - 1, 0)
+        first = max(bisect_right(times, start) - 1, 0)
         stops = [bisect_left(times, start + d - _EPS) for d in dlist]
         running_min = list(accumulate(self._free[first : max(stops)], min))
         return [

@@ -24,6 +24,7 @@ from repro.exec import (
     run_cells,
     simulate_cell,
 )
+from repro.exec.serialize import metrics_to_payload
 from repro.exec.store import stored_payload
 from repro.experiments.config import WorkloadSpec
 
@@ -136,7 +137,12 @@ def write_retired_layouts(cache_dir, results):
     (cache_dir / "shards").mkdir(parents=True)
     (cache_dir / "shards" / "000.npz").write_bytes(b"retired shard")
     for cell, stored in results.items():
-        payload = {**stored_payload(cell, stored), "schema": 1}
+        # Schema 1 stored the row form as JSON.
+        payload = {
+            **stored_payload(cell, stored),
+            "schema": 1,
+            "metrics": metrics_to_payload(stored.metrics),
+        }
         (cache_dir / f"{cell.content_hash()}.json").write_text(json.dumps(payload))
     return {p: p.read_bytes() for p in cache_dir.rglob("*") if p.is_file()}
 

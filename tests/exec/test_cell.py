@@ -1,10 +1,13 @@
 """Cell identity: normalization, hashing, payload round-trips, validation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import CACHE_SCHEMA_VERSION, Cell
 from repro.experiments.config import WorkloadSpec
+from repro.metrics.collector import RecordTable, summarize
+from repro.workload.table import FLOAT_COLUMNS, INT_COLUMNS
 
 SPEC = WorkloadSpec(trace="CTC", n_jobs=100, seed=1, load_scale=0.75, estimate="exact")
 
@@ -64,7 +67,54 @@ class TestHashing:
         cell = Cell.make(SPEC, "easy", "SJF")
         assert cell.content_hash() == cell.content_hash()
         assert len(cell.content_hash()) == 64
-        assert CACHE_SCHEMA_VERSION == 2
+        assert CACHE_SCHEMA_VERSION == 3
+
+    def test_the_stored_fold_is_pinned_to_the_schema(self):
+        # A stored entry carries the aggregates summarize folded when it
+        # was written, and a warm read returns them without re-folding.
+        # So summarize's output is part of the stored schema: if this
+        # repr changes, bump CACHE_SCHEMA_VERSION (and re-pin both), or
+        # warm reruns serve the old fold's numbers.
+        columns = {name: np.zeros(4, np.int64) for name in INT_COLUMNS}
+        columns.update({name: np.full(4, -1.0) for name in FLOAT_COLUMNS})
+        columns["job_id"] = np.arange(1, 5, dtype=np.int64)
+        columns["procs"] = np.array([1, 64, 8, 9], np.int64)
+        columns["submit_time"] = np.array([0.0, 5.0, 7.5, 100.0])
+        columns["runtime"] = np.array([30.0, 4000.0, 3600.0, 1.0])
+        columns["estimate"] = np.array([60.0, 9000.0, 3600.0, 5.0])
+        columns["start_time"] = np.array([0.0, 12.25, 4007.5, 100.0])
+        columns["finish_time"] = columns["start_time"] + np.minimum(
+            columns["runtime"], columns["estimate"]
+        )
+        metrics = summarize(RecordTable(columns), utilization=0.5, makespan=7607.5)
+        pinned = "".join(
+            [
+                "RunMetrics(overall=MetricSummary(count=4, mean_bounded_slowdown=1.2782309027777776, ",
+                "mean_turnaround=2909.5625, mean_wait=1001.8125, max_turnaround=7600.0, ",
+                "max_bounded_slowdown=2.111111111111111), by_category={<Category.SN: 'SN'>: ",
+                "MetricSummary(count=2, mean_bounded_slowdown=1.5555555555555556, ",
+                "mean_turnaround=3815.0, mean_wait=2000.0, max_turnaround=7600.0, ",
+                "max_bounded_slowdown=2.111111111111111), <Category.SW: 'SW'>: ",
+                "MetricSummary(count=1, mean_bounded_slowdown=1.0, mean_turnaround=1.0, ",
+                "mean_wait=0.0, max_turnaround=1.0, max_bounded_slowdown=1.0), ",
+                "<Category.LN: 'LN'>: MetricSummary(count=0, mean_bounded_slowdown=nan, ",
+                "mean_turnaround=nan, mean_wait=nan, max_turnaround=nan, ",
+                "max_bounded_slowdown=nan), <Category.LW: 'LW'>: MetricSummary(count=1, ",
+                "mean_bounded_slowdown=1.0018125, mean_turnaround=4007.25, mean_wait=7.25, ",
+                "max_turnaround=4007.25, max_bounded_slowdown=1.0018125)}, ",
+                "by_estimate_quality={<EstimateQuality.WELL: 'well'>: MetricSummary(count=2, ",
+                "mean_bounded_slowdown=1.5555555555555556, mean_turnaround=3815.0, ",
+                "mean_wait=2000.0, max_turnaround=7600.0, ",
+                "max_bounded_slowdown=2.111111111111111), <EstimateQuality.POOR: 'poor'>: ",
+                "MetricSummary(count=2, mean_bounded_slowdown=1.0009062499999999, ",
+                "mean_turnaround=2004.125, mean_wait=3.625, max_turnaround=4007.25, ",
+                "max_bounded_slowdown=1.0018125)}, utilization=0.5, makespan=7607.5)",
+            ]
+        )
+        assert repr(metrics) == pinned, (
+            "summarize's output changed: stored entries carry the old fold, "
+            "so bump CACHE_SCHEMA_VERSION and re-pin this repr"
+        )
 
     def test_distinct_cells_distinct_hashes(self):
         base = Cell.make(SPEC, "easy", "SJF")

@@ -12,6 +12,7 @@ and then audit the directory from the parent:
 """
 
 import multiprocessing
+import struct
 
 from repro.exec.backends import SqliteBackend
 
@@ -28,6 +29,11 @@ def _key(i: int) -> str:
     return f"{i:08d}" + "k" * 56  # shaped like a content hash (64 chars)
 
 
+#: Stand-in metrics bytes: utilization, makespan and one four-value
+#: record.  The backend stores them unread, as it does real ones.
+_METRICS = struct.Struct("<6d")
+
+
 def _payload(i: int, tag: int) -> dict:
     # ``tag`` is woven into several fields so a torn row (fields from two
     # writers mixed) is detectable.
@@ -36,11 +42,7 @@ def _payload(i: int, tag: int) -> dict:
         "cell": {"i": i, "tag": tag},
         "events_processed": tag,
         "sim_seconds": float(tag),
-        "metrics": {
-            "utilization": float(tag),
-            "makespan": float(tag),
-            "records": [[float(tag)] * 4],
-        },
+        "metrics": _METRICS.pack(*[float(tag)] * 6),
     }
 
 
@@ -112,5 +114,6 @@ def test_same_cell_writers_never_tear_rows(tmp_path):
         assert tag in range(WRITERS)
         assert payload["cell"]["tag"] == tag
         assert payload["sim_seconds"] == float(tag)
-        assert payload["metrics"]["utilization"] == float(tag)
-        assert payload["metrics"]["records"] == [[float(tag)] * 4]
+        utilization, makespan, *record = _METRICS.unpack(payload["metrics"])
+        assert utilization == makespan == float(tag)
+        assert record == [float(tag)] * 4

@@ -6,6 +6,11 @@ floor, so only a lost optimization (e.g. a claim transaction per cell
 instead of per batch) trips it, not CI jitter or process-startup noise.
 Wall-clock belongs to the ``cached_sweep`` workload of
 ``benchmarks/e2e``, which also times a two-worker drain.
+
+A coordinator that drains its own misses inline keeps the results it
+simulated: a cold inline ``execute`` reads none of them back from the
+store (zero disk hits, counted), and only a new executor's warm pass
+decodes them.
 """
 
 import multiprocessing
@@ -13,7 +18,7 @@ import time
 
 import pytest
 
-from repro.exec import Cell, CellQueue
+from repro.exec import Cell, CellQueue, DistExecutor
 from repro.exec.dist import worker_process_main
 from repro.exec.queue import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
 from repro.experiments.config import WorkloadSpec
@@ -79,3 +84,21 @@ def test_single_worker_drains_synthetic_grid_briskly(tmp_path):
         f"{MIN_CELLS_PER_SECOND}); time the cached_sweep workload with "
         "benchmarks/e2e/run.py"
     )
+
+
+@pytest.mark.perf
+def test_cold_inline_drain_reads_back_nothing(tmp_path):
+    cells = synthetic_cells(30)
+    cold = DistExecutor(tmp_path, workers=0)
+    first = cold.execute(cells)
+    assert cold.last_report.simulated == len(cells)
+    assert (cold.store.stats.disk_hits, cold.store.stats.misses) == (0, len(cells))
+    # What it simulated is in its memory layer, as a read-back left it.
+    assert cold.execute(cells) == first
+    assert cold.store.stats.memory_hits == len(cells)
+    cold.close()
+
+    warm = DistExecutor(tmp_path, workers=0)
+    assert warm.execute(cells) == first
+    assert (warm.store.stats.disk_hits, warm.store.stats.misses) == (len(cells), 0)
+    warm.close()

@@ -20,12 +20,21 @@ so reading, hashing and re-storing it builds zero ``Job`` and zero
 read of ``.records`` (counted by wrapping the two trusted constructors).
 A warm experiment rerun reads its runs' columns the same way, so it
 builds none either.
+
+A stored entry is one binary record that carries the run's aggregates,
+so a warm read re-folds nothing and decodes no text: zero ``summarize``
+folds, zero base64 decodes and one JSON parse per entry (its cell's
+identity, none for its metrics).  An entry takes 360 bytes of header
+and groups plus 144 per record, at most 150 per record on cells of 60
+jobs or more.
 """
 
 import base64
+import binascii
 import json
 import math
 import sqlite3
+import struct
 
 import numpy as np
 import pytest
@@ -36,6 +45,7 @@ from repro.exec.backends.sqlite import _SELECT_CHUNK
 from repro.exec.serialize import metrics_to_columns
 from repro.experiments.config import WorkloadSpec
 from repro.experiments.runner import clear_cache
+from repro.metrics import collector
 from repro.metrics.collector import CompletedJob
 from repro.workload.job import Job
 from repro.workload.table import INT_COLUMNS
@@ -179,6 +189,54 @@ def test_warm_experiment_rerun_builds_no_record(tmp_path, capsys):
     assert capsys.readouterr().out == cold
 
 
+def count_calls(monkeypatch, owner, name, calls):
+    """Count calls to ``owner.name`` (looked up at call time) in ``calls``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.perf
+def test_warm_get_many_folds_nothing_and_decodes_no_text(tmp_path, monkeypatch):
+    cells = small_grid()
+    cold = CellExecutor(store=ResultStore(tmp_path)).execute(cells)
+
+    calls = {"_fold": 0, "b64decode": 0, "a2b_base64": 0, "loads": 0}
+    count_calls(monkeypatch, collector, "_fold", calls)  # every summarize folds here
+    count_calls(monkeypatch, base64, "b64decode", calls)
+    count_calls(monkeypatch, binascii, "a2b_base64", calls)
+    count_calls(monkeypatch, json, "loads", calls)
+    warm = ResultStore(tmp_path)
+    resolved = warm.get_many(cells)
+    monkeypatch.undo()
+
+    assert warm.stats.disk_hits == len(cells)
+    # One JSON parse per entry, its cell's identity; none for metrics.
+    assert calls == {"_fold": 0, "b64decode": 0, "a2b_base64": 0, "loads": len(cells)}
+    assert [resolved[cell].metrics for cell in cells] == cold
+
+
+@pytest.mark.perf
+def test_a_stored_entry_is_360_bytes_plus_144_per_record(tmp_path):
+    cells = small_grid()
+    CellExecutor(store=ResultStore(tmp_path)).execute(cells)
+    with sqlite3.connect(tmp_path / "results.sqlite") as conn:
+        rows = conn.execute("SELECT metrics FROM payloads").fetchall()
+    assert len(rows) == len(cells)
+    total = records = 0
+    for (blob,) in rows:
+        assert type(blob) is bytes
+        (n,) = struct.unpack_from("<q", blob)
+        assert len(blob) == 360 + 144 * n
+        total, records = total + len(blob), records + n
+    # small_grid's cells hold 60 jobs each: exactly 150 bytes per record.
+    assert records == 60 * len(cells) and total <= 150 * records
+
+
 @pytest.mark.perf
 def test_one_corrupted_column_value_is_dropped_and_resimulated(tmp_path):
     cells = small_grid()[:2]
@@ -186,17 +244,14 @@ def test_one_corrupted_column_value_is_dropped_and_resimulated(tmp_path):
     victim = cells[0].content_hash()
 
     with sqlite3.connect(tmp_path / "results.sqlite") as conn:
-        (text,) = conn.execute(
+        (blob,) = conn.execute(
             "SELECT metrics FROM payloads WHERE key = ?", (victim,)
         ).fetchone()
-        metrics = json.loads(text)
-        ints = np.frombuffer(base64.b64decode(metrics["ints"]), "<i8").copy()
-        ints.reshape(len(INT_COLUMNS), metrics["n"])[INT_COLUMNS.index("procs"), 7] = -4
-        metrics["ints"] = base64.b64encode(ints.tobytes()).decode("ascii")
-        conn.execute(
-            "UPDATE payloads SET metrics = ? WHERE key = ?",
-            (json.dumps(metrics), victim),
-        )
+        (n,) = struct.unpack_from("<q", blob)
+        ints = np.frombuffer(blob, "<i8", len(INT_COLUMNS) * n, 360).copy()
+        ints.reshape(len(INT_COLUMNS), n)[INT_COLUMNS.index("procs"), 7] = -4
+        blob = blob[:360] + ints.tobytes() + blob[360 + ints.nbytes :]
+        conn.execute("UPDATE payloads SET metrics = ? WHERE key = ?", (blob, victim))
 
     executor = CellExecutor(store=ResultStore(tmp_path))
     warm = executor.execute(cells)

@@ -7,9 +7,10 @@ reserves, and find_start must return the *earliest feasible* anchor.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.sched.profile import Profile
+from repro.sched.tol import EPS_SNAP
 
 TOTAL = 32
 
@@ -78,6 +79,31 @@ def test_find_start_returns_earliest_feasible(rs, procs, duration, earliest):
         if anchor >= start:
             break
         assert profile.min_free(anchor, duration) < procs
+
+
+@given(
+    reservations,
+    st.integers(min_value=1, max_value=TOTAL),
+    st.floats(min_value=1.0, max_value=400.0),
+    st.floats(min_value=0.0, max_value=800.0),
+)
+@example([(1, 0.0, 2.0), (1, 2.22e-16, 1.0)], 31, 1.0, 1.0)
+@example([(1, 0.0, 1.0000000000000002)], 31, 1.0, 1.0)
+@settings(max_examples=200)
+def test_a_start_is_feasible_and_none_lies_eps_before_it(rs, procs, duration, earliest):
+    # The kernel's contract with its own tolerance: a start may follow a
+    # feasible anchor by up to EPS_SNAP (times that close are one
+    # instant), never by more; claim names the start find_start found.
+    profile, _ = build(rs)
+    start = profile.find_start(procs, duration, earliest)
+    assert start >= earliest
+    assert profile.min_free(start, duration) >= procs
+    candidates = [earliest] + [t for t, _ in profile.breakpoints() if t > earliest]
+    for anchor in candidates:
+        if anchor >= start - EPS_SNAP:
+            break
+        assert profile.min_free(anchor, duration) < procs
+    assert profile.claim(procs, duration, earliest) == start
 
 
 @given(reservations, st.floats(min_value=0.0, max_value=1500.0))

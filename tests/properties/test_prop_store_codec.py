@@ -1,18 +1,25 @@
-"""Property suite: the store's column codec is exact, and it rejects a
+"""Property suite: the store's binary record is exact, and it rejects a
 corrupt record exactly when the row decoder would.
 
-The result store persists a run as typed columns
-(:func:`repro.exec.serialize.metrics_to_columns`) and decodes them with
-one vectorized validation (:func:`repro.exec.serialize.metrics_from_payload`)
-instead of building a validated ``Job`` and ``CompletedJob`` per record.
-Three contracts, against the row decoder frozen in
+The result store persists a run as one little-endian byte string
+(:func:`repro.exec.serialize.metrics_to_columns`): a header, the run's
+seven aggregate groups, and the records as typed column buffers.  It
+decodes them with one vectorized validation
+(:func:`repro.exec.serialize.metrics_from_payload`) and takes the
+aggregates from the stored groups instead of re-folding the records.
+Four contracts, against the row decoder frozen in
 ``tests/oracles/row_builders.py`` and the object-path column decoder
-frozen in ``tests/oracles/record_objects.py``:
+frozen in ``tests/oracles/record_objects.py`` (which reads the dict
+form the store kept before its records became bytes;
+:func:`_as_oracle_payload` rebuilds that dict from the bytes):
 
-* **exact round trip** — decoding what was encoded (through JSON, as the
-  store does) gives a run whose ``metrics_digest`` equals the original's
-  and the row decoder's, for simulated runs and for drawn record sets
-  whose untyped SWF fields hold NaN, infinities and signed zeros;
+* **exact round trip** — decoding what was encoded gives a run whose
+  ``metrics_digest`` equals the original's and the row decoder's, for
+  simulated runs and for drawn record sets whose untyped SWF fields hold
+  NaN, infinities and signed zeros;
+* **stored aggregates are the fold's** — on every simulated cell the
+  decoded groups equal ``summarize`` of the decoded records by ``repr``,
+  and the decoded run equals the live one under ``RunMetrics ==``;
 * **the object path's run** — on the same runs, every aggregate (by
   ``repr``, so NaN groups compare), ``utilization``, ``makespan``,
   ``metrics_digest``, ``RunMetrics ==`` and every materialized record,
@@ -22,15 +29,18 @@ frozen in ``tests/oracles/record_objects.py``:
   a non-finite runtime, a start before submission, a finish off its
   expected value, a truncated buffer, a wrong count) is rejected by the
   codec exactly when the row decoder and the object-path decoder reject
-  it, and a rejected payload builds no ``Job`` and no ``CompletedJob``;
-  the time corruptions are drawn on both sides of the tolerances.
+  it, and a rejected record builds no ``Job`` and no ``CompletedJob``;
+  the time corruptions are drawn on both sides of the tolerances.  Group
+  counts that do not cover the records, which neither reference stores,
+  are rejected as well.
 """
 
 import base64
 import json
 import math
 import pickle
-from dataclasses import fields
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,6 +71,30 @@ from tests.oracles.row_builders import metrics_from_row_payload
 ROW_COLUMNS = ["start_time", "finish_time", *(f.name for f in fields(Job))]
 FLOAT_ROWS = ["start_time", "finish_time", *FLOAT_COLUMNS]
 
+#: The stored record's fixed part, written out independently of the codec:
+#: n, utilization, makespan; seven group counts; seven groups of five values.
+HEAD = struct.Struct("<qdd7q35d")
+GROUP_COUNTS = slice(3, 10)
+
+
+def _as_oracle_payload(blob: bytes) -> dict:
+    """The dict the object-path decoder reads, cut from ``blob`` by the
+    layout alone: a wrong ``n`` cuts the buffers at the wrong place, and
+    the oracle then rejects them as it rejected a wrong count before."""
+    n, utilization, makespan = struct.unpack_from("<qdd", blob)
+    ints_end = HEAD.size + 8 * len(INT_COLUMNS) * max(n, 0)
+    return {
+        "n": n,
+        "utilization": utilization,
+        "makespan": makespan,
+        "ints": base64.b64encode(blob[HEAD.size : ints_end]).decode("ascii"),
+        "floats": base64.b64encode(blob[ints_end:]).decode("ascii"),
+    }
+
+
+def _oracle_decode(blob: bytes):
+    return metrics_from_payload_objects(_as_oracle_payload(blob))
+
 
 def _through_json(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
@@ -74,12 +108,12 @@ def _rejects(decode, payload) -> bool:
     return False
 
 
-def _codec_rejects(payload) -> bool:
-    """Whether the codec rejects ``payload``, as the object path does; a
+def _codec_rejects(blob: bytes) -> bool:
+    """Whether the codec rejects ``blob``, as the object path does; a
     rejection must come before any record object is built."""
     with record_builds() as built:
-        rejected = _rejects(metrics_from_payload, payload)
-    assert _rejects(metrics_from_payload_objects, payload) == rejected
+        rejected = _rejects(metrics_from_payload, blob)
+    assert _rejects(_oracle_decode, blob) == rejected
     if rejected:
         assert built == {Job: 0, CompletedJob: 0}
     return rejected
@@ -93,14 +127,18 @@ def _record_fields(record) -> list[str]:
     return [repr(value) for value in values]
 
 
-def _decode_like_the_object_path(payload: dict):
-    """Decode ``payload`` with the codec and the frozen object path; every
+def _groups(run) -> list[str]:
+    return [repr(getattr(run, name)) for name in ("overall", "by_category", "by_estimate_quality")]
+
+
+def _decode_like_the_object_path(blob: bytes):
+    """Decode ``blob`` with the codec and the frozen object path; every
     observable of the two runs must agree, also after the codec's run is
     pickled before anything reads its records.  Returns the codec's run
     and the oracle's, for ``RunMetrics ==`` where no record holds a NaN
     (NaN defeats ``==``, and so does an empty group's NaN once pickled)."""
-    decoded = metrics_from_payload(payload)
-    oracle = metrics_from_payload_objects(payload)
+    decoded = metrics_from_payload(blob)
+    oracle = _oracle_decode(blob)
     revived = pickle.loads(pickle.dumps(decoded))
     for name in ("overall", "by_category", "by_estimate_quality", "utilization", "makespan"):
         assert repr(getattr(decoded, name)) == repr(getattr(oracle, name)), name
@@ -128,22 +166,25 @@ def _decode_like_the_object_path(payload: dict):
 )
 def test_simulated_runs_round_trip_exactly(cell):
     metrics = simulate_cell(cell).metrics
-    decoded, oracle = _decode_like_the_object_path(
-        _through_json(metrics_to_columns(metrics))
-    )
+    decoded, oracle = _decode_like_the_object_path(metrics_to_columns(metrics))
     assert decoded == oracle
     assert metrics_digest(decoded) == metrics_digest(metrics)
     assert decoded.records == metrics.records
+    # The stored groups are the fold's: of the stored records, and the
+    # live run's own, empty groups (NaN) included.
+    refolded = summarize(
+        decoded.table, utilization=decoded.utilization, makespan=decoded.makespan
+    )
+    assert _groups(decoded) == _groups(refolded) == _groups(metrics)
+    assert decoded == metrics
     row = metrics_from_row_payload(_through_json(metrics_to_payload(metrics)))
     assert metrics_digest(row) == metrics_digest(decoded)
 
 
 def test_an_empty_run_round_trips():
     metrics = summarize([], utilization=0.0, makespan=0.0)
-    decoded, oracle = _decode_like_the_object_path(
-        _through_json(metrics_to_columns(metrics))
-    )
-    assert decoded == oracle
+    decoded, oracle = _decode_like_the_object_path(metrics_to_columns(metrics))
+    assert decoded == oracle == metrics
     assert metrics_digest(decoded) == metrics_digest(metrics)
 
 
@@ -185,7 +226,8 @@ def records(draw):
 @given(st.lists(records(), max_size=12), st.floats(), st.floats())
 def test_drawn_record_sets_round_trip_exactly(recs, utilization, makespan):
     metrics = summarize(recs, utilization=utilization, makespan=makespan)
-    decoded, _ = _decode_like_the_object_path(_through_json(metrics_to_columns(metrics)))
+    decoded, _ = _decode_like_the_object_path(metrics_to_columns(metrics))
+    assert _groups(decoded) == _groups(metrics)
     assert metrics_digest(decoded) == metrics_digest(metrics)
     row = metrics_from_row_payload(_through_json(metrics_to_payload(metrics)))
     assert metrics_digest(row) == metrics_digest(decoded)
@@ -200,18 +242,18 @@ def base_metrics():
     return simulate_cell(cell).metrics
 
 
-def _columns_with(payload: dict, field: str, row: int, value) -> dict:
-    """``payload`` with one value of one column replaced."""
-    payload = dict(payload)
+def _columns_with(blob: bytes, field: str, row: int, value) -> bytes:
+    """``blob`` with one value of one column replaced."""
+    (n,) = struct.unpack_from("<q", blob)
+    ints_at = HEAD.size
+    floats_at = ints_at + 8 * len(INT_COLUMNS) * n
     if field in INT_COLUMNS:
-        key, rows, dtype = "ints", list(INT_COLUMNS), "<i8"
+        at, rows, dtype = ints_at, list(INT_COLUMNS), "<i8"
     else:
-        key, rows, dtype = "floats", FLOAT_ROWS, "<f8"
-    array = np.frombuffer(base64.b64decode(payload[key]), dtype=dtype)
-    array = array.reshape(len(rows), payload["n"]).copy()
+        at, rows, dtype = floats_at, FLOAT_ROWS, "<f8"
+    array = np.frombuffer(blob, dtype, len(rows) * n, at).reshape(len(rows), n).copy()
     array[rows.index(field), row] = value
-    payload[key] = base64.b64encode(array.tobytes()).decode("ascii")
-    return payload
+    return blob[:at] + array.tobytes() + blob[at + array.nbytes :]
 
 
 def _rows_with(payload: dict, field: str, row: int, value) -> dict:
@@ -226,10 +268,10 @@ def _assert_parity(metrics, field, row, value_of):
     row %= len(metrics.records)
     record = metrics.records[row]
     value = value_of(record)
-    columns = _columns_with(_through_json(metrics_to_columns(metrics)), field, row, value)
+    columns = _columns_with(metrics_to_columns(metrics), field, row, value)
     rows = _rows_with(_through_json(metrics_to_payload(metrics)), field, row, value)
     expected = _rejects(metrics_from_row_payload, rows)
-    assert _codec_rejects(_through_json(columns)) == expected
+    assert _codec_rejects(columns) == expected
     return expected
 
 
@@ -302,26 +344,71 @@ def test_the_time_checks_are_decided_by_the_tolerances(base_metrics):
 
 
 @settings(max_examples=30, deadline=None)
-@given(key=st.sampled_from(["ints", "floats"]), cut=st.integers(1, 200))
-def test_truncated_buffer_is_rejected_like_a_truncated_row(base_metrics, key, cut):
-    payload = _through_json(metrics_to_columns(base_metrics))
-    raw = base64.b64decode(payload[key])
-    payload[key] = base64.b64encode(raw[: max(len(raw) - cut, 0)]).decode("ascii")
+@given(cut=st.integers(1, 200))
+def test_truncated_buffer_is_rejected_like_a_truncated_row(base_metrics, cut):
+    blob = metrics_to_columns(base_metrics)
+    blob = blob[: max(len(blob) - cut, HEAD.size)]
     rows = _through_json(metrics_to_payload(base_metrics))
     rows["records"][-1] = rows["records"][-1][:-1]
     assert _rejects(metrics_from_row_payload, rows)
-    assert _codec_rejects(payload)
+    assert _codec_rejects(blob)
+
+
+@pytest.mark.parametrize("keep", [0, 1, 8, 24, 100, 359])
+def test_a_record_cut_inside_its_header_is_rejected(base_metrics, keep):
+    with record_builds() as built:
+        assert _rejects(metrics_from_payload, metrics_to_columns(base_metrics)[:keep])
+    assert built == {Job: 0, CompletedJob: 0}
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.one_of(st.integers(-5, 100), st.just(True), st.just(40.0), st.just("40")))
+@given(n=st.one_of(st.integers(-5, 100), st.sampled_from([-(2**63), 2**63 - 1])))
 def test_a_wrong_count_is_rejected_like_an_overlong_row(base_metrics, n):
     # The row form carries no count; its equivalent of a count that
     # disagrees with the data is a record longer than the column list.
-    payload = _through_json(metrics_to_columns(base_metrics))
-    assume(not (n == payload["n"] and type(n) is int))
-    payload["n"] = n
+    blob = metrics_to_columns(base_metrics)
+    assume(n != len(base_metrics.records))
+    blob = struct.pack("<q", n) + blob[8:]
     rows = _through_json(metrics_to_payload(base_metrics))
     rows["records"][0] = rows["records"][0] + [0]
     assert _rejects(metrics_from_row_payload, rows)
-    assert _codec_rejects(payload)
+    assert _codec_rejects(blob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.integers(0, 6), delta=st.sampled_from([-40, -2, -1, 1, 2, 2**40]))
+def test_group_counts_that_do_not_cover_the_records_are_rejected(base_metrics, group, delta):
+    # The references re-fold the records and store no groups, so this
+    # check is the codec's own: the overall count must equal n, and the
+    # category and the quality counts must each sum to it.
+    head = list(HEAD.unpack_from(metrics_to_columns(base_metrics)))
+    counts = head[GROUP_COUNTS]
+    assert counts[0] == len(base_metrics.records) == sum(counts[1:5]) == sum(counts[5:])
+    head[GROUP_COUNTS.start + group] += delta
+    blob = HEAD.pack(*head) + metrics_to_columns(base_metrics)[HEAD.size :]
+    with record_builds() as built:
+        assert _rejects(metrics_from_payload, blob)
+    assert built == {Job: 0, CompletedJob: 0}
+    assert not _rejects(_oracle_decode, blob)
+
+
+def test_a_negative_group_count_is_rejected_though_the_counts_sum(base_metrics):
+    blob = metrics_to_columns(base_metrics)
+    head = list(HEAD.unpack_from(blob))
+    sn, sw = GROUP_COUNTS.start + 1, GROUP_COUNTS.start + 2
+    head[sn], head[sw] = -1, head[sw] + head[sn] + 1
+    assert _rejects(metrics_from_payload, HEAD.pack(*head) + blob[HEAD.size :])
+
+
+def test_a_run_whose_groups_do_not_cover_its_records_is_not_encoded(base_metrics):
+    # A streaming run keeps only its watched records beside the whole
+    # run's aggregates; storing it would write counts the decoder rejects.
+    partial = replace(base_metrics, records=base_metrics.records[:-1])
+    with pytest.raises(ValueError, match="summarizes 40 jobs but holds 39"):
+        metrics_to_columns(partial)
+
+
+def test_stored_metrics_must_be_bytes(base_metrics):
+    blob = metrics_to_columns(base_metrics)
+    for wrong in (blob.decode("latin-1"), bytearray(blob), memoryview(blob), None):
+        assert _rejects(metrics_from_payload, wrong)

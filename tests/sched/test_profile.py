@@ -193,6 +193,29 @@ class TestFindStart:
             if anchor < start:
                 assert p.min_free(anchor, 25.0) < 5
 
+    def test_min_free_reads_the_sliver_find_start_skips(self):
+        # 2.22e-16 snaps onto the breakpoint at 0.0, and the reservation's
+        # end lands one ulp past 1.0: earliest=1.0 sits in a 30-free
+        # sliver before the 31-free segment.  find_start skips the sliver,
+        # and min_free, which finds its first segment as exactly as
+        # find_start does, agrees that 1.0 is no start for 31.
+        p = Profile(32)
+        p.reserve(1, 0.0, 2.0)
+        p.reserve(1, 2.22e-16, 1.0)
+        assert p.breakpoints() == [(0.0, 30), (1.0000000000000002, 31), (2.0, 32)]
+        start = p.find_start(31, 1.0, earliest=1.0)
+        assert start == 1.0000000000000002
+        assert p.min_free(1.0, 1.0) == 30
+        assert p.min_free(start, 1.0) == 31
+        assert p.min_free_many([1.0, 0.5], 1.0) == [30, 30]
+
+    def test_a_window_opening_in_a_sliver_counts_it(self):
+        p = Profile(32)
+        p.reserve(1, 0.0, 1.0000000000000002)
+        assert p.breakpoints() == [(0.0, 31), (1.0000000000000002, 32)]
+        assert p.min_free(1.0, 0.5) == 31
+        assert p.find_start(32, 0.5, earliest=1.0) == 1.0000000000000002
+        assert p.find_start(31, 0.5, earliest=1.0) == 1.0
 
 class TestAdvance:
     def test_advance_drops_old_breakpoints(self):
